@@ -7,13 +7,13 @@ expressed as two alternating map-reduce jobs.  A validity sweep scores
 candidate cluster counts with four indices and picks the consensus.
 """
 
-from .engine import JobMetrics, JobSpec, KeyedRecord, run_job, set_parallelism
+from .engine import JobMetrics, JobSpec, run_job, set_parallelism
 from .errors import DataIOError, EngineError, MrfcmError, NumericError, SchemaError
 from .fcm import (FcmConfig, FcmResult, init_centroids, job1_membership,
                   job2_centroids, membership_row, objective, run_fcm)
 from .ingest import (CategoricalDataset, ColumnSpec, PartitionedStore, discretize,
                      encode_csv, infer_schema, load_csv, partition,
-                     replicate_to_size, schema_dump, subset_rows)
+                     replicate_to_size, schema_dump)
 from .mca import (CategoryMargins, MCAModel, ProjectedData, accumulate_burt,
                   fit_mca, project, project_store)
 from .validity import ValidityReport, ValidityRow, pc, pe, sc, sweep, xb
@@ -23,11 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CategoricalDataset", "CategoryMargins", "ColumnSpec", "DataIOError",
     "EngineError", "FcmConfig", "FcmResult", "JobMetrics", "JobSpec",
-    "KeyedRecord", "MCAModel", "MrfcmError", "NumericError", "PartitionedStore",
+    "MCAModel", "MrfcmError", "NumericError", "PartitionedStore",
     "ProjectedData", "SchemaError", "ValidityReport", "ValidityRow",
     "accumulate_burt", "discretize", "encode_csv", "fit_mca", "infer_schema",
     "init_centroids", "job1_membership", "job2_centroids", "load_csv",
     "membership_row", "objective", "partition", "pc", "pe", "project",
     "project_store", "replicate_to_size", "run_fcm", "run_job", "sc",
-    "schema_dump", "set_parallelism", "subset_rows", "sweep", "xb",
+    "schema_dump", "set_parallelism", "sweep", "xb",
 ]

@@ -89,25 +89,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    sizes = [int(s) for s in args.bench_sizes.split(",")]
-    if sizes != sorted(sizes):
+    if args.bench_sizes != sorted(args.bench_sizes):
         print("bench: --bench-sizes must be ascending", file=sys.stderr)
         return 2
-    deployments = []
-    for pair in args.bench_deployments.split(","):
-        mappers, reducers = pair.split("x")
-        deployments.append((int(mappers), int(reducers)))
 
     names, rows = ingest.load_csv(args.input, has_header=args.header, delimiter=args.delimiter)
     out_path = os.path.join(args.out_dir, "bench.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("instances,mappers,reducers,seconds\n")
-        for size in sizes:
+        for size in args.bench_sizes:
             schema = ingest.infer_schema(names, rows[:min(size, len(rows))])
             dataset = ingest.discretize(rows[:min(size, len(rows))], schema, bins=args.bins)
             if size > dataset.n:
                 dataset = ingest.replicate_to_size(dataset, size, seed=args.seed)
-            for mappers, reducers in deployments:
+            for mappers, reducers in args.bench_deployments:
                 store = ingest.partition(dataset, mappers)
                 spec = JobSpec(mappers, reducers, f"bench_{size}")
                 config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
@@ -141,6 +136,25 @@ def cmd_mca_info(args) -> int:
         print(f"  axis {s}: eigenvalue={model.eigenvalues[s]:.6g} "
               f"({100 * model.inertia_fractions[s]:.2f}% of inertia)")
     return 0
+
+
+def _size_list(text):
+    """argparse type: comma-separated row counts."""
+    try:
+        return [int(size) for size in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers like 1000,2000, got {text!r}") from None
+
+
+def _deployment_list(text):
+    """argparse type: comma-separated mappersxreducers pairs."""
+    pairs = [pair.split("x") for pair in text.split(",")]
+    if all(len(pair) == 2 for pair in pairs):
+        try:
+            return [(int(mappers), int(reducers)) for mappers, reducers in pairs]
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected pairs like 50x25,100x50, got {text!r}")
 
 
 def _common_flags(sub):
@@ -178,9 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser("bench", help="scalability benchmark over sizes x deployments")
     _common_flags(bench)
     bench.add_argument("--c", type=int, default=2)
-    bench.add_argument("--bench-sizes", required=True,
+    bench.add_argument("--bench-sizes", required=True, type=_size_list,
                        help="comma-separated ascending row counts, e.g. 100000,200000")
     bench.add_argument("--bench-deployments", default="50x25,100x50,150x75",
+                       type=_deployment_list,
                        help="comma-separated mappersxreducers pairs")
     bench.add_argument("--fixed-iters", type=int, default=10,
                        help="iteration budget per bench cell (no convergence exit)")

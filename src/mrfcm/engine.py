@@ -3,10 +3,15 @@
 Jobs run over a PartitionedStore with an immutable broadcast context.
 Logical map tasks equal ``num_mappers`` and are queued onto a bounded
 worker pool, so deployments with many more mappers than cores behave
-like their cluster counterparts.  The shuffle orders every key's values
-by (origin partition, emission order), which makes floating-point
-reductions order-stable: rerunning a job with any mapper/reducer count
-produces the same grouped inputs.
+like their cluster counterparts.  A job whose map tasks average fewer
+than ``INLINE_ROWS_PER_TASK`` rows runs both phases in the calling
+thread instead: blocks that small cost a pool more CPU than it saves in
+wall time.
+
+The shuffle walks map output in ascending partition order, so every
+key's values arrive ordered by (origin partition, emission order) with
+no sort.  That makes floating-point reductions order-stable: any
+mapper/reducer count, pooled or inline, gives the same grouped inputs.
 """
 from __future__ import annotations
 
@@ -14,10 +19,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import EngineError
 from .ingest import PartitionedStore
+
+# Mean rows per map task below which a job runs in the calling thread:
+# on 2 cores, smaller blocks cost the pool more CPU than it saves in wall
+# time (measured per fcm iteration; see CHANGES.md).
+INLINE_ROWS_PER_TASK = 4096
 
 
 @dataclass(frozen=True)
@@ -31,12 +41,6 @@ class JobSpec:
     def __post_init__(self):
         if self.num_mappers < 1 or self.num_reducers < 1:
             raise EngineError(f"{self.job_name}: mapper/reducer counts must be >= 1")
-
-
-class KeyedRecord(NamedTuple):
-    key: object
-    value: object
-    origin: int  # partition index, secondary sort key
 
 
 @dataclass
@@ -83,6 +87,14 @@ def _assign_round_robin(items, num_tasks):
     return tasks
 
 
+def _run_tasks(fn, tasks, workers):
+    """fn applied to every task, results in task order."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
             map_fn: Callable, reduce_fn: Callable,
             available_cores: int | None = None):
@@ -96,43 +108,36 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
     """
     map_workers, reduce_workers = set_parallelism(spec, available_cores)
     metrics = JobMetrics(spec.job_name, spec.num_mappers, spec.num_reducers)
-    pids = list(range(store.num_partitions))
-    map_tasks = _assign_round_robin(pids, spec.num_mappers)
+    map_tasks = _assign_round_robin(range(store.num_partitions), spec.num_mappers)
+    if store.n < INLINE_ROWS_PER_TASK * len(map_tasks):
+        map_workers = reduce_workers = 1
 
     def run_map_task(task_pids):
         emitted = []
         for pid in task_pids:
             try:
-                pairs = map_fn(pid, store.block(pid), broadcast)
+                emitted.append((pid, list(map_fn(pid, store.block(pid), broadcast))))
             except Exception as exc:
                 raise EngineError(f"{spec.job_name}: map failed on partition {pid}: {exc}") from exc
-            for seq, (key, value) in enumerate(pairs):
-                emitted.append((KeyedRecord(key, value, pid), seq))
         return emitted
 
     t0 = time.perf_counter()
-    if map_workers <= 1 or len(map_tasks) <= 1:
-        map_outputs = [run_map_task(t) for t in map_tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=map_workers) as pool:
-            map_outputs = list(pool.map(run_map_task, map_tasks))
+    map_outputs = _run_tasks(run_map_task, map_tasks, map_workers)
     metrics.map_wall_time = time.perf_counter() - t0
 
-    # Shuffle: group by key, order each group by (origin, emission order).
+    # Shuffle: walking partitions in ascending order appends each key's
+    # values in (origin, emission) order.
     t0 = time.perf_counter()
+    by_pid = dict(pair for task_out in map_outputs for pair in task_out)
     groups: dict = {}
-    n_in = 0
-    for task_out in map_outputs:
-        for record, seq in task_out:
-            groups.setdefault(record.key, []).append((record.origin, seq, record.value))
-            n_in += 1
+    for pid in range(store.num_partitions):
+        for key, value in by_pid[pid]:
+            groups.setdefault(key, []).append(value)
+    metrics.records_in = sum(map(len, by_pid.values()))
     try:
         keys = sorted(groups)
     except TypeError as exc:
         raise EngineError(f"{spec.job_name}: emitted keys are not totally ordered: {exc}") from exc
-    for key in keys:
-        groups[key].sort(key=lambda t: (t[0], t[1]))
-    metrics.records_in = n_in
     metrics.shuffle_wall_time = time.perf_counter() - t0
 
     reduce_tasks = _assign_round_robin(keys, spec.num_reducers)
@@ -140,22 +145,18 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
     def run_reduce_task(task_keys):
         out = []
         for key in task_keys:
-            values = [v for _, _, v in groups[key]]
             try:
-                out.append((key, reduce_fn(key, values)))
+                out.append((key, reduce_fn(key, groups[key])))
             except Exception as exc:
                 raise EngineError(f"{spec.job_name}: reduce failed on key {key!r}: {exc}") from exc
         return out
 
     t0 = time.perf_counter()
-    if reduce_workers <= 1 or len(reduce_tasks) <= 1:
-        reduce_outputs = [run_reduce_task(t) for t in reduce_tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=reduce_workers) as pool:
-            reduce_outputs = list(pool.map(run_reduce_task, reduce_tasks))
+    reduce_outputs = _run_tasks(run_reduce_task, reduce_tasks, reduce_workers)
     metrics.reduce_wall_time = time.perf_counter() - t0
 
-    order = {key: i for i, key in enumerate(keys)}
-    results = sorted((pair for task in reduce_outputs for pair in task), key=lambda kv: order[kv[0]])
+    # Key i went to reduce task i mod R, at position i div R.
+    width = len(reduce_tasks)
+    results = [reduce_outputs[i % width][i // width] for i in range(len(keys))]
     metrics.records_out = len(results)
     return results, metrics

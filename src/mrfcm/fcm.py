@@ -22,7 +22,7 @@ import numpy as np
 from .engine import JobSpec, run_job
 from .errors import NumericError
 from .ingest import PartitionedStore
-from .mca import MCAModel, ProjectedData
+from .mca import MCAModel, ProjectedData, _identity_reduce
 
 # Records closer to a centroid than this are treated as coincident with it.
 SINGULARITY_DISTANCE = 1e-12
@@ -87,10 +87,18 @@ def _membership_block(points, centroids, m):
     dist_sq = (diff * diff).sum(axis=2)  # (b, c)
     coincident = dist_sq < SINGULARITY_DISTANCE ** 2
     hit = coincident.any(axis=1)
-    with np.errstate(divide="ignore"):
-        ratios = dist_sq ** (-1.0 / (m - 1.0))
-    u = np.empty_like(dist_sq)
     safe = ~hit
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = dist_sq ** (-1.0 / (m - 1.0))
+        sums = ratios.sum(axis=1)
+    # Near m = 1 the power over- or underflows, or leaves only subnormal
+    # ratios with a few significant bits; such rows are recomputed against
+    # their own nearest centroid, whose ratio is then exactly 1.
+    lost = safe & ~(np.isfinite(sums) & (ratios.max(axis=1) >= np.finfo(float).tiny))
+    if lost.any():
+        d = dist_sq[lost]
+        ratios[lost] = (d.min(axis=1, keepdims=True) / d) ** (1.0 / (m - 1.0))
+    u = np.empty_like(dist_sq)
     u[safe] = ratios[safe] / ratios[safe].sum(axis=1, keepdims=True)
     if hit.any():
         # Split full membership equally among coincident centroids.
@@ -107,17 +115,11 @@ def _job1_map(pid, block, ctx):
     yield pid, _membership_block(_coords_of(block, model), centroids, m)
 
 
-def _concat_reduce(key, values):
-    if len(values) != 1:
-        raise NumericError(f"partition {key}: expected one membership sub-matrix, got {len(values)}")
-    return values[0]
-
-
 def job1_membership(store: PartitionedStore, model, centroids, spec: JobSpec,
                     m: float = 2.0, available_cores=None):
     """Membership job: project, compute rows, merge sub-matrices in order."""
     results, metrics = run_job(spec, store, (model, np.asarray(centroids, float), m),
-                               _job1_map, _concat_reduce, available_cores=available_cores)
+                               _job1_map, _identity_reduce, available_cores=available_cores)
     u = np.concatenate([value for _, value in results], axis=0)
     return u, metrics
 
@@ -198,9 +200,12 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     coordinates (projected or otherwise).
     """
     if model is None:
-        init_source = ProjectedData(_coords_of(store.data, None))
+        coords = _coords_of(store.data, None)
+        if not np.isfinite(coords).all():
+            raise NumericError("input holds non-finite values (NaN or inf)")
+        init_source = ProjectedData(coords)
     else:
-        init_source, _ = _project_distinct(store, model)
+        init_source = _project_distinct(store, model)
     centroids = init_centroids(init_source, config.c, config.seed)
 
     result = FcmResult(u=np.empty((store.n, config.c)), v=centroids)
@@ -226,6 +231,4 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
 def _project_distinct(store, model):
     """Project only the distinct encoded rows; enough for initialization."""
     distinct, first_pos = np.unique(store.data, axis=0, return_index=True)
-    order = np.argsort(first_pos)
-    coords = model.transform(distinct[order])
-    return ProjectedData(coords), order
+    return ProjectedData(model.transform(distinct[np.argsort(first_pos)]))

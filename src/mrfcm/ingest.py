@@ -18,8 +18,6 @@ from .errors import DataIOError, SchemaError
 # Cell values treated as missing ("?" is the usual marker in UCI exports).
 MISSING_TOKENS = frozenset({"", "?", "NA", "na", "NaN", "nan", "NULL", "null"})
 
-MISSING_LABEL = "<missing>"
-
 
 @dataclass
 class ColumnSpec:
@@ -59,17 +57,6 @@ class ColumnSpec:
         else:
             base = len(self.bin_edges) - 1 if self.bin_edges is not None else 0
         return base + (1 if self.has_missing else 0)
-
-    def category_labels(self) -> list[str]:
-        """Human-readable label per code, for audit dumps."""
-        if self.kind == "categorical":
-            labels = list(self.categories)
-        else:
-            edges = self.bin_edges
-            labels = [f"({edges[i]:g},{edges[i + 1]:g}]" for i in range(len(edges) - 1)]
-        if self.has_missing:
-            labels.append(MISSING_LABEL)
-        return labels
 
 
 @dataclass
@@ -129,14 +116,6 @@ class PartitionedStore:
 
     def block(self, pid: int) -> np.ndarray:
         return self.data[self.offsets[pid]:self.offsets[pid + 1]]
-
-    def extent(self, pid: int) -> tuple[int, int]:
-        """(global row offset, row count) of one partition."""
-        return int(self.offsets[pid]), int(self.offsets[pid + 1] - self.offsets[pid])
-
-    def blocks(self):
-        for pid in range(self.num_partitions):
-            yield pid, self.block(pid)
 
 
 def load_csv(path, has_header: bool = True, delimiter: str = ","):
@@ -337,13 +316,6 @@ def replicate_to_size(dataset: CategoricalDataset, target_n: int, seed: int) -> 
     extra = rng.integers(0, n, size=target_n - n)
     codes = np.concatenate([dataset.codes, dataset.codes[extra]], axis=0)
     return CategoricalDataset(dataset.schema, codes)
-
-
-def subset_rows(dataset: CategoricalDataset, target_n: int) -> CategoricalDataset:
-    """First target_n rows, for benchmark size schedules below n."""
-    if target_n > dataset.n:
-        raise SchemaError(f"subset size {target_n} above row count {dataset.n}")
-    return CategoricalDataset(dataset.schema, dataset.codes[:target_n].copy())
 
 
 def schema_dump(dataset: CategoricalDataset) -> str:

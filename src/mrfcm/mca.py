@@ -61,10 +61,6 @@ class ProjectedData:
 
     coords: np.ndarray  # (n, d)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
 
 class MCAModel:
     """Fitted MCA: retained axes plus the streaming projection tables.
@@ -200,7 +196,7 @@ def _project_map(pid, block, model):
 
 def _identity_reduce(key, values):
     if len(values) != 1:
-        raise NumericError(f"expected one sub-matrix per partition, got {len(values)}")
+        raise NumericError(f"partition {key}: expected one sub-matrix, got {len(values)}")
     return values[0]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import JobSpec
 from .errors import NumericError
-from .fcm import FcmConfig, run_fcm
+from .fcm import FcmConfig, objective, run_fcm
 from .ingest import PartitionedStore, partition
 from .mca import MCAModel, ProjectedData, project_store
 
@@ -51,21 +51,15 @@ def _pairwise_min_sep_sq(centroids) -> float:
     return best
 
 
-def _scatter(u, centroids, coords, exponent) -> float:
-    diff = coords[:, None, :] - centroids[None, :, :]
-    return float(((u ** exponent) * (diff * diff).sum(axis=2)).sum())
-
-
 def xb(u, centroids, data) -> float:
     """Xie-Beni index: squared-membership scatter over n times the minimum
     squared centroid separation.  Coincident centroids give +inf."""
-    coords = data.coords if isinstance(data, ProjectedData) else np.asarray(data, float)
     u = np.asarray(u, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     sep = _pairwise_min_sep_sq(centroids)
     if sep < SEPARATION_EPS:
         return math.inf
-    return _scatter(u, centroids, coords, 2.0) / (u.shape[0] * sep)
+    return objective(u, centroids, data, 2.0) / (u.shape[0] * sep)
 
 
 def sc(u, centroids, data, m: float = 2.0) -> float:
@@ -76,13 +70,12 @@ def sc(u, centroids, data, m: float = 2.0) -> float:
     centroids give 0 (no separation), and a zero scatter with separated
     centroids gives +inf (perfectly compact).
     """
-    coords = data.coords if isinstance(data, ProjectedData) else np.asarray(data, float)
     u = np.asarray(u, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     sep = _pairwise_min_sep_sq(centroids)
     if sep < SEPARATION_EPS:
         return 0.0
-    compact = _scatter(u, centroids, coords, m) / u.shape[0]
+    compact = objective(u, centroids, data, m) / u.shape[0]
     if compact <= 0.0:
         return math.inf
     return sep / compact
@@ -105,12 +98,6 @@ class ValidityReport:
     rows: list = field(default_factory=list)
     best_per_index: dict = field(default_factory=dict)
     consensus_c: int = 0
-
-    def row_for(self, c: int) -> ValidityRow:
-        for row in self.rows:
-            if row.c == c:
-                return row
-        raise KeyError(c)
 
 
 def _vote(rows) -> tuple[dict, int]:

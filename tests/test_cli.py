@@ -125,6 +125,20 @@ class TestBench:
                    "--out-dir", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--bench-sizes", "200,4e2"),
+                                             ("--bench-sizes", "200,,400"),
+                                             ("--bench-deployments", "50-25"),
+                                             ("--bench-deployments", "4x2x1"),
+                                             ("--bench-deployments", "4x")])
+    def test_malformed_bench_argument_is_usage_error(self, tmp_path, capsys, flag, value):
+        argv = ["bench", "--input", str(tmp_path / "unused.csv"), "--bench-sizes", "200",
+                "--out-dir", str(tmp_path / "o"), flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and flag in err
+
 
 class TestMcaInfo:
     def test_dumps_schema_axes_and_loadings(self, mm_csv, tmp_path, capsys):

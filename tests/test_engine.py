@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,71 @@ class TestRunJob:
         line = metrics.csv_line()
         assert line.startswith("m,2,1,")
         assert len(line.split(",")) == len(engine.METRICS_HEADER.split(","))
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Force every job with more than one map task onto the worker pool."""
+    monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+
+
+def column_sums(pid, block, broadcast):
+    yield pid % 3, block.sum(axis=0)
+    yield -1, block.sum(axis=0)  # the grand total
+
+
+def add_arrays(key, values):
+    total = values[0].copy()
+    for v in values[1:]:
+        total += v
+    return total
+
+
+class TestPooledPath:
+    def test_pooled_and_inline_results_are_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        store = ingest.partition(rng.normal(size=(4000, 3)), 16)
+        baseline, _ = run_job(JobSpec(1, 1, "fsum"), store, None, column_sums, add_arrays)
+        for mappers in (1, 4, 16):
+            spec = JobSpec(mappers, max(1, mappers // 2), "fsum")
+            inline, _ = run_job(spec, store, None, column_sums, add_arrays)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                pooled, _ = run_job(spec, store, None, column_sums, add_arrays)
+            for results in (inline, pooled):
+                assert [k for k, _ in results] == [k for k, _ in baseline]
+                assert all(a.tobytes() == b.tobytes()
+                           for (_, a), (_, b) in zip(results, baseline))
+
+    def test_small_job_runs_in_calling_thread(self):
+        threads = set()
+
+        def record(pid, block, broadcast):
+            threads.add(threading.current_thread())
+            yield pid, 1
+
+        run_job(JobSpec(4, 2, "small"), token_store(range(8), 4), None, record, sum_reduce)
+        assert threads == {threading.current_thread()}
+
+    def test_map_failure_names_partition(self, pooled):
+        def bad_map(pid, block, broadcast):
+            if pid == 5:
+                raise ValueError("boom")
+            yield pid, 1
+
+        store = token_store(list(range(32)), 8)
+        with pytest.raises(EngineError, match="partition 5"):
+            run_job(JobSpec(8, 2, "bad"), store, None, bad_map, sum_reduce)
+
+    def test_no_threads_leak_across_jobs(self, pooled):
+        store = token_store(list(range(64)), 8)
+        spec = JobSpec(8, 2, "reuse")
+        expected, _ = run_job(spec, store, None, count_map, sum_reduce, available_cores=2)
+        before = threading.active_count()
+        for _ in range(200):
+            results, _ = run_job(spec, store, None, count_map, sum_reduce, available_cores=2)
+            assert results == expected
+        assert threading.active_count() <= before
 
 
 class TestSetParallelism:

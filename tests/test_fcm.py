@@ -68,6 +68,23 @@ class TestMembershipRow:
             assert row.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(row >= 0) and np.all(row <= 1)
 
+    def test_no_nan_near_m_one(self):
+        # The raw power over- or underflows at these scales; the row must not.
+        for m in (1.01, 1.05):
+            for scale in (1e-11, 1e3):
+                row = membership_row([scale, 0.0], [[0.0, 0.0], [3 * scale, 0.0]], m)
+                assert np.all(np.isfinite(row))
+                assert abs(row.sum() - 1.0) <= 1e-12
+                # distances 1 : 2 in units of scale
+                assert row[1] == pytest.approx(0.5 ** (2 / (m - 1)) / (1 + 0.5 ** (2 / (m - 1))))
+        row = membership_row([1e3, 0.0], [[0.0, 0.0], [1.0, 0.0]], m=1.01)
+        assert np.all(np.isfinite(row)) and abs(row.sum() - 1.0) <= 1e-12
+        assert row[0] == pytest.approx(1 / (1 + (1000 / 999) ** 200), rel=1e-9)
+        # Centroids 40 and 41 away: both raw ratios are subnormal (a few bits).
+        row = membership_row([0.0, 0.0], [[40.0, 0.0], [41.0, 0.0]], m=1.01)
+        assert abs(row.sum() - 1.0) <= 1e-12
+        assert row[1] == pytest.approx(1 / (1 + (41 / 40) ** 200), rel=1e-9)
+
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(12)
         centroids = rng.normal(size=(4, 2))
@@ -261,6 +278,16 @@ class TestRunFcm:
             projected.coords, 2, m=2.0, epsilon=1e-5, max_iters=40, seed=4)
         assert np.allclose(result.u, ref_u, atol=1e-9)
         assert np.allclose(result.v, ref_v, atol=1e-9)
+
+
+    def test_non_finite_input_rejected(self):
+        for bad in (np.nan, np.inf):
+            coords = np.arange(12.0).reshape(6, 2)
+            coords[4, 1] = bad
+            store = ingest.partition(coords, 2)
+            with pytest.raises(NumericError, match="non-finite"):
+                run_fcm(store, None, FcmConfig(c=2, seed=0), spec_for(2))
+        assert NumericError.exit_code == 5
 
 
 class TestConfigValidation:
