@@ -3,14 +3,14 @@
 Pipeline: encode mixed-type records into categories, fit a multiple
 correspondence analysis from globally aggregated statistics, project
 records into its Euclidean space, and cluster them with fuzzy c-means
-expressed as two alternating map-reduce jobs.  A validity sweep scores
+expressed as one map-reduce job per iteration.  A validity sweep scores
 candidate cluster counts with four indices and picks the consensus.
 """
 
 from .engine import JobMetrics, JobSpec, run_job, set_parallelism
 from .errors import DataIOError, EngineError, MrfcmError, NumericError, SchemaError
-from .fcm import (FcmConfig, FcmResult, init_centroids, job1_membership,
-                  job2_centroids, membership_row, objective, run_fcm)
+from .fcm import (FcmConfig, FcmResult, fcm_iteration, init_centroids, membership_row,
+                  objective, run_fcm)
 from .ingest import (CategoricalDataset, ColumnSpec, PartitionedStore, discretize,
                      encode_csv, infer_schema, load_csv, partition,
                      replicate_to_size, schema_dump)
@@ -25,9 +25,8 @@ __all__ = [
     "EngineError", "FcmConfig", "FcmResult", "JobMetrics", "JobSpec",
     "MCAModel", "MrfcmError", "NumericError", "PartitionedStore",
     "ProjectedData", "SchemaError", "ValidityReport", "ValidityRow",
-    "accumulate_burt", "discretize", "encode_csv", "fit_mca", "infer_schema",
-    "init_centroids", "job1_membership", "job2_centroids", "load_csv",
-    "membership_row", "objective", "partition", "pc", "pe", "project",
-    "project_store", "replicate_to_size", "run_fcm", "run_job", "sc",
-    "schema_dump", "set_parallelism", "sweep", "xb",
+    "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
+    "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
+    "partition", "pc", "pe", "project", "project_store", "replicate_to_size",
+    "run_fcm", "run_job", "sc", "schema_dump", "set_parallelism", "sweep", "xb",
 ]

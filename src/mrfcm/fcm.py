@@ -1,17 +1,19 @@
-"""Fuzzy c-means decomposed into two alternating map-reduce jobs.
+"""Fuzzy c-means over real-valued coordinates, one map-reduce job per iteration.
 
-Job 1 (membership): every map task projects its partition's records and
-computes their membership rows against the broadcast centroids; the
-reduce merges the per-partition sub-matrices back into the full n x c
-matrix by partition index, doing no arithmetic.
+A categorical store arrives with its MCA model and is projected once, by
+one engine job, before the first iteration; every iteration then reads
+the projected coordinates.
 
-Job 2 (centroids): every map task emits its partition's weighted partial
-sums (numerators and denominators of the prototype update, plus a partial
-objective value); the reduce sums the partials in partition order and the
-driver divides.
+Each iteration is one job.  Every map task computes its partition's
+squared distances to the broadcast centroids once, and emits under a
+single key both halves of the alternating optimization: the membership
+rows of its block, and the weighted partial sums of the prototype update
+(numerators, denominators and a partial objective value).  The reduce
+concatenates the membership blocks and sums the partials, both in
+partition order; the driver divides.
 
-The driver alternates the two jobs from a seeded random initialization
-until the membership matrix stops moving.
+The driver repeats the job from a seeded random initialization until the
+membership matrix stops moving.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .engine import JobSpec, run_job
 from .errors import NumericError
 from .ingest import PartitionedStore
-from .mca import MCAModel, ProjectedData, _identity_reduce
+from .mca import MCAModel, ProjectedData, project_store
 
 # Records closer to a centroid than this are treated as coincident with it.
 SINGULARITY_DISTANCE = 1e-12
@@ -78,11 +80,13 @@ def init_centroids(data, c: int, seed: int) -> np.ndarray:
 
 def membership_row(x, centroids, m: float) -> np.ndarray:
     """Membership vector of one point, with the coincidence rule applied."""
-    return _membership_block(np.asarray(x, dtype=float)[None, :], np.asarray(centroids, float), m)[0]
+    u, _ = _membership_block(np.asarray(x, dtype=float)[None, :], np.asarray(centroids, float), m)
+    return u[0]
 
 
 def _membership_block(points, centroids, m):
-    """Vectorized membership update; all reductions stay within each row."""
+    """Vectorized membership update and the squared distances it used;
+    all reductions stay within each row."""
     diff = points[:, None, :] - centroids[None, :, :]
     dist_sq = (diff * diff).sum(axis=2)  # (b, c)
     coincident = dist_sq < SINGULARITY_DISTANCE ** 2
@@ -103,79 +107,61 @@ def _membership_block(points, centroids, m):
     if hit.any():
         # Split full membership equally among coincident centroids.
         u[hit] = coincident[hit] / coincident[hit].sum(axis=1, keepdims=True)
-    return u
+    return u, dist_sq
 
 
-def _coords_of(block, model):
-    return model.transform(block) if model is not None else np.asarray(block, dtype=float)
-
-
-def _job1_map(pid, block, ctx):
-    model, centroids, m = ctx
-    yield pid, _membership_block(_coords_of(block, model), centroids, m)
-
-
-def job1_membership(store: PartitionedStore, model, centroids, spec: JobSpec,
-                    m: float = 2.0, available_cores=None):
-    """Membership job: project, compute rows, merge sub-matrices in order."""
-    results, metrics = run_job(spec, store, (model, np.asarray(centroids, float), m),
-                               _job1_map, _identity_reduce, available_cores=available_cores)
-    u = np.concatenate([value for _, value in results], axis=0)
-    return u, metrics
-
-
-def _job2_map(pid, block, ctx):
-    model, u_all, offsets, centroids, m = ctx
-    coords = _coords_of(block, model)
-    u = u_all[offsets[pid]:offsets[pid] + len(coords)]
+def _iteration_map(pid, coords, ctx):
+    centroids, m = ctx
+    u, dist_sq = _membership_block(coords, centroids, m)
     um = u ** m
-    numer = um.T @ coords                       # (c, d)
-    denom = um.sum(axis=0)                      # (c,)
-    diff = coords[:, None, :] - centroids[None, :, :]
-    partial_obj = (um * (diff * diff).sum(axis=2)).sum()
-    yield "centroid_sums", (numer, denom, partial_obj)
+    yield "iteration", (u, um.T @ coords, um.sum(axis=0), (um * dist_sq).sum())
 
 
-def _sum_partials_reduce(key, values):
-    numer, denom, obj = values[0]
+def _iteration_reduce(key, values):
+    u = np.concatenate([value[0] for value in values], axis=0)
+    _, numer, denom, obj = values[0]
     numer, denom = numer.copy(), denom.copy()
-    for nu, de, ob in values[1:]:
+    for _, nu, de, ob in values[1:]:
         numer += nu
         denom += de
         obj += ob
-    return numer, denom, obj
+    return u, numer, denom, obj
 
 
-def job2_centroids(store: PartitionedStore, model, u, spec: JobSpec, m: float = 2.0,
-                   centroids=None, available_cores=None):
-    """Centroid job: sum per-partition partials, divide, rescue empty clusters.
+def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
+                  available_cores=None):
+    """One fused pass: memberships against ``centroids``, then new centroids.
 
-    Also returns the objective of (u, centroids) accumulated on the way,
-    since every map task already holds the distances.  ``centroids`` are
-    the prototypes u was computed against (used only for the objective and
-    for shapes); pass the current ones from the driver loop.
+    Returns (u, new_centroids, objective, metrics).  The objective is
+    J_m(u, centroids), accumulated from the distances the map tasks
+    already hold.  Clusters whose weight vanishes are re-seeded at the
+    distinct points u claims least, so sweeps over generous c never abort.
     """
-    u = np.asarray(u, dtype=float)
-    c = u.shape[1]
-    if centroids is None:
-        centroids = np.zeros((c, store.data.shape[1] if model is None else model.dim))
-    ctx = (model, u, store.offsets, np.asarray(centroids, float), m)
-    results, metrics = run_job(spec, store, ctx, _job2_map, _sum_partials_reduce,
-                               available_cores=available_cores)
-    numer, denom, objective = results[0][1]
+    results, metrics = run_job(spec, store, (np.asarray(centroids, float), m),
+                               _iteration_map, _iteration_reduce, available_cores=available_cores)
+    u, numer, denom, jm = results[0][1]
     new_centroids = np.empty_like(numer)
     starved = denom < EMPTY_CLUSTER_EPS
     ok = ~starved
     new_centroids[ok] = numer[ok] / denom[ok, None]
     if starved.any():
-        # Re-seed dead clusters at the points the current partition claims
-        # least, so sweeps over generous c never abort.
-        claim = u.max(axis=1)
-        candidates = np.argsort(claim, kind="stable")
-        rows = candidates[: int(starved.sum())]
-        block_coords = _coords_of(store.data[rows], model)
-        new_centroids[starved] = block_coords
-    return new_centroids, float(objective), metrics
+        new_centroids[starved] = _least_claimed_points(u, store.data, int(starved.sum()))
+    return u, new_centroids, float(jm), metrics
+
+
+def _least_claimed_points(u, coords, count):
+    """The first ``count`` distinct points in ascending order of their
+    largest membership.  Two dead clusters re-seeded at the same point
+    would coincide, and coincident centroids never separate again."""
+    picks, seen = [], set()
+    for row in np.argsort(u.max(axis=1), kind="stable"):
+        key = (coords[row] + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+        if key not in seen:
+            seen.add(key)
+            picks.append(coords[row])
+            if len(picks) == count:
+                break
+    return picks
 
 
 def objective(u, centroids, data, m: float = 2.0) -> float:
@@ -189,34 +175,56 @@ def objective(u, centroids, data, m: float = 2.0) -> float:
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
             spec: JobSpec, available_cores=None, metrics_sink=None) -> FcmResult:
-    """Alternate the membership and centroid jobs until convergence.
+    """Repeat the fused iteration job until convergence.
 
     Convergence fires when the largest absolute membership change between
     consecutive iterations drops below config.epsilon.  The recorded
-    objective for iteration t is J_m(U_t, V_{t-1}), evaluated inside job 2
-    right after the membership update; the sequence is non-increasing.
+    objective for iteration t is J_m(U_t, V_{t-1}), evaluated in the same
+    pass right after the membership update; the sequence is non-increasing.
 
-    ``model`` may be None when the store already holds real-valued
+    ``model`` projects a categorical store once, before the first
+    iteration; pass None when the store already holds real-valued
     coordinates (projected or otherwise).
     """
+    coord_store, seed_points = _coordinates(store, model, spec, available_cores, metrics_sink)
+    return _cluster(coord_store, seed_points, config, spec, available_cores, metrics_sink)
+
+
+def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
+    """A float store over ``store``'s partitions, plus the points to seed from.
+
+    With a model the codes are projected by one job, and the seed points
+    are the coordinates of each distinct encoded row's first occurrence,
+    in row order: init_centroids draws the same picks from them as from
+    every row, without sorting n float rows.
+    """
     if model is None:
-        coords = _coords_of(store.data, None)
+        coords = np.asarray(store.data, dtype=float)
         if not np.isfinite(coords).all():
             raise NumericError("input holds non-finite values (NaN or inf)")
-        init_source = ProjectedData(coords)
-    else:
-        init_source = _project_distinct(store, model)
-    centroids = init_centroids(init_source, config.c, config.seed)
+        return PartitionedStore(coords, store.offsets), coords
+    projected, metrics = project_store(store, model, spec, available_cores=available_cores)
+    if metrics_sink is not None:
+        metrics_sink.append(metrics)
+    # One opaque byte string per row: distinct rows without packing the
+    # codes into an integer key, which overflows on wide tables.
+    codes = np.ascontiguousarray(store.data)
+    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
+    coords = projected.coords
+    return PartitionedStore(coords, store.offsets), coords[np.sort(first)]
 
+
+def _cluster(store, seed_points, config, spec, available_cores=None, metrics_sink=None):
+    """The driver loop of run_fcm over a float store."""
+    centroids = init_centroids(seed_points, config.c, config.seed)
     result = FcmResult(u=np.empty((store.n, config.c)), v=centroids)
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
-        u, m1 = job1_membership(store, model, centroids, spec, m=config.m,
-                                available_cores=available_cores)
-        centroids, obj, m2 = job2_centroids(store, model, u, spec, m=config.m,
-                                            centroids=centroids, available_cores=available_cores)
+        u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, m=config.m,
+                                                   available_cores=available_cores)
         if metrics_sink is not None:
-            metrics_sink.extend([m1, m2])
+            metrics_sink.append(metrics)
         result.objective_trace.append(obj)
         delta = float(np.abs(u - u_prev).max()) if u_prev is not None else float("inf")
         result.max_delta_trace.append(delta)
@@ -226,9 +234,3 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
             break
         u_prev = u
     return result
-
-
-def _project_distinct(store, model):
-    """Project only the distinct encoded rows; enough for initialization."""
-    distinct, first_pos = np.unique(store.data, axis=0, return_index=True)
-    return ProjectedData(model.transform(distinct[np.argsort(first_pos)]))

@@ -153,6 +153,8 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
     at ``mca_dims``; if nothing clears the floor the single leading axis
     is kept so downstream clustering always has coordinates to work with.
     """
+    if mca_dims < 1:
+        raise NumericError(f"mca_dims must be >= 1, got {mca_dims}")
     counts = margins.counts.astype(float)
     if np.any(counts <= 0):
         raise NumericError("zero-mass category present; encoding must drop empty categories")

@@ -15,9 +15,9 @@ import numpy as np
 
 from .engine import JobSpec
 from .errors import NumericError
-from .fcm import FcmConfig, objective, run_fcm
-from .ingest import PartitionedStore, partition
-from .mca import MCAModel, ProjectedData, project_store
+from .fcm import FcmConfig, _cluster, _coordinates, objective
+from .ingest import PartitionedStore
+from .mca import MCAModel
 
 SEPARATION_EPS = 1e-12
 
@@ -137,27 +137,23 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
     if c_max > store.n // 2:
         raise NumericError(f"c_max {c_max} exceeds n/2 = {store.n // 2}")
 
-    # The projection is global and does not depend on c: materialize it once
-    # and run every candidate on the projected coordinates.
-    if model is not None:
-        projected, _ = project_store(store, model, spec, available_cores=available_cores)
-        coord_store = partition(projected.coords, store.num_partitions)
-    else:
-        projected = ProjectedData(np.asarray(store.data, dtype=float))
-        coord_store = store
+    # The projection and the seed points do not depend on c: find them
+    # once and run every candidate on the projected coordinates.
+    coord_store, seed_points = _coordinates(store, model, spec, available_cores)
+    coords = coord_store.data
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = FcmConfig(c=c, m=config.m, epsilon=config.epsilon,
                             max_iters=config.max_iters, seed=config.seed + c)
         try:
-            result = run_fcm(coord_store, None, run_cfg, spec, available_cores=available_cores)
+            result = _cluster(coord_store, seed_points, run_cfg, spec, available_cores)
             row = ValidityRow(
                 c=c,
                 pc=pc(result.u),
                 pe=pe(result.u),
-                xb=xb(result.u, result.v, projected),
-                sc=sc(result.u, result.v, projected, m=config.m),
+                xb=xb(result.u, result.v, coords),
+                sc=sc(result.u, result.v, coords, m=config.m),
                 iters=result.iters_run,
                 jm=result.objective_trace[-1],
             )

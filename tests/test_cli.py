@@ -156,3 +156,14 @@ class TestMcaInfo:
         loadings = np.loadtxt(out / "loadings.csv", delimiter=",")
         assert loadings.shape[1] == len(eigs)
         assert "axes=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dims", ["-1", "0"])
+@pytest.mark.parametrize("command, extra", [("cluster", ["--c", "2"]),
+                                            ("sweep", ["--c-max", "3"]),
+                                            ("mca-info", [])])
+def test_nonpositive_mca_dims_exits_5(mm_csv, tmp_path, capsys, command, extra, dims):
+    code = run(command, "--input", mm_csv, "--mca-dims", dims, *extra,
+               "--out-dir", str(tmp_path / "o"))
+    assert code == 5
+    assert "NumericError: mca_dims must be >= 1" in capsys.readouterr().err

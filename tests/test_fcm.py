@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mrfcm import fcm, ingest, mca
+from mrfcm import engine, ingest, mca
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
-from mrfcm.fcm import (FcmConfig, init_centroids, job1_membership, job2_centroids,
-                       membership_row, objective, run_fcm)
+from mrfcm.fcm import (FcmConfig, fcm_iteration, init_centroids, membership_row, objective,
+                       run_fcm)
 
 import reference
 
@@ -96,50 +96,57 @@ class TestMembershipRow:
                 assert np.allclose(ours, theirs, atol=1e-12)
 
 
+def iterate(coords, centroids, p, m=2.0):
+    """One fused iteration over coords split into p partitions."""
+    store = ingest.partition(np.asarray(coords, dtype=float), p)
+    return fcm_iteration(store, np.asarray(centroids, dtype=float), spec_for(p), m=m)
+
+
 class TestJob1:
+    """The membership half of fcm_iteration."""
+
     def test_partition_invariance_exact(self):
         rng = np.random.default_rng(2)
         coords = rng.normal(size=(57, 3))
         centroids = rng.normal(size=(3, 3))
         baseline = None
         for p in (1, 8):
-            store = ingest.partition(coords, p)
-            u, _ = job1_membership(store, None, centroids, spec_for(p))
+            u, _, _, _ = iterate(coords, centroids, p)
             if baseline is None:
                 baseline = u
             else:
                 assert np.array_equal(u, baseline)
 
     def test_single_row(self):
-        store = ingest.partition(np.array([[1.0, 1.0]]), 1)
-        u, _ = job1_membership(store, None, np.array([[0.0, 0.0], [2.0, 2.0]]), spec_for(1))
+        u, _, _, _ = iterate([[1.0, 1.0]], [[0.0, 0.0], [2.0, 2.0]], 1)
         assert u.shape == (1, 2)
         assert np.allclose(u.sum(axis=1), 1.0)
 
     def test_square_corners_against_bruteforce(self):
         coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         centroids = coords[[0, 3]]
-        store = ingest.partition(coords, 2)
-        u, _ = job1_membership(store, None, centroids, spec_for(2))
+        u, _, _, _ = iterate(coords, centroids, 2)
         expected = np.array([reference.reference_membership(x, centroids, 2.0)
                              for x in coords])
         assert np.allclose(u, expected, atol=1e-12)
 
 
 class TestJob2:
+    """The centroid half of fcm_iteration."""
+
     def test_crisp_membership_reduces_to_means(self):
+        # At m = 1.01 the far centroid's membership is below 1e-180.
         coords = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
-        u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        store = ingest.partition(coords, 2)
-        v, _, _ = job2_centroids(store, None, u, spec_for(2), m=2.0, centroids=coords[:2])
+        u, v, _, _ = iterate(coords, [[1.0, 0.5], [9.0, 1.5]], 2, m=1.01)
+        assert np.array_equal(u.round(12), [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         assert np.allclose(v, [[0.0, 1.0], [10.0, 1.0]], atol=1e-12)
 
     def test_uniform_membership_gives_global_mean(self):
+        # Coincident centroids leave every point equidistant from all three.
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(30, 2))
-        u = np.full((30, 3), 1.0 / 3.0)
-        store = ingest.partition(coords, 3)
-        v, _, _ = job2_centroids(store, None, u, spec_for(3), m=2.0, centroids=np.zeros((3, 2)))
+        u, v, _, _ = iterate(coords, np.zeros((3, 2)), 3)
+        assert np.allclose(u, 1.0 / 3.0, atol=1e-15)
         mean = coords.mean(axis=0)
         for i in range(3):
             assert np.allclose(v[i], mean, atol=1e-12)
@@ -147,9 +154,10 @@ class TestJob2:
     def test_random_membership_matches_direct_sums(self):
         rng = np.random.default_rng(5)
         coords = rng.normal(size=(50, 4))
-        u = reference.random_membership(rng, 50, 3)
-        store = ingest.partition(coords, 4)
-        v, _, _ = job2_centroids(store, None, u, spec_for(4), m=2.0, centroids=np.zeros((3, 4)))
+        centroids = rng.normal(size=(3, 4))
+        u, v, _, _ = iterate(coords, centroids, 4)
+        expected_u = np.array([reference.reference_membership(x, centroids, 2.0) for x in coords])
+        assert np.allclose(u, expected_u, atol=1e-12)
         um = u ** 2.0
         expected = (um.T @ coords) / um.sum(axis=0)[:, None]
         assert np.allclose(v, expected, atol=1e-12)
@@ -158,22 +166,43 @@ class TestJob2:
         rng = np.random.default_rng(6)
         coords = rng.normal(size=(25, 2))
         centroids = rng.normal(size=(3, 2))
-        u = reference.random_membership(rng, 25, 3)
-        store = ingest.partition(coords, 2)
-        _, obj, _ = job2_centroids(store, None, u, spec_for(2), m=2.0, centroids=centroids)
+        u, _, obj, _ = iterate(coords, centroids, 2)
         assert obj == pytest.approx(reference.reference_objective(u, centroids, coords, 2.0),
                                     rel=1e-12)
 
     def test_starved_cluster_reseeded_to_least_claimed_point(self):
+        # Cluster 1 sits so far out that its weight sum(u^2) is below 1e-20;
+        # row 2 is the point cluster 0 claims least.
         coords = np.array([[0.0], [1.0], [5.0]])
-        u = np.array([[1.0, 0.0], [1.0, 0.0], [0.6, 0.4]])
-        u[:, 1] = 0.0  # cluster 1 gets zero mass everywhere
-        u[:, 0] = 1.0
-        u[2, 0] = 0.7  # row 2 is the least-claimed point
-        store = ingest.partition(coords, 1)
-        v, _, _ = job2_centroids(store, None, u, spec_for(1), m=2.0,
-                                 centroids=np.array([[0.0], [9.0]]))
+        u, v, _, _ = iterate(coords, [[0.5], [1e6]], 1)
+        assert u[:, 1].max() < 1e-10 and u[2, 0] == u[:, 0].min()
         assert v[1, 0] == pytest.approx(5.0)
+
+    def test_starved_clusters_reseeded_at_distinct_points(self):
+        # Clusters 1 and 2 both starve; the two least-claimed rows hold the
+        # same point, so the second re-seed moves on to the next point.
+        coords = np.array([[0.0], [0.0], [5.0], [6.0]])
+        u, v, _, _ = iterate(coords, [[5.5], [1e6], [-1e6]], 1)
+        assert list(np.argsort(u.max(axis=1), kind="stable")[:3]) == [0, 1, 2]
+        assert v[1:, 0].tolist() == [0.0, 5.0]
+
+
+class TestIterationDeterminism:
+    def test_bitwise_equal_across_mappers_inline_and_pooled(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        store = ingest.partition(rng.normal(size=(3000, 3)), 16)
+        centroids = rng.normal(size=(4, 3))
+
+        def outputs(mappers):
+            u, v, obj, _ = fcm_iteration(store, centroids, spec_for(mappers), m=2.0)
+            return u.tobytes(), v.tobytes(), obj
+
+        baseline = outputs(1)
+        for mappers in (1, 4, 16):
+            assert outputs(mappers) == baseline
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                assert outputs(mappers) == baseline
 
 
 class TestObjective:
@@ -279,6 +308,22 @@ class TestRunFcm:
         assert np.allclose(result.u, ref_u, atol=1e-9)
         assert np.allclose(result.v, ref_v, atol=1e-9)
 
+    def test_model_route_equals_preprojected_run(self):
+        rng = np.random.default_rng(15)
+        codes = np.column_stack([rng.integers(0, k, 400) for k in (3, 4, 2)]).astype(np.int32)
+        store = ingest.partition(codes, 4)
+        margins, burt, _ = mca.accumulate_burt(store, [3, 4, 2])
+        model = mca.fit_mca(margins, burt)
+        config = FcmConfig(c=3, seed=4, max_iters=40)
+        sink = []
+        routed = run_fcm(store, model, config, spec_for(4), metrics_sink=sink)
+        projected, _ = mca.project_store(store, model)
+        direct = run_fcm(ingest.partition(projected.coords, 4), None, config, spec_for(4))
+        assert routed.u.tobytes() == direct.u.tobytes()
+        assert routed.v.tobytes() == direct.v.tobytes()
+        assert routed.objective_trace == direct.objective_trace
+        assert routed.iters_run == direct.iters_run
+        assert len(sink) == 1 + routed.iters_run  # one projection job, one job per iteration
 
     def test_non_finite_input_rejected(self):
         for bad in (np.nan, np.inf):
@@ -288,6 +333,46 @@ class TestRunFcm:
             with pytest.raises(NumericError, match="non-finite"):
                 run_fcm(store, None, FcmConfig(c=2, seed=0), spec_for(2))
         assert NumericError.exit_code == 5
+
+
+class TestProperties:
+    """Row sums, finiteness and determinism over m, coordinate scale and duplicates."""
+
+    @staticmethod
+    def inputs(rng):
+        spread = rng.normal(size=(60, 2))
+        duplicated = np.repeat(rng.normal(size=(4, 2)), [30, 20, 7, 3], axis=0)
+        return [spread, rng.permutation(duplicated)]
+
+    @pytest.mark.parametrize("m", [1.001, 1.01, 1.1, 2.0, 5.0, 10.0])
+    def test_rows_stochastic_finite_and_deterministic(self, m):
+        rng = np.random.default_rng(16)
+        for base in self.inputs(rng):
+            for scale in (1e-150, 1e-50, 1.0, 1e50, 1e150):
+                store = ingest.partition(base * scale, 4)
+                config = FcmConfig(c=3, m=m, max_iters=30, seed=1)
+                first = run_fcm(store, None, config, spec_for(4))
+                again = run_fcm(store, None, config, spec_for(4))
+                assert np.isfinite(first.u).all() and np.isfinite(first.v).all()
+                assert not np.isnan(first.objective_trace).any()
+                assert np.abs(first.u.sum(axis=1) - 1.0).max() <= 1e-12, (m, scale)
+                assert first.u.tobytes() == again.u.tobytes()
+                assert first.v.tobytes() == again.v.tobytes()
+
+    @pytest.mark.parametrize("m", [1.001, 1.01, 1.1, 2.0, 5.0, 10.0])
+    def test_duplicate_heavy_categorical_table(self, m):
+        rng = np.random.default_rng(17)
+        codes = np.column_stack([rng.integers(0, 2, 300), rng.integers(0, 3, 300)]).astype(np.int32)
+        store = ingest.partition(codes, 4)
+        margins, burt, _ = mca.accumulate_burt(store, [2, 3])
+        model = mca.fit_mca(margins, burt)
+        config = FcmConfig(c=4, m=m, max_iters=30, seed=2)
+        first = run_fcm(store, model, config, spec_for(4))
+        again = run_fcm(store, model, config, spec_for(4))
+        assert np.isfinite(first.u).all() and np.isfinite(first.v).all()
+        assert np.abs(first.u.sum(axis=1) - 1.0).max() <= 1e-12
+        assert first.u.tobytes() == again.u.tobytes()
+        assert first.v.tobytes() == again.v.tobytes()
 
 
 class TestConfigValidation:
