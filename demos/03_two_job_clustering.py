@@ -26,10 +26,9 @@ model = mca.fit_mca(margins, burt)
 spec = JobSpec(8, 4, "fcm-demo")
 
 # project once: every iteration reads these coordinates
-projected, _ = mca.project_store(store, model)
-coords = projected.coords
+coords, _ = mca.project_store(store, model)
 coord_store = ingest.partition(coords, 8)
-centroids = init_centroids(projected, c=2, seed=42)
+centroids = init_centroids(coords, c=2, seed=42)
 print("initial centroids (two distinct projected records):")
 print(np.round(centroids, 4))
 

@@ -14,8 +14,7 @@ from .fcm import (FcmConfig, FcmResult, fcm_iteration, init_centroids, membershi
 from .ingest import (CategoricalDataset, ColumnSpec, PartitionedStore, discretize,
                      encode_csv, infer_schema, load_csv, partition,
                      replicate_to_size, schema_dump)
-from .mca import (CategoryMargins, MCAModel, ProjectedData, accumulate_burt,
-                  fit_mca, project, project_store)
+from .mca import CategoryMargins, MCAModel, accumulate_burt, fit_mca, project, project_store
 from .validity import ValidityReport, ValidityRow, pc, pe, sc, sweep, xb
 
 __version__ = "0.1.0"
@@ -24,7 +23,7 @@ __all__ = [
     "CategoricalDataset", "CategoryMargins", "ColumnSpec", "DataIOError",
     "EngineError", "FcmConfig", "FcmResult", "JobMetrics", "JobSpec",
     "MCAModel", "MrfcmError", "NumericError", "PartitionedStore",
-    "ProjectedData", "SchemaError", "ValidityReport", "ValidityRow",
+    "SchemaError", "ValidityReport", "ValidityRow",
     "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
     "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
     "partition", "pc", "pe", "project", "project_store", "replicate_to_size",

@@ -19,12 +19,8 @@ from .errors import MrfcmError
 from .fcm import FcmConfig, run_fcm
 
 
-def _write_matrix(path, array, header=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in np.atleast_2d(array):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+def _write_matrix(path, array):
+    np.savetxt(path, array, fmt="%.17g", delimiter=",")
 
 
 def _write_metrics(path, metrics_list):
@@ -139,11 +135,14 @@ def cmd_mca_info(args) -> int:
 
 
 def _size_list(text):
-    """argparse type: comma-separated row counts."""
+    """argparse type: comma-separated row counts, each at least 1."""
     try:
-        return [int(size) for size in text.split(",")]
+        sizes = [int(size) for size in text.split(",")]
+        if min(sizes) >= 1:
+            return sizes
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers like 1000,2000, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected positive integers like 1000,2000, got {text!r}")
 
 
 def _deployment_list(text):

@@ -24,7 +24,7 @@ import numpy as np
 from .engine import JobSpec, run_job
 from .errors import NumericError
 from .ingest import PartitionedStore
-from .mca import MCAModel, ProjectedData, project_store
+from .mca import MCAModel, project_store
 
 # Records closer to a centroid than this are treated as coincident with it.
 SINGULARITY_DISTANCE = 1e-12
@@ -46,9 +46,10 @@ class FcmConfig:
     def __post_init__(self):
         if self.c < 2:
             raise NumericError(f"cluster count must be >= 2, got {self.c}")
-        if self.m <= 1.0:
-            raise NumericError(f"fuzziness exponent must be > 1, got {self.m}")
-        if self.epsilon <= 0 or self.max_iters < 1:
+        # Written as not (...) so that NaN fails the checks.
+        if not 1.0 < self.m < np.inf:
+            raise NumericError(f"fuzziness exponent must be finite and > 1, got {self.m}")
+        if not (self.epsilon > 0 and self.max_iters >= 1):
             raise NumericError("epsilon must be > 0 and max_iters >= 1")
 
 
@@ -68,7 +69,7 @@ def init_centroids(data, c: int, seed: int) -> np.ndarray:
     Distinctness is over point values, not row indices: encoded records
     often repeat, and coincident initial centroids would never separate.
     """
-    coords = data.coords if isinstance(data, ProjectedData) else np.asarray(data)
+    coords = np.asarray(data)
     distinct, first_pos = np.unique(coords, axis=0, return_index=True)
     distinct = distinct[np.argsort(first_pos)]  # first-appearance order
     if len(distinct) < c:
@@ -166,7 +167,7 @@ def _least_claimed_points(u, coords, count):
 
 def objective(u, centroids, data, m: float = 2.0) -> float:
     """Weighted within-cluster scatter J_m of a partition/prototype pair."""
-    coords = data.coords if isinstance(data, ProjectedData) else np.asarray(data, float)
+    coords = np.asarray(data, dtype=float)
     u = np.asarray(u, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     diff = coords[:, None, :] - centroids[None, :, :]
@@ -203,7 +204,7 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
         if not np.isfinite(coords).all():
             raise NumericError("input holds non-finite values (NaN or inf)")
         return PartitionedStore(coords, store.offsets), coords
-    projected, metrics = project_store(store, model, spec, available_cores=available_cores)
+    coords, metrics = project_store(store, model, spec, available_cores=available_cores)
     if metrics_sink is not None:
         metrics_sink.append(metrics)
     # One opaque byte string per row: distinct rows without packing the
@@ -211,7 +212,6 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
     codes = np.ascontiguousarray(store.data)
     rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
     _, first = np.unique(rows, return_index=True)
-    coords = projected.coords
     return PartitionedStore(coords, store.offsets), coords[np.sort(first)]
 
 

@@ -4,6 +4,9 @@ The clustering core consumes purely categorical records, so mixed-type
 input is normalized here: numeric columns are quantile-binned, missing
 cells become an explicit per-column category, and the encoded rows are
 split into contiguous partitions that the map-reduce engine schedules.
+
+Each column is dictionary-encoded in one pass: its distinct labels in
+first-appearance order, plus one int code per cell.
 """
 from __future__ import annotations
 
@@ -159,14 +162,18 @@ def _parse_real(cell: str):
         return None
 
 
-def _column_profile(cells):
-    """Distinct non-missing labels with occurrence counts and first positions."""
-    arr = np.asarray(cells, dtype=object)
-    missing = np.isin(arr, tuple(MISSING_TOKENS))
-    uniq, first, inverse, counts = np.unique(arr, return_index=True,
-                                             return_inverse=True, return_counts=True)
-    keep = ~np.isin(uniq, tuple(MISSING_TOKENS))
-    return arr, missing, uniq, first, inverse, counts, keep
+def _dictionary_encode(rows, j):
+    """Dictionary-encode column j: (labels, codes, present).
+
+    ``labels`` holds the distinct cells in first-appearance order, ``codes``
+    the index of each row's cell into it, and ``present`` marks the labels
+    that are not missing tokens.
+    """
+    index = {}
+    codes = np.fromiter((index.setdefault(row[j], len(index)) for row in rows),
+                        dtype=np.intp, count=len(rows))
+    present = np.array([label not in MISSING_TOKENS for label in index], dtype=bool)
+    return list(index), codes, present
 
 
 def infer_schema(names, rows, numeric_detect: float = 0.95, max_card: int = 12):
@@ -179,22 +186,20 @@ def infer_schema(names, rows, numeric_detect: float = 0.95, max_card: int = 12):
     """
     if not rows:
         raise SchemaError("empty table")
-    ncols = len(rows[0])
     schema = []
-    for j in range(ncols):
-        _, _, uniq, first, _, counts, keep = _column_profile([r[j] for r in rows])
-        if not keep.any():
+    for j in range(len(rows[0])):
+        labels, codes, present = _dictionary_encode(rows, j)
+        if not present.any():
             raise SchemaError(f"column {names[j]!r}: all cells missing")
-        n_present = int(counts[keep].sum())
-        n_parsed = int(sum(cnt for label, cnt in zip(uniq[keep], counts[keep])
+        counts = np.bincount(codes)[present]
+        labels = [label for label, ok in zip(labels, present) if ok]
+        n_present = int(counts.sum())
+        n_parsed = int(sum(cnt for label, cnt in zip(labels, counts)
                            if _parse_real(label) is not None))
-        distinct = int(keep.sum())
         has_missing = n_present < len(rows)
-        if n_parsed >= numeric_detect * n_present and distinct > max_card:
+        if n_parsed >= numeric_detect * n_present and len(labels) > max_card:
             schema.append(ColumnSpec(names[j], "numeric", has_missing=has_missing))
         else:
-            order = np.argsort(first[keep], kind="stable")
-            labels = [str(label) for label in uniq[keep][order]]
             schema.append(ColumnSpec(names[j], "categorical",
                                      categories=labels, has_missing=has_missing))
     return schema
@@ -211,56 +216,50 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
     """
     if bins < 2:
         raise SchemaError(f"bins must be >= 2, got {bins}")
-    n = len(rows)
     kept_specs = []
     kept_codes = []
     for j, spec in enumerate(schema):
-        arr, missing_mask, uniq, _, inverse, _, keep = _column_profile([r[j] for r in rows])
+        labels, codes, present = _dictionary_encode(rows, j)
+        # lut maps each label to its category code; missing labels get the
+        # column's dedicated missing category, one past the last.
         if spec.kind == "numeric":
-            parsed = np.array([_parse_real(label) if ok else np.nan
-                               for label, ok in zip(uniq, keep)], dtype=float)
-            cell_vals = parsed[inverse]
-            missing_mask = missing_mask | np.isnan(cell_vals)
-            observed = cell_vals[~missing_mask]
-            if observed.size == 0:
+            values = np.array([_parse_real(label) if ok else np.nan
+                               for label, ok in zip(labels, present)], dtype=float)
+            present &= ~np.isnan(values)
+            if not present.any():
                 raise SchemaError(f"column {spec.name!r}: no parseable values")
-            qs = np.quantile(observed, [i / bins for i in range(1, bins)])
+            qs = np.quantile(values[codes[present[codes]]], [i / bins for i in range(1, bins)])
             inner = np.unique(qs)
-            has_missing = bool(missing_mask.any())
-            raw = np.searchsorted(inner, np.where(missing_mask, 0.0, cell_vals), side="left")
+            raw = np.searchsorted(inner, values[present], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
-            occupied = np.unique(raw[~missing_mask])
+            occupied = np.unique(raw)
             remap = np.zeros(len(inner) + 1, dtype=np.int32)
             remap[occupied] = np.arange(len(occupied))
             inner = inner[occupied[:-1]] if len(occupied) > 1 else inner[:0]
             edges = np.concatenate(([-np.inf], inner, [np.inf]))
-            out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=has_missing)
+            out = ColumnSpec(spec.name, "numeric", bin_edges=edges,
+                             has_missing=not present.all())
             if out.cardinality < 2:
                 warnings.warn(f"dropping constant numeric column {spec.name!r}")
                 continue
-            codes = remap[raw]
-            codes[missing_mask] = len(occupied)  # dedicated missing bin
+            lut = np.full(len(labels), len(occupied), dtype=np.int32)
+            lut[present] = remap[raw]
         else:
             index = {label: k for k, label in enumerate(spec.categories)}
-            missing_code = len(spec.categories)
-            lut = np.empty(len(uniq), dtype=np.int32)
-            for k, label in enumerate(uniq):
-                if not keep[k]:
-                    lut[k] = missing_code
-                elif str(label) in index:
-                    lut[k] = index[str(label)]
-                else:
-                    raise SchemaError(f"column {spec.name!r}: label {label!r} not in schema")
-            codes = lut[inverse].astype(np.int32)
-            has_missing = bool(missing_mask.any())
+            try:
+                lut = np.array([index[label] if ok else len(index)
+                                for label, ok in zip(labels, present)], dtype=np.int32)
+            except KeyError as exc:
+                raise SchemaError(f"column {spec.name!r}: label {exc.args[0]!r} "
+                                  "not in schema") from None
             out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
-                             has_missing=has_missing)
+                             has_missing=not present.all())
             if out.cardinality < 2:
                 warnings.warn(f"dropping single-category column {spec.name!r}")
                 continue
         kept_specs.append(out)
-        kept_codes.append(codes.astype(np.int32))
+        kept_codes.append(lut[codes])
     if not kept_specs:
         raise SchemaError("no usable columns after encoding")
     dataset = CategoricalDataset(kept_specs, np.column_stack(kept_codes))

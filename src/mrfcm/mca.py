@@ -55,13 +55,6 @@ class CategoryMargins:
                 raise NumericError(f"column {q}: category counts do not sum to n")
 
 
-@dataclass
-class ProjectedData:
-    """Row principal coordinates of a dataset."""
-
-    coords: np.ndarray  # (n, d)
-
-
 class MCAModel:
     """Fitted MCA: retained axes plus the streaming projection tables.
 
@@ -204,12 +197,13 @@ def _identity_reduce(key, values):
 
 def project_store(store: PartitionedStore, model: MCAModel, spec: JobSpec | None = None,
                   available_cores=None):
-    """Project every partition and reassemble rows in partition order."""
+    """Project every partition and reassemble its (n, d) coordinates in
+    partition order; returns (coords, metrics)."""
     spec = spec or JobSpec(store.num_partitions, 1, "project")
     results, metrics = run_job(spec, store, model, _project_map, _identity_reduce,
                                available_cores=available_cores)
     coords = np.concatenate([value for _, value in results], axis=0)
-    return ProjectedData(coords), metrics
+    return coords, metrics
 
 
 def write_model_dump(model: MCAModel, axes_path, loadings_path):

@@ -100,13 +100,13 @@ def test_criterion_3_mca_against_dense_oracle():
         for s in range(model.dim):
             assert abs(model.eigenvalues[s] - oracle_lam[s]) < INERTIA_TOL
             axis = oracle_coords[:, s]
-            if np.dot(axis, projected.coords[:, s]) < 0:
+            if np.dot(axis, projected[:, s]) < 0:
                 axis = -axis
-            err = np.abs(projected.coords[:, s] - axis).max()
+            err = np.abs(projected[:, s] - axis).max()
             assert err < PROJ_TOL, f"case {case} axis {s}: projection error {err}"
-        var = (projected.coords ** 2).mean(axis=0)
+        var = (projected ** 2).mean(axis=0)
         assert np.abs(var - model.eigenvalues).max() < PROJ_TOL
-        assert np.abs(projected.coords.mean(axis=0)).max() < PROJ_TOL
+        assert np.abs(projected.mean(axis=0)).max() < PROJ_TOL
     report(3, "10 random datasets: projections, eigenvalue sum, and per-axis "
               "variance all match the dense CA oracle")
 

@@ -127,6 +127,8 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value", [("--bench-sizes", "200,4e2"),
                                              ("--bench-sizes", "200,,400"),
+                                             ("--bench-sizes", "-19000"),
+                                             ("--bench-sizes", "0"),
                                              ("--bench-deployments", "50-25"),
                                              ("--bench-deployments", "4x2x1"),
                                              ("--bench-deployments", "4x")])
@@ -167,3 +169,14 @@ def test_nonpositive_mca_dims_exits_5(mm_csv, tmp_path, capsys, command, extra, 
                "--out-dir", str(tmp_path / "o"))
     assert code == 5
     assert "NumericError: mca_dims must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--m", "nan"), ("--m", "inf"), ("--epsilon", "nan")])
+@pytest.mark.parametrize("command, extra", [("cluster", ["--c", "2"]),
+                                            ("sweep", ["--c-max", "3"])])
+def test_non_finite_fcm_parameter_exits_5(mm_csv, tmp_path, capsys, command, extra, flag, value):
+    out = tmp_path / "o"
+    code = run(command, "--input", mm_csv, flag, value, *extra, "--out-dir", str(out))
+    assert code == 5
+    assert "NumericError" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))

@@ -304,7 +304,7 @@ class TestRunFcm:
         result = run_fcm(store, model, FcmConfig(c=2, seed=4, max_iters=40), spec_for(4))
         projected, _ = mca.project_store(store, model)
         ref_u, ref_v, _, _, _ = reference.reference_fcm(
-            projected.coords, 2, m=2.0, epsilon=1e-5, max_iters=40, seed=4)
+            projected, 2, m=2.0, epsilon=1e-5, max_iters=40, seed=4)
         assert np.allclose(result.u, ref_u, atol=1e-9)
         assert np.allclose(result.v, ref_v, atol=1e-9)
 
@@ -318,7 +318,7 @@ class TestRunFcm:
         sink = []
         routed = run_fcm(store, model, config, spec_for(4), metrics_sink=sink)
         projected, _ = mca.project_store(store, model)
-        direct = run_fcm(ingest.partition(projected.coords, 4), None, config, spec_for(4))
+        direct = run_fcm(ingest.partition(projected, 4), None, config, spec_for(4))
         assert routed.u.tobytes() == direct.u.tobytes()
         assert routed.v.tobytes() == direct.v.tobytes()
         assert routed.objective_trace == direct.objective_trace
@@ -387,3 +387,12 @@ class TestConfigValidation:
     def test_bad_epsilon(self):
         with pytest.raises(NumericError):
             FcmConfig(c=2, epsilon=0.0)
+
+    @pytest.mark.parametrize("m", [float("nan"), float("inf")])
+    def test_non_finite_fuzziness(self, m):
+        with pytest.raises(NumericError, match="fuzziness"):
+            FcmConfig(c=2, m=m)
+
+    def test_nan_epsilon(self):
+        with pytest.raises(NumericError, match="epsilon"):
+            FcmConfig(c=2, epsilon=float("nan"))

@@ -138,6 +138,39 @@ class TestDiscretize:
             assert observed == card, f"column {j}: {observed} observed vs cardinality {card}"
 
 
+class TestDictionaryEncoding:
+    def test_missing_token_before_first_label(self):
+        rows = [["?"], ["b"], ["a"]]
+        schema = ingest.infer_schema(["c0"], rows)
+        assert schema[0].categories == ["b", "a"]
+        ds = ingest.discretize(rows, schema)
+        assert ds.codes[:, 0].tolist() == [2, 0, 1]
+
+    def test_every_missing_spelling_shares_one_code(self):
+        tokens = sorted(ingest.MISSING_TOKENS)
+        rows = [["x"], ["y"]] + [[token] for token in tokens]
+        schema = ingest.infer_schema(["c0"], rows)
+        assert schema[0].categories == ["x", "y"]
+        ds = ingest.discretize(rows, schema)
+        assert ds.cardinalities == [3]
+        assert ds.codes[:, 0].tolist() == [0, 1] + [2] * len(tokens)
+
+    def test_unparseable_cell_in_numeric_column_is_missing(self):
+        rows = [[str(0.5 + v)] for v in range(30)] + [["abc"]]
+        schema = ingest.infer_schema(["x"], rows)
+        assert schema[0].kind == "numeric"
+        ds = ingest.discretize(rows, schema, bins=4)
+        assert ds.schema[0].has_missing
+        assert ds.cardinalities == [5]
+        assert ds.codes[-1, 0] == 4  # the dedicated missing bin
+        assert ds.codes[:-1, 0].max() == 3
+
+    def test_label_outside_schema_rejected(self):
+        schema = [ingest.ColumnSpec("c0", "categorical", categories=["a", "b"])]
+        with pytest.raises(SchemaError, match="'zz' not in schema"):
+            ingest.discretize([["a"], ["?"], ["zz"], ["b"]], schema)
+
+
 class TestPartition:
     def test_balanced_split(self):
         store = ingest.partition(np.arange(20).reshape(10, 2), 3)

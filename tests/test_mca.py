@@ -130,8 +130,7 @@ class TestProject:
         cards = [4, 2, 3, 3]
         codes = random_codes(rng, 180, cards)
         model, store = fit_from_codes(codes, cards, p=4)
-        projected, _ = mca.project_store(store, model)
-        coords = projected.coords
+        coords, _ = mca.project_store(store, model)
         assert np.abs(coords.mean(axis=0)).max() < 1e-8
         var = (coords ** 2).mean(axis=0)
         assert np.allclose(var, model.eigenvalues, atol=1e-8)
@@ -153,15 +152,14 @@ class TestProject:
             for s in range(model.dim):
                 assert oracle_lam[s] == pytest.approx(model.eigenvalues[s], abs=1e-10)
                 axis = oracle_coords[:, s]
-                if np.dot(axis, projected.coords[:, s]) < 0:
+                if np.dot(axis, projected[:, s]) < 0:
                     axis = -axis  # SVD sign freedom
-                assert np.allclose(projected.coords[:, s], axis, atol=1e-8)
+                assert np.allclose(projected[:, s], axis, atol=1e-8)
 
     def test_four_record_perfect_association_geometry(self):
         codes = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.int32)
         model, store = fit_from_codes(codes, [2, 2])
-        projected, _ = mca.project_store(store, model)
-        pts = projected.coords
+        pts, _ = mca.project_store(store, model)
         assert np.allclose(pts[0], pts[1]) and np.allclose(pts[2], pts[3])
         assert np.allclose(pts[0], -pts[2], atol=1e-12)
         oracle_coords, _ = reference.dense_ca_row_coords(
@@ -187,7 +185,7 @@ class TestProject:
             store = ingest.partition(codes, p)
             projected, _ = mca.project_store(store, model,
                                              JobSpec(p, 1, "proj"))
-            outs.append(projected.coords)
+            outs.append(projected)
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
