@@ -59,6 +59,8 @@ print(f"\nfcm_iteration agrees: max |dU| = {np.abs(u_job - u).max():.1e}, "
       f"|dJ_m| = {abs(jm_job - jm):.1e}")
 
 # ── the full driver loop ────────────────────────────────────────────────────
+# run_fcm iterates on the distinct records, each weighted by how often it
+# occurs, and expands U back to one row per record at the end
 config = FcmConfig(c=2, m=m, epsilon=1e-5, max_iters=100, seed=42)
 result = run_fcm(store, model, config, spec)
 print(f"\nrun_fcm: {result.iters_run} iterations, converged={result.converged}")

@@ -2,9 +2,11 @@
 
 Pipeline: encode mixed-type records into categories, fit a multiple
 correspondence analysis from globally aggregated statistics, project
-records into its Euclidean space, and cluster them with fuzzy c-means
-expressed as one map-reduce job per iteration.  A validity sweep scores
-candidate cluster counts with four indices and picks the consensus.
+the distinct records into its Euclidean space, and cluster them with
+fuzzy c-means expressed as one map-reduce job per iteration, each
+distinct record weighted by how often it occurs; the memberships are
+then expanded back to every record.  A validity sweep scores candidate
+cluster counts with four indices and picks the consensus.
 """
 
 from .engine import JobMetrics, JobSpec, run_job, set_parallelism

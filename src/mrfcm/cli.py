@@ -134,31 +134,40 @@ def cmd_mca_info(args) -> int:
     return 0
 
 
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _size_list(text):
     """argparse type: comma-separated row counts, each at least 1."""
-    try:
-        sizes = [int(size) for size in text.split(",")]
-        if min(sizes) >= 1:
-            return sizes
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected positive integers like 1000,2000, got {text!r}")
+    return [_positive_int(size) for size in text.split(",")]
 
 
 def _deployment_list(text):
-    """argparse type: comma-separated mappersxreducers pairs."""
+    """argparse type: comma-separated mappersxreducers pairs, each count at least 1."""
     pairs = [pair.split("x") for pair in text.split(",")]
-    if all(len(pair) == 2 for pair in pairs):
-        try:
-            return [(int(mappers), int(reducers)) for mappers, reducers in pairs]
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"expected pairs like 50x25,100x50, got {text!r}")
+    if any(len(pair) != 2 for pair in pairs):
+        raise argparse.ArgumentTypeError(f"expected pairs like 50x25,100x50, got {text!r}")
+    return [(_positive_int(mappers), _positive_int(reducers)) for mappers, reducers in pairs]
+
+
+def _delimiter(text):
+    """argparse type: the one character that separates CSV fields."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
 
 
 def _common_flags(sub):
     sub.add_argument("--input", required=True, help="input CSV path")
-    sub.add_argument("--delimiter", default=",")
+    sub.add_argument("--delimiter", type=_delimiter, default=",")
     sub.add_argument("--header", action=argparse.BooleanOptionalAction, default=True,
                      help="whether the first row is a header")
     sub.add_argument("--bins", type=int, default=4, help="quantile bins per numeric column")
@@ -167,8 +176,8 @@ def _common_flags(sub):
     sub.add_argument("--epsilon", type=float, default=1e-5)
     sub.add_argument("--max-iters", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--mappers", type=int, default=4)
-    sub.add_argument("--reducers", type=int, default=2)
+    sub.add_argument("--mappers", type=_positive_int, default=4)
+    sub.add_argument("--reducers", type=_positive_int, default=2)
     sub.add_argument("--out-dir", default="out")
 
 

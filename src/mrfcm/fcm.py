@@ -1,8 +1,12 @@
 """Fuzzy c-means over real-valued coordinates, one map-reduce job per iteration.
 
-A categorical store arrives with its MCA model and is projected once, by
-one engine job, before the first iteration; every iteration then reads
-the projected coordinates.
+Encoded records repeat, so clustering runs on the distinct records, each
+weighted by how often it occurs: identical points get identical
+memberships, and a point of weight w adds w copies of its terms to every
+sum.  A categorical store arrives with its MCA model; its distinct
+records are found on the codes and projected once, by one engine job,
+before the first iteration.  A float store is deduplicated on its
+coordinates.  The memberships are expanded back to every row at the end.
 
 Each iteration is one job.  Every map task computes its partition's
 squared distances to the broadcast centroids once, and emits under a
@@ -23,7 +27,7 @@ import numpy as np
 
 from .engine import JobSpec, run_job
 from .errors import NumericError
-from .ingest import PartitionedStore
+from .ingest import PartitionedStore, partition
 from .mca import MCAModel, project_store
 
 # Records closer to a centroid than this are treated as coincident with it.
@@ -112,9 +116,11 @@ def _membership_block(points, centroids, m):
 
 
 def _iteration_map(pid, coords, ctx):
-    centroids, m = ctx
+    centroids, m, weights, offsets = ctx
     u, dist_sq = _membership_block(coords, centroids, m)
     um = u ** m
+    if weights is not None:
+        um *= weights[offsets[pid]:offsets[pid + 1], None]
     yield "iteration", (u, um.T @ coords, um.sum(axis=0), (um * dist_sq).sum())
 
 
@@ -130,16 +136,23 @@ def _iteration_reduce(key, values):
 
 
 def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
-                  available_cores=None):
+                  available_cores=None, weights=None):
     """One fused pass: memberships against ``centroids``, then new centroids.
+
+    ``weights`` gives each row's multiplicity (all ones when None).  It
+    scales the row's u**m in the centroid sums and the objective, as if
+    the row occurred that many times, but not its membership row.
 
     Returns (u, new_centroids, objective, metrics).  The objective is
     J_m(u, centroids), accumulated from the distances the map tasks
     already hold.  Clusters whose weight vanishes are re-seeded at the
     distinct points u claims least, so sweeps over generous c never abort.
     """
-    results, metrics = run_job(spec, store, (np.asarray(centroids, float), m),
-                               _iteration_map, _iteration_reduce, available_cores=available_cores)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+    context = (np.asarray(centroids, float), m, weights, store.offsets)
+    results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce,
+                               available_cores=available_cores)
     u, numer, denom, jm = results[0][1]
     new_centroids = np.empty_like(numer)
     starved = denom < EMPTY_CLUSTER_EPS
@@ -185,44 +198,69 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
 
     ``model`` projects a categorical store once, before the first
     iteration; pass None when the store already holds real-valued
-    coordinates (projected or otherwise).
+    coordinates (projected or otherwise).  The iterations run on the
+    distinct records, weighted by multiplicity; the returned ``u`` has
+    one row per row of ``store``.
     """
-    coord_store, seed_points = _coordinates(store, model, spec, available_cores, metrics_sink)
-    return _cluster(coord_store, seed_points, config, spec, available_cores, metrics_sink)
+    points, weights, inverse = _coordinates(store, model, spec, available_cores, metrics_sink)
+    result = _cluster(points, weights, config, spec, available_cores, metrics_sink)
+    result.u = result.u[inverse]
+    return result
 
 
 def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
-    """A float store over ``store``'s partitions, plus the points to seed from.
+    """(points, weights, inverse): the distinct records of ``store`` as a
+    float store in first-appearance order, how often each occurs, and the
+    row -> point index, so that ``u[inverse]`` has one row per record.
 
-    With a model the codes are projected by one job, and the seed points
-    are the coordinates of each distinct encoded row's first occurrence,
-    in row order: init_centroids draws the same picks from them as from
-    every row, without sorting n float rows.
+    Codes are deduplicated before the projection job, which then projects
+    only the distinct records; float rows are deduplicated by value.  The
+    k points go into min(P, k) contiguous blocks, so a store without
+    repeats keeps the offsets ``ingest.partition`` gave it.  Points in
+    first-appearance order give init_centroids the same picks as every
+    row would.
     """
     if model is None:
-        coords = np.asarray(store.data, dtype=float)
-        if not np.isfinite(coords).all():
+        data = np.asarray(store.data, dtype=float)
+        if not np.isfinite(data).all():
             raise NumericError("input holds non-finite values (NaN or inf)")
-        return PartitionedStore(coords, store.offsets), coords
-    coords, metrics = project_store(store, model, spec, available_cores=available_cores)
-    if metrics_sink is not None:
-        metrics_sink.append(metrics)
-    # One opaque byte string per row: distinct rows without packing the
-    # codes into an integer key, which overflows on wide tables.
-    codes = np.ascontiguousarray(store.data)
-    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return PartitionedStore(coords, store.offsets), coords[np.sort(first)]
+        keys = data + 0.0  # folds -0.0 into 0.0
+    else:
+        data = keys = store.data
+    first, weights, inverse = _distinct_rows(keys)
+    points = partition(data[first], min(store.num_partitions, len(first)))
+    if model is not None:
+        coords, metrics = project_store(points, model, spec, available_cores=available_cores)
+        if metrics_sink is not None:
+            metrics_sink.append(metrics)
+        points = PartitionedStore(coords, points.offsets)
+    return points, weights, inverse
 
 
-def _cluster(store, seed_points, config, spec, available_cores=None, metrics_sink=None):
-    """The driver loop of run_fcm over a float store."""
-    centroids = init_centroids(seed_points, config.c, config.seed)
+def _distinct_rows(array):
+    """(first position, count, row -> distinct index) of a 2-D array's
+    distinct rows, in first-appearance order.  Each row is compared as one
+    byte string: wide code tables need no packed key, which overflows int64.
+    """
+    array = np.ascontiguousarray(array)
+    rows = array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], counts[order].astype(float), rank[inverse]
+
+
+def _cluster(store, weights, config, spec, available_cores=None, metrics_sink=None):
+    """The driver loop of run_fcm over a store of distinct float points."""
+    centroids = init_centroids(store.data, config.c, config.seed)
     result = FcmResult(u=np.empty((store.n, config.c)), v=centroids)
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
         u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, m=config.m,
-                                                   available_cores=available_cores)
+                                                   available_cores=available_cores,
+                                                   weights=weights)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         result.objective_trace.append(obj)

@@ -137,23 +137,24 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
     if c_max > store.n // 2:
         raise NumericError(f"c_max {c_max} exceeds n/2 = {store.n // 2}")
 
-    # The projection and the seed points do not depend on c: find them
-    # once and run every candidate on the projected coordinates.
-    coord_store, seed_points = _coordinates(store, model, spec, available_cores)
-    coords = coord_store.data
+    # The distinct points do not depend on c: find and project them once,
+    # cluster every candidate on them, and score it on every record.
+    points, weights, inverse = _coordinates(store, model, spec, available_cores)
+    coords = points.data[inverse]
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = FcmConfig(c=c, m=config.m, epsilon=config.epsilon,
                             max_iters=config.max_iters, seed=config.seed + c)
         try:
-            result = _cluster(coord_store, seed_points, run_cfg, spec, available_cores)
+            result = _cluster(points, weights, run_cfg, spec, available_cores)
+            u = result.u[inverse]
             row = ValidityRow(
                 c=c,
-                pc=pc(result.u),
-                pe=pe(result.u),
-                xb=xb(result.u, result.v, coords),
-                sc=sc(result.u, result.v, coords, m=config.m),
+                pc=pc(u),
+                pe=pe(u),
+                xb=xb(u, result.v, coords),
+                sc=sc(u, result.v, coords, m=config.m),
                 iters=result.iters_run,
                 jm=result.objective_trace[-1],
             )

@@ -65,6 +65,7 @@ class TestCluster:
         code = run("cluster", "--input", str(path), "--c", "9",
                    "--out-dir", str(tmp_path / "o"))
         assert code == 5
+        assert "need 9 distinct points" in capsys.readouterr().err
 
     def test_all_missing_column_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -131,7 +132,9 @@ class TestBench:
                                              ("--bench-sizes", "0"),
                                              ("--bench-deployments", "50-25"),
                                              ("--bench-deployments", "4x2x1"),
-                                             ("--bench-deployments", "4x")])
+                                             ("--bench-deployments", "4x"),
+                                             ("--bench-deployments", "0x1"),
+                                             ("--bench-deployments", "2x0")])
     def test_malformed_bench_argument_is_usage_error(self, tmp_path, capsys, flag, value):
         argv = ["bench", "--input", str(tmp_path / "unused.csv"), "--bench-sizes", "200",
                 "--out-dir", str(tmp_path / "o"), flag, value]
@@ -180,3 +183,41 @@ def test_non_finite_fcm_parameter_exits_5(mm_csv, tmp_path, capsys, command, ext
     assert code == 5
     assert "NumericError" in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+COMMAND_ARGS = {"cluster": ["--c", "2"], "sweep": ["--c-max", "3"],
+                "bench": ["--bench-sizes", "200"], "mca-info": []}
+
+
+def assert_usage_error(argv, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and flag in err
+
+
+@pytest.mark.parametrize("value", [";;", ""])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_delimiter_must_be_one_character(mm_csv, tmp_path, capsys, command, value):
+    argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], "--delimiter", value,
+            "--out-dir", str(tmp_path / "o")]
+    assert_usage_error(argv, capsys, "--delimiter")
+
+
+def test_one_character_delimiter_is_used(tmp_path):
+    path = tmp_path / "semi.csv"
+    path.write_text("p;q\n" + "a;x\nb;y\nc;x\n" * 10)
+    out = tmp_path / "o"
+    assert run("cluster", "--input", str(path), "--delimiter", ";", "--c", "2",
+               "--out-dir", str(out)) == 0
+    assert np.loadtxt(out / "memberships.csv", delimiter=",").shape == (30, 2)
+
+
+@pytest.mark.parametrize("flag, value", [("--mappers", "0"), ("--mappers", "-2"),
+                                         ("--reducers", "0"), ("--mappers", "two")])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_nonpositive_task_count_is_usage_error(mm_csv, tmp_path, capsys, command, flag, value):
+    argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], flag, value,
+            "--out-dir", str(tmp_path / "o")]
+    assert_usage_error(argv, capsys, flag)

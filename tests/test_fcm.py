@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mrfcm import engine, ingest, mca
+from mrfcm import engine, ingest, mca, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 from mrfcm.fcm import (FcmConfig, fcm_iteration, init_centroids, membership_row, objective,
@@ -96,10 +98,11 @@ class TestMembershipRow:
                 assert np.allclose(ours, theirs, atol=1e-12)
 
 
-def iterate(coords, centroids, p, m=2.0):
+def iterate(coords, centroids, p, m=2.0, weights=None):
     """One fused iteration over coords split into p partitions."""
     store = ingest.partition(np.asarray(coords, dtype=float), p)
-    return fcm_iteration(store, np.asarray(centroids, dtype=float), spec_for(p), m=m)
+    return fcm_iteration(store, np.asarray(centroids, dtype=float), spec_for(p), m=m,
+                         weights=weights)
 
 
 class TestJob1:
@@ -186,6 +189,42 @@ class TestJob2:
         assert list(np.argsort(u.max(axis=1), kind="stable")[:3]) == [0, 1, 2]
         assert v[1:, 0].tolist() == [0.0, 5.0]
 
+    def test_weighted_point_reseeded_like_its_copies(self):
+        # The same rescue with the repeated point held once, at weight 2.
+        u, v, _, _ = iterate([[0.0], [5.0], [6.0]], [[5.5], [1e6], [-1e6]], 1,
+                             weights=[2.0, 1.0, 1.0])
+        assert v[1:, 0].tolist() == [0.0, 5.0]
+
+
+def duplicate_heavy(rng, points=60):
+    """Distinct points, each repeated 1-20 times, rows shuffled:
+    (rows, distinct points, multiplicities)."""
+    distinct = rng.normal(size=(points, 3))
+    counts = rng.integers(1, 21, size=points)
+    return rng.permutation(np.repeat(distinct, counts, axis=0)), distinct, counts
+
+
+class TestWeightedIteration:
+    def test_weighted_points_equal_expanded_rows(self):
+        rng = np.random.default_rng(18)
+        rows, distinct, counts = duplicate_heavy(rng)
+        centroids = rng.normal(size=(4, 3))
+        for p in (1, 4):
+            u_w, v_w, obj_w, _ = iterate(distinct, centroids, p, weights=counts)
+            u_x, v_x, obj_x, _ = iterate(np.repeat(distinct, counts, axis=0), centroids, p)
+            assert np.array_equal(np.repeat(u_w, counts, axis=0), u_x)
+            assert np.allclose(v_w, v_x, rtol=0, atol=1e-12)
+            assert obj_w == pytest.approx(obj_x, rel=1e-12)
+
+    def test_no_weights_bitwise_equal_to_ones(self):
+        rng = np.random.default_rng(19)
+        coords = rng.normal(size=(300, 2))
+        centroids = rng.normal(size=(3, 2))
+        u0, v0, obj0, _ = iterate(coords, centroids, 4)
+        u1, v1, obj1, _ = iterate(coords, centroids, 4, weights=np.ones(300))
+        assert u0.tobytes() == u1.tobytes() and v0.tobytes() == v1.tobytes()
+        assert obj0 == obj1
+
 
 class TestIterationDeterminism:
     def test_bitwise_equal_across_mappers_inline_and_pooled(self, monkeypatch):
@@ -193,16 +232,20 @@ class TestIterationDeterminism:
         store = ingest.partition(rng.normal(size=(3000, 3)), 16)
         centroids = rng.normal(size=(4, 3))
 
-        def outputs(mappers):
-            u, v, obj, _ = fcm_iteration(store, centroids, spec_for(mappers), m=2.0)
+        weights = rng.integers(1, 21, size=3000).astype(float)
+
+        def outputs(mappers, weights):
+            u, v, obj, _ = fcm_iteration(store, centroids, spec_for(mappers), m=2.0,
+                                         weights=weights)
             return u.tobytes(), v.tobytes(), obj
 
-        baseline = outputs(1)
-        for mappers in (1, 4, 16):
-            assert outputs(mappers) == baseline
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
-                assert outputs(mappers) == baseline
+        for w in (None, weights):
+            baseline = outputs(1, w)
+            for mappers in (1, 4, 16):
+                assert outputs(mappers, w) == baseline
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                    assert outputs(mappers, w) == baseline
 
 
 class TestObjective:
@@ -325,6 +368,34 @@ class TestRunFcm:
         assert routed.iters_run == direct.iters_run
         assert len(sink) == 1 + routed.iters_run  # one projection job, one job per iteration
 
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_duplicate_heavy_store_matches_reference_on_every_row(self, p):
+        rng = np.random.default_rng(20)
+        rows, _, _ = duplicate_heavy(rng)
+        config = FcmConfig(c=3, m=2.0, epsilon=1e-5, max_iters=40, seed=3)
+        result = run_fcm(ingest.partition(rows, p), None, config, spec_for(p))
+        ref_u, ref_v, ref_trace, ref_iters, _ = reference.reference_fcm(
+            rows, 3, m=2.0, epsilon=1e-5, max_iters=40, seed=3)
+        assert result.iters_run == ref_iters
+        assert np.allclose(result.u, ref_u, rtol=0, atol=1e-9)
+        assert np.allclose(result.v, ref_v, rtol=0, atol=1e-9)
+        assert np.allclose(result.objective_trace, ref_trace, rtol=1e-9)
+        # Rows of one point share one membership row, bit for bit.
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert result.u.tobytes() == result.u[first[inverse]].tobytes()
+
+    def test_duplicate_free_store_keeps_its_partitions(self):
+        rng = np.random.default_rng(21)
+        coords = rng.normal(size=(200, 2))
+        store = ingest.partition(coords, 16)
+        config = FcmConfig(c=3, seed=1, max_iters=5, fixed_iterations=True)
+        result = run_fcm(store, None, config, spec_for(16))
+        centroids = init_centroids(coords, 3, seed=1)
+        for _ in range(5):
+            u, centroids, _, _ = fcm_iteration(store, centroids, spec_for(16))
+        assert result.u.tobytes() == u.tobytes()
+        assert result.v.tobytes() == centroids.tobytes()
+
     def test_non_finite_input_rejected(self):
         for bad in (np.nan, np.inf):
             coords = np.arange(12.0).reshape(6, 2)
@@ -373,6 +444,42 @@ class TestProperties:
         assert np.abs(first.u.sum(axis=1) - 1.0).max() <= 1e-12
         assert first.u.tobytes() == again.u.tobytes()
         assert first.v.tobytes() == again.v.tobytes()
+
+
+class TestFewDistinctPoints:
+    """2,000 rows holding 6 distinct records, at 16 mappers."""
+
+    @staticmethod
+    def store_and_model():
+        rng = np.random.default_rng(22)
+        distinct = np.array([[0, 0], [0, 1], [1, 2], [1, 0], [0, 2], [1, 1]], dtype=np.int32)
+        store = ingest.partition(distinct[rng.integers(0, 6, 2000)], 16)
+        margins, burt, _ = mca.accumulate_burt(store, [2, 3])
+        return store, mca.fit_mca(margins, burt)
+
+    def test_clusters_without_warning(self):
+        store, model = self.store_and_model()
+        sink = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_fcm(store, model, FcmConfig(c=3, seed=0), spec_for(16),
+                             metrics_sink=sink)
+        assert result.u.shape == (2000, 3)
+        assert np.abs(result.u.sum(axis=1) - 1.0).max() <= 1e-12
+        assert len(sink) == 1 + result.iters_run
+
+    def test_more_clusters_than_distinct_points_raises(self):
+        store, model = self.store_and_model()
+        with pytest.raises(NumericError, match="need 7 distinct points"):
+            run_fcm(store, model, FcmConfig(c=7, seed=0), spec_for(16))
+
+    def test_sweep_fails_only_the_oversized_candidates(self):
+        store, model = self.store_and_model()
+        report = validity.sweep(store, model, 2, 8, FcmConfig(c=2, seed=0, max_iters=30),
+                                spec_for(16))
+        assert [row.c for row in report.rows if row.failed] == [7, 8]
+        assert all(row.iters > 0 for row in report.rows if not row.failed)
+        assert 2 <= report.consensus_c <= 6
 
 
 class TestConfigValidation:
