@@ -15,8 +15,15 @@ import numpy as np
 
 from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
-from .errors import MrfcmError
+from .errors import DataIOError, MrfcmError
 from .fcm import FcmConfig, run_fcm
+
+
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataIOError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _write_matrix(path, array):
@@ -45,7 +52,6 @@ def _fit(store, dataset, args, metrics_sink):
 
 
 def cmd_cluster(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     metrics_sink = []
     dataset, store = _load_encoded(args)
     model = _fit(store, dataset, args, metrics_sink)
@@ -69,7 +75,6 @@ def cmd_sweep(args) -> int:
     if args.c_min > args.c_max:
         print("sweep: --c-min must not exceed --c-max", file=sys.stderr)
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
     metrics_sink = []
     dataset, store = _load_encoded(args)
     model = _fit(store, dataset, args, metrics_sink)
@@ -84,7 +89,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.bench_sizes != sorted(args.bench_sizes):
         print("bench: --bench-sizes must be ascending", file=sys.stderr)
         return 2
@@ -117,7 +121,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_mca_info(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     metrics_sink = []
     dataset, store = _load_encoded(args)
     model = _fit(store, dataset, args, metrics_sink)
@@ -218,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _make_out_dir(args.out_dir)
         return args.fn(args)
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

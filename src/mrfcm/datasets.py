@@ -81,16 +81,13 @@ def mammographic_mass_rows(seed: int = 1961):
 
 
 def gaussian_blob_rows(n: int, centers, spread: float, seed: int = 0):
-    """n numeric rows drawn round-robin from isotropic Gaussian blobs."""
-    centers = np.asarray(centers, dtype=float)
-    rng = np.random.default_rng(seed)
-    assign = np.arange(n) % len(centers)
-    points = centers[assign] + rng.normal(0.0, spread, size=(n, centers.shape[1]))
+    """gaussian_blob_coords as text rows, nine significant digits per cell."""
+    points = gaussian_blob_coords(n, centers, spread, seed)
     return [[f"{x:.9g}" for x in point] for point in points]
 
 
 def gaussian_blob_coords(n: int, centers, spread: float, seed: int = 0) -> np.ndarray:
-    """Same blobs as gaussian_blob_rows but as a float array."""
+    """n points drawn round-robin from isotropic Gaussian blobs."""
     centers = np.asarray(centers, dtype=float)
     rng = np.random.default_rng(seed)
     assign = np.arange(n) % len(centers)

@@ -1,12 +1,12 @@
 """A small deterministic map-shuffle-reduce runtime.
 
 Jobs run over a PartitionedStore with an immutable broadcast context.
-Logical map tasks equal ``num_mappers`` and are queued onto a bounded
-worker pool, so deployments with many more mappers than cores behave
-like their cluster counterparts.  A job whose map tasks average fewer
-than ``INLINE_ROWS_PER_TASK`` rows runs both phases in the calling
-thread instead: blocks that small cost a pool more CPU than it saves in
-wall time.
+Partitions go round-robin into min(``num_mappers``, partitions) logical
+map tasks, queued onto a bounded worker pool, so deployments with many
+more mappers than cores behave like their cluster counterparts.  A job
+whose map tasks average fewer than ``INLINE_ROWS_PER_TASK`` rows runs
+both phases in the calling thread instead: blocks that small cost a pool
+more CPU than it saves in wall time.
 
 The shuffle walks map output in ascending partition order, so every
 key's values arrive ordered by (origin partition, emission order) with

@@ -8,13 +8,15 @@ records are found on the codes and projected once, by one engine job,
 before the first iteration.  A float store is deduplicated on its
 coordinates.  The memberships are expanded back to every row at the end.
 
-Each iteration is one job.  Every map task computes its partition's
-squared distances to the broadcast centroids once, and emits under a
-single key both halves of the alternating optimization: the membership
-rows of its block, and the weighted partial sums of the prototype update
-(numerators, denominators and a partial objective value).  The reduce
-concatenates the membership blocks and sums the partials, both in
-partition order; the driver divides.
+Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
+distinct points; the mappers only group blocks into tasks, so every sum
+is taken in the same order under any deployment.  For each block, a map
+computes the squared distances to the broadcast centroids once, and
+emits under a single key both halves of the alternating optimization:
+the block's membership rows, and the weighted partial sums of the
+prototype update (numerators, denominators and a partial objective
+value).  The reduce concatenates the membership blocks and sums the
+partials, both in block order; the driver divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -34,6 +36,9 @@ from .mca import MCAModel, project_store
 SINGULARITY_DISTANCE = 1e-12
 # Cluster weights below this trigger the empty-cluster rescue.
 EMPTY_CLUSTER_EPS = 1e-12
+# Most distinct points per block.  The blocks fix the order of every
+# floating-point sum, so changing this changes the output bits.
+POINT_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -73,14 +78,12 @@ def init_centroids(data, c: int, seed: int) -> np.ndarray:
     Distinctness is over point values, not row indices: encoded records
     often repeat, and coincident initial centroids would never separate.
     """
-    coords = np.asarray(data)
-    distinct, first_pos = np.unique(coords, axis=0, return_index=True)
-    distinct = distinct[np.argsort(first_pos)]  # first-appearance order
-    if len(distinct) < c:
-        raise NumericError(f"need {c} distinct points to seed centroids, have {len(distinct)}")
+    coords = np.asarray(data, dtype=float)
+    first, _, _ = _distinct_rows(coords)
+    if len(first) < c:
+        raise NumericError(f"need {c} distinct points to seed centroids, have {len(first)}")
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(distinct), size=c, replace=False)
-    return distinct[picks].astype(float)
+    return coords[first[rng.choice(len(first), size=c, replace=False)]]
 
 
 def membership_row(x, centroids, m: float) -> np.ndarray:
@@ -125,14 +128,10 @@ def _iteration_map(pid, coords, ctx):
 
 
 def _iteration_reduce(key, values):
-    u = np.concatenate([value[0] for value in values], axis=0)
-    _, numer, denom, obj = values[0]
-    numer, denom = numer.copy(), denom.copy()
-    for _, nu, de, ob in values[1:]:
-        numer += nu
-        denom += de
-        obj += ob
-    return u, numer, denom, obj
+    u, numer, denom, obj = zip(*values)
+    # sum() adds in block order; starting at the first block, not 0, keeps -0.0.
+    return (np.concatenate(u, axis=0), sum(numer[1:], numer[0]), sum(denom[1:], denom[0]),
+            sum(obj[1:], obj[0]))
 
 
 def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
@@ -159,23 +158,12 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     ok = ~starved
     new_centroids[ok] = numer[ok] / denom[ok, None]
     if starved.any():
-        new_centroids[starved] = _least_claimed_points(u, store.data, int(starved.sum()))
+        # Distinct points: two dead clusters re-seeded at one point would
+        # coincide, and coincident centroids never separate again.
+        claimed = store.data[np.argsort(u.max(axis=1), kind="stable")]
+        first, _, _ = _distinct_rows(claimed)
+        new_centroids[starved] = claimed[first[:int(starved.sum())]]
     return u, new_centroids, float(jm), metrics
-
-
-def _least_claimed_points(u, coords, count):
-    """The first ``count`` distinct points in ascending order of their
-    largest membership.  Two dead clusters re-seeded at the same point
-    would coincide, and coincident centroids never separate again."""
-    picks, seen = [], set()
-    for row in np.argsort(u.max(axis=1), kind="stable"):
-        key = (coords[row] + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
-        if key not in seen:
-            seen.add(key)
-            picks.append(coords[row])
-            if len(picks) == count:
-                break
-    return picks
 
 
 def objective(u, centroids, data, m: float = 2.0) -> float:
@@ -215,20 +203,18 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
 
     Codes are deduplicated before the projection job, which then projects
     only the distinct records; float rows are deduplicated by value.  The
-    k points go into min(P, k) contiguous blocks, so a store without
-    repeats keeps the offsets ``ingest.partition`` gave it.  Points in
-    first-appearance order give init_centroids the same picks as every
-    row would.
+    k points go into ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever
+    partitions ``store`` had.  Points in first-appearance order give
+    init_centroids the same picks as every row would.
     """
     if model is None:
         data = np.asarray(store.data, dtype=float)
         if not np.isfinite(data).all():
             raise NumericError("input holds non-finite values (NaN or inf)")
-        keys = data + 0.0  # folds -0.0 into 0.0
     else:
-        data = keys = store.data
-    first, weights, inverse = _distinct_rows(keys)
-    points = partition(data[first], min(store.num_partitions, len(first)))
+        data = store.data
+    first, weights, inverse = _distinct_rows(data)
+    points = partition(data[first], -(-len(first) // POINT_BLOCK_ROWS))
     if model is not None:
         coords, metrics = project_store(points, model, spec, available_cores=available_cores)
         if metrics_sink is not None:
@@ -242,7 +228,7 @@ def _distinct_rows(array):
     distinct rows, in first-appearance order.  Each row is compared as one
     byte string: wide code tables need no packed key, which overflows int64.
     """
-    array = np.ascontiguousarray(array)
+    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
     rows = array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
     _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
                                           return_counts=True)

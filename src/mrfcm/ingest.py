@@ -11,6 +11,7 @@ first-appearance order, plus one int code per cell.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -124,8 +125,9 @@ class PartitionedStore:
 def load_csv(path, has_header: bool = True, delimiter: str = ","):
     """Read a rectangular CSV into (column names, list of text rows).
 
-    Raises DataIOError for a missing/empty file or a ragged row; the
-    ragged-row message names the offending 1-based line number.
+    Raises DataIOError for a missing or empty file, and for a ragged row,
+    a byte that is not UTF-8 or a cell csv cannot read, naming the
+    offending 1-based line number.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -136,18 +138,27 @@ def load_csv(path, has_header: bool = True, delimiter: str = ","):
         rows = []
         names = None
         width = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue  # blank line
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataIOError(
-                    f"{path}: ragged row at line {lineno}: expected {width} cells, got {len(row)}")
-            if has_header and names is None:
-                names = [cell.strip() for cell in row]
-                continue
-            rows.append([cell.strip() for cell in row])
+        try:
+            for row in reader:
+                if not row:
+                    continue  # blank line
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise DataIOError(f"{path}: ragged row at line {reader.line_num}: "
+                                      f"expected {width} cells, got {len(row)}")
+                if has_header and names is None:
+                    names = [cell.strip() for cell in row]
+                    continue
+                rows.append([cell.strip() for cell in row])
+        except UnicodeDecodeError as exc:
+            # Bytes that are not UTF-8, and only those, escape to lone surrogates.
+            with open(path, "rb") as raw:
+                text = raw.read().decode("utf-8", "surrogateescape")
+            lineno = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+            raise DataIOError(f"{path}: line {lineno} is not UTF-8: {exc.reason}") from exc
+        except csv.Error as exc:
+            raise DataIOError(f"{path}: unreadable line {reader.line_num}: {exc}") from exc
     if width is None or not rows:
         raise DataIOError(f"{path}: no data rows")
     if names is None:

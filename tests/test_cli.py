@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mrfcm import datasets
+from mrfcm import datasets, fcm
 from mrfcm.cli import main
 
 
@@ -221,3 +221,55 @@ def test_nonpositive_task_count_is_usage_error(mm_csv, tmp_path, capsys, command
     argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], flag, value,
             "--out-dir", str(tmp_path / "o")]
     assert_usage_error(argv, capsys, flag)
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"p,q\na,x\nb,\xff\xfe\nc,x\n", "line 3 is not UTF-8"),
+    (b"p,q\na,x\nb,y\nc," + b"z" * 140_000 + b"\n", "unreadable line 4: field larger"),
+], ids=["not-utf8", "field-over-limit"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_unreadable_input_exits_3(tmp_path, capsys, command, data, message):
+    path = write_bytes(tmp_path, data)
+    code = run(command, "--input", path, *COMMAND_ARGS[command],
+               "--out-dir", str(tmp_path / "o"))
+    assert code == 3
+    assert f"DataIOError: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_dir", ["taken", "taken/sub"], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_out_dir_that_cannot_be_made_exits_3(mm_csv, tmp_path, capsys, command, out_dir):
+    (tmp_path / "taken").write_text("not a directory")
+    code = run(command, "--input", mm_csv, *COMMAND_ARGS[command],
+               "--out-dir", str(tmp_path / out_dir))
+    assert code == 3
+    assert "DataIOError: cannot create output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block_rows", [fcm.POINT_BLOCK_ROWS, 50])
+def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, block_rows):
+    """The byte-stable files do not depend on --mappers or --reducers."""
+    monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", block_rows)
+
+    def outputs(command, extra, names, deployment):
+        mappers, reducers = deployment
+        out = tmp_path / f"{command}_{mappers}x{reducers}"
+        assert run(command, "--input", mm_csv, "--seed", "42", *extra,
+                   "--mappers", str(mappers), "--reducers", str(reducers),
+                   "--out-dir", str(out)) == 0
+        return {name: (out / name).read_bytes() for name in names}
+
+    clusters = [outputs("cluster", ["--c", "3"],
+                        ["memberships.csv", "centroids.csv", "trace.csv"], deployment)
+                for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
+    assert all(other == clusters[0] for other in clusters[1:])
+    sweeps = [outputs("sweep", ["--c-min", "2", "--c-max", "5"],
+                      ["validity.csv", "validity_plot.dat"], deployment)
+              for deployment in [(2, 1), (16, 1), (7, 3)]]
+    assert all(other == sweeps[0] for other in sweeps[1:])

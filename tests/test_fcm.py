@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mrfcm import engine, ingest, mca, validity
+from mrfcm import engine, fcm, ingest, mca, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 from mrfcm.fcm import (FcmConfig, fcm_iteration, init_centroids, membership_row, objective,
@@ -301,8 +301,9 @@ class TestRunFcm:
             store = ingest.partition(coords, p)
             results.append(run_fcm(store, None, config, spec_for(p)))
         for other in results[1:]:
-            assert np.allclose(results[0].u, other.u, atol=1e-9)
-            assert np.allclose(results[0].v, other.v, atol=1e-9)
+            assert results[0].u.tobytes() == other.u.tobytes()
+            assert results[0].v.tobytes() == other.v.tobytes()
+            assert results[0].objective_trace == other.objective_trace
             assert results[0].iters_run == other.iters_run
 
     def test_invariants_row_sums_and_objective_monotone(self):
@@ -384,15 +385,18 @@ class TestRunFcm:
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         assert result.u.tobytes() == result.u[first[inverse]].tobytes()
 
-    def test_duplicate_free_store_keeps_its_partitions(self):
+    def test_duplicate_free_store_runs_on_fixed_blocks(self, monkeypatch):
+        # 200 points in blocks of at most 16 rows: 13 blocks, whatever the
+        # caller's partitions and mappers.
+        monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", 16)
         rng = np.random.default_rng(21)
         coords = rng.normal(size=(200, 2))
-        store = ingest.partition(coords, 16)
         config = FcmConfig(c=3, seed=1, max_iters=5, fixed_iterations=True)
-        result = run_fcm(store, None, config, spec_for(16))
+        result = run_fcm(ingest.partition(coords, 4), None, config, spec_for(16))
+        blocks = ingest.partition(coords, 13)
         centroids = init_centroids(coords, 3, seed=1)
         for _ in range(5):
-            u, centroids, _, _ = fcm_iteration(store, centroids, spec_for(16))
+            u, centroids, _, _ = fcm_iteration(blocks, centroids, spec_for(16))
         assert result.u.tobytes() == u.tobytes()
         assert result.v.tobytes() == centroids.tobytes()
 
@@ -404,6 +408,51 @@ class TestRunFcm:
             with pytest.raises(NumericError, match="non-finite"):
                 run_fcm(store, None, FcmConfig(c=2, seed=0), spec_for(2))
         assert NumericError.exit_code == 5
+
+
+class TestFixedBlocks:
+    """Multi-block sums: points in blocks of at most 16 rows, so that
+    problems of oracle size span several blocks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", 16)
+
+    @staticmethod
+    def stores():
+        rng = np.random.default_rng(23)
+        duplicate_free = rng.normal(size=(150, 2)) * 2.0
+        duplicate_rows, _, _ = duplicate_heavy(rng)
+        return {"duplicate-free": duplicate_free, "duplicate-heavy": duplicate_rows}
+
+    @pytest.mark.parametrize("name", ["duplicate-free", "duplicate-heavy"])
+    def test_matches_reference(self, name):
+        rows = self.stores()[name]
+        config = FcmConfig(c=3, m=2.0, epsilon=1e-5, max_iters=40, seed=6)
+        result = run_fcm(ingest.partition(rows, 4), None, config, spec_for(4))
+        ref_u, ref_v, ref_trace, ref_iters, _ = reference.reference_fcm(
+            rows, 3, m=2.0, epsilon=1e-5, max_iters=40, seed=6)
+        assert result.iters_run == ref_iters
+        assert np.allclose(result.u, ref_u, rtol=0, atol=1e-9)
+        assert np.allclose(result.v, ref_v, rtol=0, atol=1e-9)
+        assert np.allclose(result.objective_trace, ref_trace, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", ["duplicate-free", "duplicate-heavy"])
+    def test_bitwise_equal_across_mappers_inline_and_pooled(self, name, monkeypatch):
+        rows = self.stores()[name]
+        config = FcmConfig(c=3, seed=6, max_iters=40)
+
+        def outputs(p):
+            result = run_fcm(ingest.partition(rows, p), None, config, spec_for(p))
+            return (result.u.tobytes(), result.v.tobytes(), result.objective_trace,
+                    result.max_delta_trace, result.iters_run)
+
+        baseline = outputs(1)
+        for p in (1, 4, 16):
+            assert outputs(p) == baseline
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                assert outputs(p) == baseline
 
 
 class TestProperties:

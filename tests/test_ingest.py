@@ -22,6 +22,10 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b\n1,x\n1,2,3\n")
         with pytest.raises(DataIOError, match="line 3"):
             ingest.load_csv(path)
+        # A quoted cell spanning two lines: the ragged row is on line 5.
+        path = write(tmp_path, 'a,b\n"x\ny",1\nz,2\nw,3,4\n')
+        with pytest.raises(DataIOError, match="line 5:"):
+            ingest.load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "")
