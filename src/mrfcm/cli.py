@@ -37,24 +37,19 @@ def _write_metrics(path, metrics_list):
             fh.write(metrics.csv_line() + "\n")
 
 
-def _load_encoded(args):
+def _encode_and_fit(args):
+    """(dataset, store, model, Burt job metrics) of the --input CSV."""
     dataset = ingest.encode_csv(args.input, has_header=args.header,
                                 delimiter=args.delimiter, bins=args.bins)
     store = ingest.partition(dataset, args.mappers)
-    return dataset, store
-
-
-def _fit(store, dataset, args, metrics_sink):
     spec = JobSpec(args.mappers, args.reducers, "burt")
     margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities, spec)
-    metrics_sink.append(metrics)
-    return mca.fit_mca(margins, burt, mca_dims=args.mca_dims)
+    return dataset, store, mca.fit_mca(margins, burt, mca_dims=args.mca_dims), metrics
 
 
 def cmd_cluster(args) -> int:
-    metrics_sink = []
-    dataset, store = _load_encoded(args)
-    model = _fit(store, dataset, args, metrics_sink)
+    dataset, store, model, burt_metrics = _encode_and_fit(args)
+    metrics_sink = [burt_metrics]
     spec = JobSpec(args.mappers, args.reducers, "fcm")
     config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
@@ -75,9 +70,7 @@ def cmd_sweep(args) -> int:
     if args.c_min > args.c_max:
         print("sweep: --c-min must not exceed --c-max", file=sys.stderr)
         return 2
-    metrics_sink = []
-    dataset, store = _load_encoded(args)
-    model = _fit(store, dataset, args, metrics_sink)
+    _, store, model, _ = _encode_and_fit(args)
     spec = JobSpec(args.mappers, args.reducers, "sweep")
     config = FcmConfig(c=2, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
@@ -121,9 +114,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_mca_info(args) -> int:
-    metrics_sink = []
-    dataset, store = _load_encoded(args)
-    model = _fit(store, dataset, args, metrics_sink)
+    dataset, _, model, _ = _encode_and_fit(args)
     with open(os.path.join(args.out_dir, "schema.txt"), "w", encoding="utf-8") as fh:
         fh.write(ingest.schema_dump(dataset))
     mca.write_model_dump(model, os.path.join(args.out_dir, "axes.csv"),

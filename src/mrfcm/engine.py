@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import EngineError
 from .ingest import PartitionedStore
 
@@ -93,6 +95,17 @@ def _run_tasks(fn, tasks, workers):
         return [fn(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
+
+
+def sum_reduce(key, values):
+    """Reducer: the values added in arrival order.  Starting at the first
+    value, not 0, keeps a -0.0 sum bit for bit."""
+    return sum(values[1:], values[0])
+
+
+def concat_reduce(key, values):
+    """Reducer: the row blocks stacked in arrival order."""
+    return np.concatenate(values, axis=0)
 
 
 def run_job(spec: JobSpec, store: PartitionedStore, broadcast,

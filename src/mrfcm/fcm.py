@@ -11,12 +11,15 @@ coordinates.  The memberships are expanded back to every row at the end.
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points; the mappers only group blocks into tasks, so every sum
 is taken in the same order under any deployment.  For each block, a map
-computes the squared distances to the broadcast centroids once, and
+computes the squared distances to the broadcast centroids once
+(``sq_dist``, the one distance routine of the package), gives every row
+its memberships by one formula scaled to the row's nearest centroid, and
 emits under a single key both halves of the alternating optimization:
 the block's membership rows, and the weighted partial sums of the
 prototype update (numerators, denominators and a partial objective
-value).  The reduce concatenates the membership blocks and sums the
-partials, both in block order; the driver divides.
+value).  The reduce stacks the membership blocks and adds the partials
+with the engine's ``concat_reduce`` and ``sum_reduce``, both in block
+order; the driver divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, run_job
+from .engine import JobSpec, concat_reduce, run_job, sum_reduce
 from .errors import NumericError
 from .ingest import PartitionedStore, partition
 from .mca import MCAModel, project_store
@@ -92,46 +95,44 @@ def membership_row(x, centroids, m: float) -> np.ndarray:
     return u[0]
 
 
-def _membership_block(points, centroids, m):
-    """Vectorized membership update and the squared distances it used;
-    all reductions stay within each row."""
+def sq_dist(points, centroids):
+    """(b, c) squared Euclidean distances from each point to each centroid."""
     diff = points[:, None, :] - centroids[None, :, :]
-    dist_sq = (diff * diff).sum(axis=2)  # (b, c)
+    return (diff * diff).sum(axis=2)
+
+
+def _membership_block(points, centroids, m):
+    """Memberships of a block of points, and the squared distances they used.
+
+    Row i is r_ij / sum_k r_ik with r_ij = (d_i,min / d_ij)^(1/(m-1)) over
+    squared distances d: Bezdek's update, scaled per row so that the
+    nearest centroid's ratio is exactly 1.  The power then cannot overflow
+    and no row sum is zero, even near m = 1.  A row within
+    SINGULARITY_DISTANCE of some centroids splits its membership equally
+    among them.  All reductions stay within each row.
+    """
+    dist_sq = sq_dist(points, centroids)
     coincident = dist_sq < SINGULARITY_DISTANCE ** 2
     hit = coincident.any(axis=1)
-    safe = ~hit
-    with np.errstate(divide="ignore", over="ignore"):
-        ratios = dist_sq ** (-1.0 / (m - 1.0))
-        sums = ratios.sum(axis=1)
-    # Near m = 1 the power over- or underflows, or leaves only subnormal
-    # ratios with a few significant bits; such rows are recomputed against
-    # their own nearest centroid, whose ratio is then exactly 1.
-    lost = safe & ~(np.isfinite(sums) & (ratios.max(axis=1) >= np.finfo(float).tiny))
-    if lost.any():
-        d = dist_sq[lost]
-        ratios[lost] = (d.min(axis=1, keepdims=True) / d) ** (1.0 / (m - 1.0))
-    u = np.empty_like(dist_sq)
-    u[safe] = ratios[safe] / ratios[safe].sum(axis=1, keepdims=True)
+    # Only a coincident row can divide by a zero distance; it is overwritten.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (dist_sq.min(axis=1, keepdims=True) / dist_sq) ** (1.0 / (m - 1.0))
     if hit.any():
         # Split full membership equally among coincident centroids.
-        u[hit] = coincident[hit] / coincident[hit].sum(axis=1, keepdims=True)
-    return u, dist_sq
+        ratios[hit] = coincident[hit]
+    return ratios / ratios.sum(axis=1, keepdims=True), dist_sq
 
 
 def _iteration_map(pid, coords, ctx):
     centroids, m, weights, offsets = ctx
     u, dist_sq = _membership_block(coords, centroids, m)
-    um = u ** m
-    if weights is not None:
-        um *= weights[offsets[pid]:offsets[pid + 1], None]
+    um = u ** m * weights[offsets[pid]:offsets[pid + 1], None]
     yield "iteration", (u, um.T @ coords, um.sum(axis=0), (um * dist_sq).sum())
 
 
 def _iteration_reduce(key, values):
-    u, numer, denom, obj = zip(*values)
-    # sum() adds in block order; starting at the first block, not 0, keeps -0.0.
-    return (np.concatenate(u, axis=0), sum(numer[1:], numer[0]), sum(denom[1:], denom[0]),
-            sum(obj[1:], obj[0]))
+    u, *partials = zip(*values)
+    return (concat_reduce(key, u), *(sum_reduce(key, part) for part in partials))
 
 
 def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
@@ -147,8 +148,7 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     already hold.  Clusters whose weight vanishes are re-seeded at the
     distinct points u claims least, so sweeps over generous c never abort.
     """
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
+    weights = np.ones(store.n) if weights is None else np.asarray(weights, dtype=float)
     context = (np.asarray(centroids, float), m, weights, store.offsets)
     results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce,
                                available_cores=available_cores)
@@ -170,9 +170,7 @@ def objective(u, centroids, data, m: float = 2.0) -> float:
     """Weighted within-cluster scatter J_m of a partition/prototype pair."""
     coords = np.asarray(data, dtype=float)
     u = np.asarray(u, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    diff = coords[:, None, :] - centroids[None, :, :]
-    return float(((u ** m) * (diff * diff).sum(axis=2)).sum())
+    return float(((u ** m) * sq_dist(coords, np.asarray(centroids, dtype=float))).sum())
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,

@@ -21,6 +21,9 @@ from .errors import DataIOError, SchemaError
 
 # Cell values treated as missing ("?" is the usual marker in UCI exports).
 MISSING_TOKENS = frozenset({"", "?", "NA", "na", "NaN", "nan", "NULL", "null"})
+# Thresholds of infer_schema's numeric test.
+NUMERIC_DETECT = 0.95
+MAX_CARD = 12
 
 
 @dataclass
@@ -187,11 +190,11 @@ def _dictionary_encode(rows, j):
     return list(index), codes, present
 
 
-def infer_schema(names, rows, numeric_detect: float = 0.95, max_card: int = 12):
+def infer_schema(names, rows):
     """Classify each column as numeric or categorical.
 
-    A column is numeric iff at least ``numeric_detect`` of its non-missing
-    cells parse as reals AND it has more than ``max_card`` distinct cell
+    A column is numeric iff at least ``NUMERIC_DETECT`` of its non-missing
+    cells parse as reals AND it has more than ``MAX_CARD`` distinct cell
     strings; otherwise it is categorical with labels in first-appearance
     order.  Raises SchemaError if a column has no non-missing cells.
     """
@@ -208,7 +211,7 @@ def infer_schema(names, rows, numeric_detect: float = 0.95, max_card: int = 12):
         n_parsed = int(sum(cnt for label, cnt in zip(labels, counts)
                            if _parse_real(label) is not None))
         has_missing = n_present < len(rows)
-        if n_parsed >= numeric_detect * n_present and len(labels) > max_card:
+        if n_parsed >= NUMERIC_DETECT * n_present and len(labels) > MAX_CARD:
             schema.append(ColumnSpec(names[j], "numeric", has_missing=has_missing))
         else:
             schema.append(ColumnSpec(names[j], "categorical",
@@ -244,10 +247,8 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
             raw = np.searchsorted(inner, values[present], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
-            occupied = np.unique(raw)
-            remap = np.zeros(len(inner) + 1, dtype=np.int32)
-            remap[occupied] = np.arange(len(occupied))
-            inner = inner[occupied[:-1]] if len(occupied) > 1 else inner[:0]
+            occupied, raw = np.unique(raw, return_inverse=True)
+            inner = inner[occupied[:-1]]
             edges = np.concatenate(([-np.inf], inner, [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges,
                              has_missing=not present.all())
@@ -255,7 +256,7 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
                 warnings.warn(f"dropping constant numeric column {spec.name!r}")
                 continue
             lut = np.full(len(labels), len(occupied), dtype=np.int32)
-            lut[present] = remap[raw]
+            lut[present] = raw
         else:
             index = {label: k for k, label in enumerate(spec.categories)}
             try:
@@ -278,11 +279,10 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
     return dataset
 
 
-def encode_csv(path, has_header=True, delimiter=",", bins=4,
-               numeric_detect=0.95, max_card=12) -> CategoricalDataset:
+def encode_csv(path, has_header=True, delimiter=",", bins=4) -> CategoricalDataset:
     """load_csv + infer_schema + discretize in one call."""
     names, rows = load_csv(path, has_header=has_header, delimiter=delimiter)
-    schema = infer_schema(names, rows, numeric_detect=numeric_detect, max_card=max_card)
+    schema = infer_schema(names, rows)
     return discretize(rows, schema, bins=bins)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, run_job
+from .engine import JobSpec, concat_reduce, run_job, sum_reduce
 from .errors import NumericError
 from .ingest import PartitionedStore
 
@@ -113,13 +113,6 @@ def _burt_map(pid, block, col_offsets):
     yield "burt", indicator.T @ indicator
 
 
-def _sum_reduce(key, values):
-    acc = values[0].copy()
-    for v in values[1:]:
-        acc += v
-    return acc
-
-
 def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None,
                     available_cores=None):
     """Assemble global margins and the Burt matrix with one engine pass.
@@ -130,7 +123,7 @@ def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None
     """
     spec = spec or JobSpec(store.num_partitions, 1, "burt")
     col_offsets = np.concatenate(([0], np.cumsum(cardinalities))).astype(np.int64)
-    results, metrics = run_job(spec, store, col_offsets, _burt_map, _sum_reduce,
+    results, metrics = run_job(spec, store, col_offsets, _burt_map, sum_reduce,
                                available_cores=available_cores)
     burt = results[0][1]
     counts = np.diag(burt).copy()
@@ -186,24 +179,17 @@ def project(record, model: MCAModel) -> np.ndarray:
 
 
 def _project_map(pid, block, model):
-    yield pid, model.transform(block)
-
-
-def _identity_reduce(key, values):
-    if len(values) != 1:
-        raise NumericError(f"partition {key}: expected one sub-matrix, got {len(values)}")
-    return values[0]
+    yield "project", model.transform(block)
 
 
 def project_store(store: PartitionedStore, model: MCAModel, spec: JobSpec | None = None,
                   available_cores=None):
-    """Project every partition and reassemble its (n, d) coordinates in
+    """Project every partition and reassemble the (n, d) coordinates in
     partition order; returns (coords, metrics)."""
     spec = spec or JobSpec(store.num_partitions, 1, "project")
-    results, metrics = run_job(spec, store, model, _project_map, _identity_reduce,
+    results, metrics = run_job(spec, store, model, _project_map, concat_reduce,
                                available_cores=available_cores)
-    coords = np.concatenate([value for _, value in results], axis=0)
-    return coords, metrics
+    return results[0][1], metrics
 
 
 def write_model_dump(model: MCAModel, axes_path, loadings_path):

@@ -9,13 +9,13 @@ picks the consensus winner by majority vote across the four indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .engine import JobSpec
 from .errors import NumericError
-from .fcm import FcmConfig, _cluster, _coordinates, objective
+from .fcm import FcmConfig, _cluster, _coordinates, objective, sq_dist
 from .ingest import PartitionedStore
 from .mca import MCAModel
 
@@ -43,12 +43,7 @@ def _pairwise_min_sep_sq(centroids) -> float:
     c = centroids.shape[0]
     if c < 2:
         raise NumericError("separation needs at least two centroids")
-    best = math.inf
-    for i in range(c):
-        diff = centroids[i + 1:] - centroids[i]
-        if len(diff):
-            best = min(best, float((diff * diff).sum(axis=1).min()))
-    return best
+    return float(sq_dist(centroids, centroids)[np.triu_indices(c, 1)].min())
 
 
 def xb(u, centroids, data) -> float:
@@ -144,8 +139,7 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
-        run_cfg = FcmConfig(c=c, m=config.m, epsilon=config.epsilon,
-                            max_iters=config.max_iters, seed=config.seed + c)
+        run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
             result = _cluster(points, weights, run_cfg, spec, available_cores)
             u = result.u[inverse]

@@ -169,6 +169,15 @@ class TestDictionaryEncoding:
         assert ds.codes[-1, 0] == 4  # the dedicated missing bin
         assert ds.codes[:-1, 0].max() == 3
 
+    def test_padded_cells_are_stripped(self, tmp_path):
+        # 14 distinct reals make column x numeric (more than MAX_CARD labels).
+        lines = [" a, 3.5", "a ,1", "a,2", "b,4", " ? ,5"] + [f"b,{v}" for v in range(6, 15)]
+        ds = ingest.encode_csv(write(tmp_path, "c,x\n" + "\n".join(lines) + "\n"))
+        cat, num = ds.schema
+        assert cat.categories == ["a", "b"] and cat.has_missing
+        assert ds.codes[:5, 0].tolist() == [0, 0, 0, 1, 2]
+        assert num.kind == "numeric" and not num.has_missing
+
     def test_label_outside_schema_rejected(self):
         schema = [ingest.ColumnSpec("c0", "categorical", categories=["a", "b"])]
         with pytest.raises(SchemaError, match="'zz' not in schema"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrfcm import ingest, validity
+from mrfcm import datasets, ingest, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 from mrfcm.fcm import FcmConfig
@@ -198,6 +198,12 @@ class TestSweep:
         b = sweep(store, None, 2, 4, FcmConfig(c=2, seed=10), JobSpec(4, 2, "s"))
         for ra, rb in zip(a.rows, b.rows):
             assert ra.jm == rb.jm  # bitwise reproducible
+
+    def test_fixed_iterations_reach_every_candidate(self):
+        coords = datasets.gaussian_blob_coords(600, [[0, 0], [6, 0], [3, 5]], 0.5, seed=1)
+        config = FcmConfig(c=2, max_iters=50, fixed_iterations=True, seed=3)
+        report = sweep(ingest.partition(coords, 4), None, 2, 4, config, JobSpec(4, 2, "s"))
+        assert [row.iters for row in report.rows] == [50, 50, 50]
 
     def test_sweep_bounds_validated(self):
         store = self._blob_store(n=40)
