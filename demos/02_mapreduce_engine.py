@@ -31,11 +31,12 @@ for mappers in (1, 2, 4):
     print(f"mappers={mappers}: counts={dict(results)}")
 print("same answer every time, as it must be\n")
 
-# ── 2. tasks queue onto bounded workers ─────────────────────────────────────
+# ── 2. calls queue onto bounded workers ─────────────────────────────────────
 spec = JobSpec(num_mappers=150, num_reducers=75, job_name="big-deployment")
 workers, reducers = set_parallelism(spec, available_cores=8)
-print(f"{spec.num_mappers} logical map tasks run on {workers} concurrent workers "
-      f"(8 cores); {spec.num_reducers} reduce tasks on {reducers}")
+print(f"{spec.num_mappers} mappers: one map call per partition, at most {workers} "
+      f"at once (8 cores); {spec.num_reducers} reducers: one reduce call per key, "
+      f"at most {reducers} at once")
 
 # ── 3. float reductions are order-stable ────────────────────────────────────
 rng = np.random.default_rng(0)

@@ -1,12 +1,13 @@
 """A small deterministic map-shuffle-reduce runtime.
 
 Jobs run over a PartitionedStore with an immutable broadcast context.
-Partitions go round-robin into min(``num_mappers``, partitions) logical
-map tasks, queued onto a bounded worker pool, so deployments with many
-more mappers than cores behave like their cluster counterparts.  A job
-whose map tasks average fewer than ``INLINE_ROWS_PER_TASK`` rows runs
-both phases in the calling thread instead: blocks that small cost a pool
-more CPU than it saves in wall time.
+Each partition is one map call and each key one reduce call.  The calls
+queue onto a worker pool of at most ``num_mappers`` (``num_reducers``)
+threads, capped by the core count, so deployments with many more mappers
+than cores behave like their cluster counterparts.  A job whose mappers
+average fewer than ``INLINE_ROWS_PER_TASK`` rows runs both phases in the
+calling thread instead: blocks that small cost a pool more CPU than it
+saves in wall time.
 
 The shuffle walks map output in ascending partition order, so every
 key's values arrive ordered by (origin partition, emission order) with
@@ -26,15 +27,16 @@ import numpy as np
 from .errors import EngineError
 from .ingest import PartitionedStore
 
-# Mean rows per map task below which a job runs in the calling thread:
-# on 2 cores, smaller blocks cost the pool more CPU than it saves in wall
-# time (measured per fcm iteration; see CHANGES.md).
+# Mean rows per mapper, n / min(num_mappers, partitions), below which a
+# job runs in the calling thread: on 2 cores, smaller blocks cost the pool
+# more CPU than it saves in wall time (measured per fcm iteration; see
+# CHANGES.md).
 INLINE_ROWS_PER_TASK = 4096
 
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Deployment shape of one job: how many map and reduce tasks."""
+    """Deployment shape of one job: how many mappers and reducers."""
 
     num_mappers: int
     num_reducers: int
@@ -70,10 +72,9 @@ METRICS_HEADER = "job_name,num_mappers,num_reducers,map_s,shuffle_s,reduce_s,tot
 
 
 def set_parallelism(spec: JobSpec, available_cores: int | None = None) -> tuple[int, int]:
-    """Effective concurrent (map, reduce) worker counts.
-
-    Logical task counts stay at the spec's values; only the number of
-    simultaneously running workers is capped by the core count.
+    """Effective concurrent (map, reduce) worker counts: the spec's
+    mapper and reducer counts, each capped by the core count.  Every
+    partition is still one map call and every key one reduce call.
     """
     cores = available_cores if available_cores is not None else (os.cpu_count() or 1)
     if cores < 1:
@@ -81,20 +82,13 @@ def set_parallelism(spec: JobSpec, available_cores: int | None = None) -> tuple[
     return min(spec.num_mappers, cores), min(spec.num_reducers, cores)
 
 
-def _assign_round_robin(items, num_tasks):
-    """Deterministic task assignment: item i goes to task i mod num_tasks."""
-    tasks = [[] for _ in range(min(num_tasks, len(items)) or 1)]
-    for i, item in enumerate(items):
-        tasks[i % len(tasks)].append(item)
-    return tasks
-
-
-def _run_tasks(fn, tasks, workers):
-    """fn applied to every task, results in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
+def _run_tasks(fn, items, workers):
+    """fn applied to every item on up to ``workers`` threads, results in
+    item order."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        return list(pool.map(fn, items))
 
 
 def sum_reduce(key, values):
@@ -121,55 +115,41 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
     """
     map_workers, reduce_workers = set_parallelism(spec, available_cores)
     metrics = JobMetrics(spec.job_name, spec.num_mappers, spec.num_reducers)
-    map_tasks = _assign_round_robin(range(store.num_partitions), spec.num_mappers)
-    if store.n < INLINE_ROWS_PER_TASK * len(map_tasks):
+    if store.n < INLINE_ROWS_PER_TASK * min(spec.num_mappers, store.num_partitions):
         map_workers = reduce_workers = 1
 
-    def run_map_task(task_pids):
-        emitted = []
-        for pid in task_pids:
-            try:
-                emitted.append((pid, list(map_fn(pid, store.block(pid), broadcast))))
-            except Exception as exc:
-                raise EngineError(f"{spec.job_name}: map failed on partition {pid}: {exc}") from exc
-        return emitted
+    def run_map(pid):
+        try:
+            return list(map_fn(pid, store.block(pid), broadcast))
+        except Exception as exc:
+            raise EngineError(f"{spec.job_name}: map failed on partition {pid}: {exc}") from exc
 
     t0 = time.perf_counter()
-    map_outputs = _run_tasks(run_map_task, map_tasks, map_workers)
+    map_outputs = _run_tasks(run_map, range(store.num_partitions), map_workers)
     metrics.map_wall_time = time.perf_counter() - t0
 
     # Shuffle: walking partitions in ascending order appends each key's
     # values in (origin, emission) order.
     t0 = time.perf_counter()
-    by_pid = dict(pair for task_out in map_outputs for pair in task_out)
     groups: dict = {}
-    for pid in range(store.num_partitions):
-        for key, value in by_pid[pid]:
+    for emitted in map_outputs:
+        for key, value in emitted:
             groups.setdefault(key, []).append(value)
-    metrics.records_in = sum(map(len, by_pid.values()))
+    metrics.records_in = sum(map(len, map_outputs))
     try:
         keys = sorted(groups)
     except TypeError as exc:
         raise EngineError(f"{spec.job_name}: emitted keys are not totally ordered: {exc}") from exc
     metrics.shuffle_wall_time = time.perf_counter() - t0
 
-    reduce_tasks = _assign_round_robin(keys, spec.num_reducers)
-
-    def run_reduce_task(task_keys):
-        out = []
-        for key in task_keys:
-            try:
-                out.append((key, reduce_fn(key, groups[key])))
-            except Exception as exc:
-                raise EngineError(f"{spec.job_name}: reduce failed on key {key!r}: {exc}") from exc
-        return out
+    def run_reduce(key):
+        try:
+            return key, reduce_fn(key, groups[key])
+        except Exception as exc:
+            raise EngineError(f"{spec.job_name}: reduce failed on key {key!r}: {exc}") from exc
 
     t0 = time.perf_counter()
-    reduce_outputs = _run_tasks(run_reduce_task, reduce_tasks, reduce_workers)
+    results = _run_tasks(run_reduce, keys, reduce_workers)
     metrics.reduce_wall_time = time.perf_counter() - t0
-
-    # Key i went to reduce task i mod R, at position i div R.
-    width = len(reduce_tasks)
-    results = [reduce_outputs[i % width][i // width] for i in range(len(keys))]
     metrics.records_out = len(results)
     return results, metrics

@@ -9,8 +9,8 @@ before the first iteration.  A float store is deduplicated on its
 coordinates.  The memberships are expanded back to every row at the end.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
-distinct points; the mappers only group blocks into tasks, so every sum
-is taken in the same order under any deployment.  For each block, a map
+distinct points, one map call per block, so every sum is taken in the
+same order under any deployment.  For each block, a map
 computes the squared distances to the broadcast centroids once
 (``sq_dist``, the one distance routine of the package), gives every row
 its memberships by one formula scaled to the row's nearest centroid, and

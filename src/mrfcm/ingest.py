@@ -128,12 +128,12 @@ class PartitionedStore:
 def load_csv(path, has_header: bool = True, delimiter: str = ","):
     """Read a rectangular CSV into (column names, list of text rows).
 
-    Raises DataIOError for a missing or empty file, and for a ragged row,
-    a byte that is not UTF-8 or a cell csv cannot read, naming the
-    offending 1-based line number.
+    A leading UTF-8 byte-order mark is skipped.  Raises DataIOError for a
+    missing or empty file, and for a ragged row, a byte that is not UTF-8
+    or a cell csv cannot read, naming the offending 1-based line number.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataIOError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -247,7 +247,8 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
             raw = np.searchsorted(inner, values[present], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
-            occupied, raw = np.unique(raw, return_inverse=True)
+            occupied = np.unique(raw)
+            raw = np.searchsorted(occupied, raw)
             inner = inner[occupied[:-1]]
             edges = np.concatenate(([-np.inf], inner, [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges,

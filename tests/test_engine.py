@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ class TestRunJob:
 
 @pytest.fixture
 def pooled(monkeypatch):
-    """Force every job with more than one map task onto the worker pool."""
+    """Force every job with more than one partition onto the worker pool."""
     monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
 
 
@@ -176,6 +177,28 @@ class TestPooledPath:
         store = token_store(list(range(32)), 8)
         with pytest.raises(EngineError, match="partition 5"):
             run_job(JobSpec(8, 2, "bad"), store, None, bad_map, sum_reduce)
+
+    @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2)])
+    def test_map_concurrency_is_capped(self, pooled, mappers, cores):
+        lock = threading.Lock()
+        running = peak = 0
+        threads = set()
+
+        def slow_map(pid, block, broadcast):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+                threads.add(threading.current_thread())
+            time.sleep(0.01)
+            with lock:
+                running -= 1
+            yield pid, 1
+
+        run_job(JobSpec(mappers, 1, "cap"), token_store(range(32), 8), None,
+                slow_map, sum_reduce, available_cores=cores)
+        assert threading.current_thread() not in threads  # the pool ran the maps
+        assert peak <= min(mappers, cores)
 
     def test_no_threads_leak_across_jobs(self, pooled):
         store = token_store(list(range(64)), 8)

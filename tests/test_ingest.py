@@ -42,6 +42,21 @@ class TestLoadCsv:
         assert names == ["col0", "col1"]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_changes_nothing(self, tmp_path, has_header):
+        # 40 distinct reals make the first column numeric; without a header
+        # the mark sits on its first data cell.
+        text = ("x,c\n" if has_header else "") + "".join(
+            f"{v * 0.25},{'ab'[v % 2]}\n" for v in range(40))
+        plain = write(tmp_path, text, "plain.csv")
+        marked = write(tmp_path, "\ufeff" + text, "marked.csv")
+        assert (ingest.load_csv(marked, has_header=has_header)
+                == ingest.load_csv(plain, has_header=has_header))
+        want, got = (ingest.encode_csv(p, has_header=has_header) for p in (plain, marked))
+        assert [s.name for s in got.schema] == [s.name for s in want.schema]
+        assert np.array_equal(got.codes, want.codes)
+        assert ingest.schema_dump(got) == ingest.schema_dump(want)
+
     def test_mammographic_mass_dimensions(self, tmp_path):
         path = datasets.write_csv(tmp_path / "mm.csv", datasets.mammographic_mass_rows(),
                                   header=datasets.MAMMOGRAPHIC_HEADER)
