@@ -10,16 +10,16 @@ coordinates.  The memberships are expanded back to every row at the end.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
-same order under any deployment.  For each block, a map
-computes the squared distances to the broadcast centroids once
-(``sq_dist``, the one distance routine of the package), gives every row
-its memberships by one formula scaled to the row's nearest centroid, and
-emits under a single key both halves of the alternating optimization:
-the block's membership rows, and the weighted partial sums of the
-prototype update (numerators, denominators and a partial objective
-value).  The reduce stacks the membership blocks and adds the partials
-with the engine's ``concat_reduce`` and ``sum_reduce``, both in block
-order; the driver divides.
+same order under any deployment.  Each map computes the block's squared
+distances to the broadcast centroids once (``sq_dist``, the one distance
+routine of the package) and its memberships by one formula scaled to
+each point's nearest centroid, both cluster-major as (c, b) arrays: the
+reductions over the few clusters run along rows as long as the block,
+while sums over coordinates and points keep their (b, c) order and bits.
+It emits under one key the block's membership rows and the weighted
+partial sums of the prototype update (numerators, denominators and the
+objective); the reduce stacks the former and adds the latter in block
+order (``concat_reduce``, ``sum_reduce``); ``fcm_iteration`` divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -92,42 +92,47 @@ def init_centroids(data, c: int, seed: int) -> np.ndarray:
 def membership_row(x, centroids, m: float) -> np.ndarray:
     """Membership vector of one point, with the coincidence rule applied."""
     u, _ = _membership_block(np.asarray(x, dtype=float)[None, :], np.asarray(centroids, float), m)
-    return u[0]
+    return u[:, 0]
 
 
 def sq_dist(points, centroids):
-    """(b, c) squared Euclidean distances from each point to each centroid."""
-    diff = points[:, None, :] - centroids[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """(c, b) squared Euclidean distances from each centroid to each point.
+
+    The (d, c, b) difference keeps each point's coordinates adjacent in
+    memory, so its sum over d adds in the same order as over (b, c, d).
+    """
+    diff = points.T[:, None, :] - centroids.T[:, :, None]
+    return np.square(diff, out=diff).sum(axis=0)
 
 
 def _membership_block(points, centroids, m):
-    """Memberships of a block of points, and the squared distances they used.
+    """(c, b) memberships of a block of points, and the distances they used.
 
-    Row i is r_ij / sum_k r_ik with r_ij = (d_i,min / d_ij)^(1/(m-1)) over
-    squared distances d: Bezdek's update, scaled per row so that the
-    nearest centroid's ratio is exactly 1.  The power then cannot overflow
-    and no row sum is zero, even near m = 1.  A row within
-    SINGULARITY_DISTANCE of some centroids splits its membership equally
-    among them.  All reductions stay within each row.
+    Column i is r_ji / sum_k r_ki with r_ji = (d_min,i / d_ji)^(1/(m-1)) over
+    squared distances d: Bezdek's update, scaled per point so that the nearest
+    centroid's ratio is exactly 1, which keeps the power finite and every column
+    sum positive, even near m = 1.  A point within SINGULARITY_DISTANCE of some
+    centroids splits its membership equally among them.  Min, any and sum run
+    over axis 0; the sum adds in a (b, c) layout's order only for c < 8.
     """
     dist_sq = sq_dist(points, centroids)
     coincident = dist_sq < SINGULARITY_DISTANCE ** 2
-    hit = coincident.any(axis=1)
-    # Only a coincident row can divide by a zero distance; it is overwritten.
+    hit = coincident.any(axis=0)
+    # Only a coincident point can divide by a zero distance; it is overwritten.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (dist_sq.min(axis=1, keepdims=True) / dist_sq) ** (1.0 / (m - 1.0))
+        ratios = (dist_sq.min(axis=0) / dist_sq) ** (1.0 / (m - 1.0))
     if hit.any():
         # Split full membership equally among coincident centroids.
-        ratios[hit] = coincident[hit]
-    return ratios / ratios.sum(axis=1, keepdims=True), dist_sq
+        ratios[:, hit] = coincident[:, hit]
+    return ratios / ratios.sum(axis=0), dist_sq
 
 
 def _iteration_map(pid, coords, ctx):
     centroids, m, weights, offsets = ctx
     u, dist_sq = _membership_block(coords, centroids, m)
-    um = u ** m * weights[offsets[pid]:offsets[pid + 1], None]
-    yield "iteration", (u, um.T @ coords, um.sum(axis=0), (um * dist_sq).sum())
+    um = u ** m * weights[offsets[pid]:offsets[pid + 1]]
+    rows = np.ascontiguousarray(um.T)  # sums over points add in (b, c) order
+    yield "iteration", (u.T, rows.T @ coords, rows.sum(axis=0), (rows * dist_sq.T).sum())
 
 
 def _iteration_reduce(key, values):
@@ -153,6 +158,7 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce,
                                available_cores=available_cores)
     u, numer, denom, jm = results[0][1]
+    u = np.ascontiguousarray(u)  # the maps emit transposed views; return rows
     new_centroids = np.empty_like(numer)
     starved = denom < EMPTY_CLUSTER_EPS
     ok = ~starved
@@ -168,9 +174,8 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
 
 def objective(u, centroids, data, m: float = 2.0) -> float:
     """Weighted within-cluster scatter J_m of a partition/prototype pair."""
-    coords = np.asarray(data, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(((u ** m) * sq_dist(coords, np.asarray(centroids, dtype=float))).sum())
+    u = np.ascontiguousarray(u, dtype=float)  # the sum adds in (n, c) order
+    return float((u ** m * sq_dist(np.asarray(data, float), np.asarray(centroids, float)).T).sum())
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
@@ -205,12 +210,7 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
     partitions ``store`` had.  Points in first-appearance order give
     init_centroids the same picks as every row would.
     """
-    if model is None:
-        data = np.asarray(store.data, dtype=float)
-        if not np.isfinite(data).all():
-            raise NumericError("input holds non-finite values (NaN or inf)")
-    else:
-        data = store.data
+    data = np.asarray(store.data, dtype=float) if model is None else store.data
     first, weights, inverse = _distinct_rows(data)
     points = partition(data[first], -(-len(first) // POINT_BLOCK_ROWS))
     if model is not None:
@@ -218,6 +218,12 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         points = PartitionedStore(coords, points.offsets)
+    else:
+        # Every centroid lies in the points' bounding box, so no distance or
+        # objective sum exceeds its squared diagonal times the total weight.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.square(np.ptp(points.data, axis=0)).sum() * weights.sum()):
+                raise NumericError("input holds non-finite values, or squared distances overflow")
     return points, weights, inverse
 
 

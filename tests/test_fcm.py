@@ -248,6 +248,60 @@ class TestIterationDeterminism:
                     assert outputs(mappers, w) == baseline
 
 
+def row_major_kernel(points, centroids, m, weights):
+    """The fused map written out on (b, c) arrays, one row per point:
+    (squared distances, (u, numerators, denominators, objective))."""
+    dist = ((points[:, None] - centroids[None]) ** 2).sum(axis=2)
+    coincident = dist < fcm.SINGULARITY_DISTANCE ** 2
+    hit = coincident.any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = (dist.min(axis=1, keepdims=True) / dist) ** (1.0 / (m - 1.0))
+    ratios[hit] = coincident[hit]
+    u = ratios / ratios.sum(axis=1, keepdims=True)
+    um = u ** m * weights[:, None]
+    return dist, (u, um.T @ points, um.sum(axis=0), (um * dist).sum())
+
+
+class TestClusterMajorKernel:
+    """The (c, b) kernel against the same formulas on (b, c) arrays."""
+
+    @staticmethod
+    def cases(c, m):
+        rng = np.random.default_rng(100 * c + int(10 * m))
+        for d in range(1, 13):
+            for b in (1, 7, 4096):
+                points = rng.normal(size=(b, d))
+                centroids = rng.normal(size=(c, d))
+                if b > 1:
+                    # Point 3 coincides with two centroids, point 5 with one.
+                    centroids[[0, 1, c - 1]] = points[[3, 3, 5]]
+                weights = rng.integers(1, 6, size=b).astype(float)
+                dist, expected = row_major_kernel(points, centroids, m, weights)
+                assert np.array_equal(fcm.sq_dist(points, centroids), dist.T)
+                u = expected[0]
+                for layout in (u, np.asfortranarray(u)):
+                    assert objective(layout, centroids, points, m) == ((u ** m) * dist).sum()
+                (key, got), = fcm._iteration_map(0, points, (centroids, m, weights, [0, b]))
+                assert key == "iteration"
+                yield (d, b), got, expected
+
+    @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("c", [2, 3, 6])
+    def test_bitwise_equal_below_eight_clusters(self, c, m):
+        for shape, got, expected in self.cases(c, m):
+            for ours, theirs in zip(got, expected):
+                assert np.array_equal(ours, theirs), shape
+
+    @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
+    def test_nine_clusters_differ_only_in_the_membership_sum(self, m):
+        # numpy adds a row of 8 or more values pairwise, a column in
+        # sequence, so only the normalising sum rounds differently.
+        for shape, got, expected in self.cases(9, m):
+            for ours, theirs in zip(got, expected):
+                scale = np.abs(theirs).max()  # numerators may cancel to near 0
+                assert np.allclose(ours, theirs, rtol=1e-14, atol=1e-14 * scale), shape
+
+
 class TestObjective:
     def test_crisp_partition_equals_within_cluster_scatter(self):
         coords = np.array([[0.0, 0.0], [0.0, 2.0], [8.0, 0.0], [8.0, 2.0]])
@@ -408,6 +462,25 @@ class TestRunFcm:
             with pytest.raises(NumericError, match="non-finite"):
                 run_fcm(store, None, FcmConfig(c=2, seed=0), spec_for(2))
         assert NumericError.exit_code == 5
+
+    @staticmethod
+    def wide_store(scale):
+        return ingest.partition(np.random.default_rng(0).normal(size=(200, 2)) * scale, 2)
+
+    def test_overflowing_distances_rejected(self):
+        # Squared distances near 1e321 overflow to inf; u would be NaN.
+        store = self.wide_store(1e160)
+        with pytest.raises(NumericError, match="overflow"):
+            run_fcm(store, None, FcmConfig(c=3, seed=1), spec_for(2))
+        with pytest.raises(NumericError, match="overflow"):
+            validity.sweep(store, None, 2, 4, FcmConfig(c=2, seed=1), spec_for(2))
+
+    def test_wide_but_finite_input_clusters_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_fcm(self.wide_store(1e150), None, FcmConfig(c=3, seed=1), spec_for(2))
+        assert np.isfinite(result.u).all() and np.isfinite(result.v).all()
+        assert np.isfinite(result.objective_trace).all()
 
 
 class TestFixedBlocks:
