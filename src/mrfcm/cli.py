@@ -11,7 +11,6 @@ import os
 import sys
 import time
 
-import numpy as np
 
 from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
@@ -26,8 +25,13 @@ def _make_out_dir(path):
         raise DataIOError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def _write_matrix(path, array):
-    np.savetxt(path, array, fmt="%.17g", delimiter=",")
+def _write_matrix(path, rows, inverse=None):
+    """Write rows[inverse] (every row when None) as ``np.savetxt`` with
+    fmt="%.17g" and delimiter="," would, formatting each row of ``rows`` once."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    lines = [line % tuple(row) for row in rows.tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines if inverse is None else map(lines.__getitem__, inverse.tolist()))
 
 
 def _write_metrics(path, metrics_list):
@@ -54,7 +58,7 @@ def cmd_cluster(args) -> int:
     config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
     result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink)
-    _write_matrix(os.path.join(args.out_dir, "memberships.csv"), result.u)
+    _write_matrix(os.path.join(args.out_dir, "memberships.csv"), result.distinct_u, result.inverse)
     _write_matrix(os.path.join(args.out_dir, "centroids.csv"), result.v)
     with open(os.path.join(args.out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write("iter,jm,max_delta_u\n")
@@ -62,7 +66,8 @@ def cmd_cluster(args) -> int:
             fh.write(f"{i},{jm:.17g},{delta:.17g}\n")
     _write_metrics(os.path.join(args.out_dir, "jobs.csv"), metrics_sink)
     status = "converged" if result.converged else f"stopped at max_iters={args.max_iters}"
-    print(f"cluster: n={dataset.n} c={args.c} iters={result.iters_run} ({status})")
+    print(f"cluster: n={dataset.n} distinct={len(result.distinct_u)} c={args.c} "
+          f"iters={result.iters_run} ({status})")
     return 0
 
 
@@ -86,13 +91,15 @@ def cmd_bench(args) -> int:
         print("bench: --bench-sizes must be ascending", file=sys.stderr)
         return 2
 
-    names, rows = ingest.load_csv(args.input, has_header=args.header, delimiter=args.delimiter)
+    # First-appearance codes make each size's prefix of the table exact.
+    names, columns = ingest.read_table(args.input, has_header=args.header,
+                                       delimiter=args.delimiter)
     out_path = os.path.join(args.out_dir, "bench.csv")
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("instances,mappers,reducers,seconds\n")
         for size in args.bench_sizes:
-            schema = ingest.infer_schema(names, rows[:min(size, len(rows))])
-            dataset = ingest.discretize(rows[:min(size, len(rows))], schema, bins=args.bins)
+            dataset = ingest.encode_table(names, [column.prefix(size) for column in columns],
+                                          bins=args.bins)
             if size > dataset.n:
                 dataset = ingest.replicate_to_size(dataset, size, seed=args.seed)
             for mappers, reducers in args.bench_deployments:
@@ -104,12 +111,12 @@ def cmd_bench(args) -> int:
                 started = time.perf_counter()
                 margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, spec)
                 model = mca.fit_mca(margins, burt, mca_dims=args.mca_dims)
-                run_fcm(store, model, config, spec)
+                result = run_fcm(store, model, config, spec)
                 elapsed = time.perf_counter() - started
                 fh.write(f"{size},{mappers},{reducers},{elapsed:.6f}\n")
                 fh.flush()
                 print(f"bench: instances={size} mappers={mappers} reducers={reducers} "
-                      f"seconds={elapsed:.3f}")
+                      f"seconds={elapsed:.3f} distinct={len(result.distinct_u)}")
     return 0
 
 

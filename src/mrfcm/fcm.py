@@ -6,7 +6,8 @@ memberships, and a point of weight w adds w copies of its terms to every
 sum.  A categorical store arrives with its MCA model; its distinct
 records are found on the codes and projected once, by one engine job,
 before the first iteration.  A float store is deduplicated on its
-coordinates.  The memberships are expanded back to every row at the end.
+coordinates.  The result keeps one membership row per distinct record and
+the row -> record index, and expands them to every row only on request.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
@@ -67,12 +68,20 @@ class FcmConfig:
 
 @dataclass
 class FcmResult:
-    u: np.ndarray  # (n, c) row-stochastic memberships
+    """A clustering run's memberships, centroids and per-iteration trace."""
+
+    distinct_u: np.ndarray  # (k, c) row-stochastic memberships of the distinct points
     v: np.ndarray  # (c, d) centroids
     objective_trace: list = field(default_factory=list)
     max_delta_trace: list = field(default_factory=list)
     iters_run: int = 0
     converged: bool = False
+    inverse: np.ndarray | None = None  # row -> distinct point; None: rows are the points
+
+    @property
+    def u(self) -> np.ndarray:
+        """(n, c) memberships, one row per row of the clustered store."""
+        return self.distinct_u if self.inverse is None else self.distinct_u[self.inverse]
 
 
 def init_centroids(data, c: int, seed: int) -> np.ndarray:
@@ -172,10 +181,15 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     return u, new_centroids, float(jm), metrics
 
 
-def objective(u, centroids, data, m: float = 2.0) -> float:
-    """Weighted within-cluster scatter J_m of a partition/prototype pair."""
+def objective(u, centroids, data, m: float = 2.0, weights=None) -> float:
+    """Weighted within-cluster scatter J_m of a partition/prototype pair.
+
+    ``weights`` gives each row's multiplicity, as in ``fcm_iteration``;
+    all ones (None) leaves every term as it is.
+    """
     u = np.ascontiguousarray(u, dtype=float)  # the sum adds in (n, c) order
-    return float((u ** m * sq_dist(np.asarray(data, float), np.asarray(centroids, float)).T).sum())
+    um = u ** m if weights is None else u ** m * np.asarray(weights, float)[:, None]
+    return float((um * sq_dist(np.asarray(data, float), np.asarray(centroids, float)).T).sum())
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
@@ -190,12 +204,13 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     ``model`` projects a categorical store once, before the first
     iteration; pass None when the store already holds real-valued
     coordinates (projected or otherwise).  The iterations run on the
-    distinct records, weighted by multiplicity; the returned ``u`` has
-    one row per row of ``store``.
+    distinct records, weighted by multiplicity; the result keeps their
+    memberships and the row -> record index, and its ``u`` has one row
+    per row of ``store``.
     """
     points, weights, inverse = _coordinates(store, model, spec, available_cores, metrics_sink)
     result = _cluster(points, weights, config, spec, available_cores, metrics_sink)
-    result.u = result.u[inverse]
+    result.inverse = inverse
     return result
 
 
@@ -245,7 +260,7 @@ def _distinct_rows(array):
 def _cluster(store, weights, config, spec, available_cores=None, metrics_sink=None):
     """The driver loop of run_fcm over a store of distinct float points."""
     centroids = init_centroids(store.data, config.c, config.seed)
-    result = FcmResult(u=np.empty((store.n, config.c)), v=centroids)
+    result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
         u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, m=config.m,
@@ -256,7 +271,7 @@ def _cluster(store, weights, config, spec, available_cores=None, metrics_sink=No
         result.objective_trace.append(obj)
         delta = float(np.abs(u - u_prev).max()) if u_prev is not None else float("inf")
         result.max_delta_trace.append(delta)
-        result.u, result.v, result.iters_run = u, centroids, iteration
+        result.distinct_u, result.v, result.iters_run = u, centroids, iteration
         if delta < config.epsilon and not config.fixed_iterations:
             result.converged = True
             break

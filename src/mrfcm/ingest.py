@@ -5,8 +5,12 @@ input is normalized here: numeric columns are quantile-binned, missing
 cells become an explicit per-column category, and the encoded rows are
 split into contiguous partitions that the map-reduce engine schedules.
 
-Each column is dictionary-encoded in one pass: its distinct labels in
-first-appearance order, plus one int code per cell.
+A CSV is read once, in blocks of rows, and each column is dictionary-encoded
+as it is read: its distinct stripped cells (labels) in first-appearance
+order, plus one int code per cell.  Schema inference and binning then work
+per column on the labels and codes; only the distinct labels are
+classified and parsed.  ``load_csv``, ``infer_schema`` and ``discretize``
+are entry points over the same encoder for rows held in memory.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import csv
 import re
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,6 +29,9 @@ MISSING_TOKENS = frozenset({"", "?", "NA", "na", "NaN", "nan", "NULL", "null"})
 # Thresholds of infer_schema's numeric test.
 NUMERIC_DETECT = 0.95
 MAX_CARD = 12
+# Rows read before each encoding step: the text of at most this many rows
+# is held at once.
+BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -125,12 +133,10 @@ class PartitionedStore:
         return self.data[self.offsets[pid]:self.offsets[pid + 1]]
 
 
-def load_csv(path, has_header: bool = True, delimiter: str = ","):
-    """Read a rectangular CSV into (column names, list of text rows).
+def _read_csv(path, has_header, delimiter):
+    """Yield the column names, then the data rows in lists of at most BLOCK_ROWS.
 
-    A leading UTF-8 byte-order mark is skipped.  Raises DataIOError for a
-    missing or empty file, and for a ragged row, a byte that is not UTF-8
-    or a cell csv cannot read, naming the offending 1-based line number.
+    Cells are yielded as read; only the header's names are stripped.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
@@ -138,22 +144,24 @@ def load_csv(path, has_header: bool = True, delimiter: str = ","):
         raise DataIOError(f"cannot open {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        rows = []
-        names = None
-        width = None
+        block, width, count = [], None, 0
         try:
             for row in reader:
                 if not row:
                     continue  # blank line
                 if width is None:
                     width = len(row)
+                    if has_header:
+                        yield [cell.strip() for cell in row]
+                        continue
+                    yield [f"col{j}" for j in range(width)]
                 elif len(row) != width:
                     raise DataIOError(f"{path}: ragged row at line {reader.line_num}: "
                                       f"expected {width} cells, got {len(row)}")
-                if has_header and names is None:
-                    names = [cell.strip() for cell in row]
-                    continue
-                rows.append([cell.strip() for cell in row])
+                block.append(row)
+                if len(block) == BLOCK_ROWS:
+                    yield block
+                    count, block = count + len(block), []
         except UnicodeDecodeError as exc:
             # Bytes that are not UTF-8, and only those, escape to lone surrogates.
             with open(path, "rb") as raw:
@@ -162,11 +170,43 @@ def load_csv(path, has_header: bool = True, delimiter: str = ","):
             raise DataIOError(f"{path}: line {lineno} is not UTF-8: {exc.reason}") from exc
         except csv.Error as exc:
             raise DataIOError(f"{path}: unreadable line {reader.line_num}: {exc}") from exc
-    if width is None or not rows:
+    if count + len(block) == 0:
         raise DataIOError(f"{path}: no data rows")
-    if names is None:
-        names = [f"col{j}" for j in range(width)]
-    return names, rows
+    yield block
+
+
+def load_csv(path, has_header: bool = True, delimiter: str = ","):
+    """Read a rectangular CSV into (column names, list of stripped text rows).
+
+    A leading UTF-8 byte-order mark is skipped.  Raises DataIOError for a
+    missing or empty file, and for a ragged row, a byte that is not UTF-8
+    or a cell csv cannot read, naming the offending 1-based line number.
+    ``read_table`` reads the same way but keeps no rows.
+    """
+    blocks = _read_csv(path, has_header, delimiter)
+    names = next(blocks)
+    return names, [list(map(str.strip, row)) for block in blocks for row in block]
+
+
+@dataclass(frozen=True)
+class EncodedColumn:
+    """One column, dictionary-encoded: its distinct stripped cells (labels)
+    in first-appearance order and each row's label index.  Per label,
+    ``present`` marks those that are not missing tokens, ``parsed`` those
+    that float() accepts, and ``values`` holds the float (NaN where none).
+    """
+
+    labels: list[str]
+    codes: np.ndarray
+    present: np.ndarray
+    parsed: np.ndarray
+    values: np.ndarray
+
+    def prefix(self, n: int) -> EncodedColumn:
+        """The column of the first n rows, whose labels come first."""
+        k = int(self.codes[:n].max()) + 1
+        return EncodedColumn(self.labels[:k], self.codes[:n], self.present[:k],
+                             self.parsed[:k], self.values[:k])
 
 
 def _parse_real(cell: str):
@@ -176,18 +216,60 @@ def _parse_real(cell: str):
         return None
 
 
-def _dictionary_encode(rows, j):
-    """Dictionary-encode column j: (labels, codes, present).
+def _encode(width, blocks) -> list[EncodedColumn]:
+    """Dictionary-encode the first ``width`` columns of row blocks in one pass.
 
-    ``labels`` holds the distinct cells in first-appearance order, ``codes``
-    the index of each row's cell into it, and ``present`` marks the labels
-    that are not missing tokens.
+    Each stripped cell maps to the row where it first appears; a lookup over
+    those rows turns them into dense first-appearance codes.  Only the
+    distinct labels are classified and parsed.
     """
-    index = {}
-    codes = np.fromiter((index.setdefault(row[j], len(index)) for row in rows),
-                        dtype=np.intp, count=len(rows))
-    present = np.array([label not in MISSING_TOKENS for label in index], dtype=bool)
-    return list(index), codes, present
+    seen = [{} for _ in range(width)]
+    firsts = [[np.empty(0, dtype=np.intp)] for _ in range(width)]
+    n = 0
+    for rows in blocks:
+        positions = range(n, n + len(rows))
+        for j, (index, parts) in enumerate(zip(seen, firsts)):
+            cells = map(str.strip, map(itemgetter(j), rows))
+            parts.append(np.fromiter(map(index.setdefault, cells, positions),
+                                     dtype=np.intp, count=len(rows)))
+        n += len(rows)
+    columns = []
+    while seen:  # frees each dictionary once its column is encoded
+        index, parts = seen.pop(0), firsts.pop(0)
+        dense = np.empty(n, dtype=np.intp)
+        dense[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
+        labels = list(index)
+        reals = np.array(list(map(_parse_real, labels)), dtype=object)
+        present = np.array([label not in MISSING_TOKENS for label in labels], dtype=bool)
+        columns.append(EncodedColumn(labels, dense[np.concatenate(parts)], present,
+                                     np.not_equal(reals, None), reals.astype(float)))
+    return columns
+
+
+def read_table(path, has_header: bool = True, delimiter: str = ","):
+    """(column names, encoded columns) of a CSV, read as ``load_csv`` reads
+    it and encoded block by block as it is read, so no text rows are kept."""
+    blocks = _read_csv(path, has_header, delimiter)
+    names = next(blocks)
+    return names, _encode(len(names), blocks)
+
+
+def _schema(names, columns) -> list[ColumnSpec]:
+    schema = []
+    for name, column in zip(names, columns):
+        if not column.present.any():
+            raise SchemaError(f"column {name!r}: all cells missing")
+        counts = np.bincount(column.codes, minlength=len(column.labels))
+        n_present = int(counts[column.present].sum())
+        n_parsed = int(counts[column.present & column.parsed].sum())
+        has_missing = n_present < len(column.codes)
+        if n_parsed >= NUMERIC_DETECT * n_present and column.present.sum() > MAX_CARD:
+            schema.append(ColumnSpec(name, "numeric", has_missing=has_missing))
+        else:
+            labels = [label for label, ok in zip(column.labels, column.present) if ok]
+            schema.append(ColumnSpec(name, "categorical", categories=labels,
+                                     has_missing=has_missing))
+    return schema
 
 
 def infer_schema(names, rows):
@@ -196,83 +278,59 @@ def infer_schema(names, rows):
     A column is numeric iff at least ``NUMERIC_DETECT`` of its non-missing
     cells parse as reals AND it has more than ``MAX_CARD`` distinct cell
     strings; otherwise it is categorical with labels in first-appearance
-    order.  Raises SchemaError if a column has no non-missing cells.
+    order.  Cells are compared stripped of surrounding whitespace, as
+    ``load_csv`` returns them.  Raises SchemaError if a column has no
+    non-missing cells.
     """
     if not rows:
         raise SchemaError("empty table")
-    schema = []
-    for j in range(len(rows[0])):
-        labels, codes, present = _dictionary_encode(rows, j)
-        if not present.any():
-            raise SchemaError(f"column {names[j]!r}: all cells missing")
-        counts = np.bincount(codes)[present]
-        labels = [label for label, ok in zip(labels, present) if ok]
-        n_present = int(counts.sum())
-        n_parsed = int(sum(cnt for label, cnt in zip(labels, counts)
-                           if _parse_real(label) is not None))
-        has_missing = n_present < len(rows)
-        if n_parsed >= NUMERIC_DETECT * n_present and len(labels) > MAX_CARD:
-            schema.append(ColumnSpec(names[j], "numeric", has_missing=has_missing))
-        else:
-            schema.append(ColumnSpec(names[j], "categorical",
-                                     categories=labels, has_missing=has_missing))
-    return schema
+    return _schema(names, _encode(len(rows[0]), [rows]))
 
 
-def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
-    """Encode text rows into category codes under the given schema.
-
-    Numeric columns get quantile bins (edges at i/bins quantiles of the
-    observed values, deduplicated); missing cells map to the column's
-    dedicated missing category.  Columns that end up with fewer than two
-    categories are dropped with a warning, since they carry no signal and
-    would make the category-mass matrix singular.
-    """
+def _discretize(schema, columns, bins) -> CategoricalDataset:
     if bins < 2:
         raise SchemaError(f"bins must be >= 2, got {bins}")
     kept_specs = []
     kept_codes = []
-    for j, spec in enumerate(schema):
-        labels, codes, present = _dictionary_encode(rows, j)
+    for spec, column in zip(schema, columns):
         # lut maps each label to its category code; missing labels get the
         # column's dedicated missing category, one past the last.
         if spec.kind == "numeric":
-            values = np.array([_parse_real(label) if ok else np.nan
-                               for label, ok in zip(labels, present)], dtype=float)
-            present &= ~np.isnan(values)
-            if not present.any():
+            ok = column.present & ~np.isnan(column.values)
+            if not ok.any():
                 raise SchemaError(f"column {spec.name!r}: no parseable values")
-            qs = np.quantile(values[codes[present[codes]]], [i / bins for i in range(1, bins)])
-            inner = np.unique(qs)
-            raw = np.searchsorted(inner, values[present], side="left")
+            # Quantiles between infinite cells are NaN, and no finite value
+            # lies beyond an infinite one: both are dropped.
+            with np.errstate(invalid="ignore"):
+                qs = np.quantile(column.values[column.codes[ok[column.codes]]],
+                                 [i / bins for i in range(1, bins)])
+            inner = np.unique(qs[np.isfinite(qs)])
+            raw = np.searchsorted(inner, column.values[ok], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
             occupied = np.unique(raw)
             raw = np.searchsorted(occupied, raw)
-            inner = inner[occupied[:-1]]
-            edges = np.concatenate(([-np.inf], inner, [np.inf]))
-            out = ColumnSpec(spec.name, "numeric", bin_edges=edges,
-                             has_missing=not present.all())
-            if out.cardinality < 2:
-                warnings.warn(f"dropping constant numeric column {spec.name!r}")
-                continue
-            lut = np.full(len(labels), len(occupied), dtype=np.int32)
-            lut[present] = raw
+            edges = np.concatenate(([-np.inf], inner[occupied[:-1]], [np.inf]))
+            out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
+            lut = np.full(len(column.labels), len(occupied), dtype=np.int32)
+            lut[ok] = raw
         else:
             index = {label: k for k, label in enumerate(spec.categories)}
             try:
                 lut = np.array([index[label] if ok else len(index)
-                                for label, ok in zip(labels, present)], dtype=np.int32)
+                                for label, ok in zip(column.labels, column.present)],
+                               dtype=np.int32)
             except KeyError as exc:
                 raise SchemaError(f"column {spec.name!r}: label {exc.args[0]!r} "
                                   "not in schema") from None
             out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
-                             has_missing=not present.all())
-            if out.cardinality < 2:
-                warnings.warn(f"dropping single-category column {spec.name!r}")
-                continue
+                             has_missing=not column.present.all())
+        if out.cardinality < 2:
+            what = "constant numeric" if out.kind == "numeric" else "single-category"
+            warnings.warn(f"dropping {what} column {spec.name!r}")
+            continue
         kept_specs.append(out)
-        kept_codes.append(lut[codes])
+        kept_codes.append(lut[column.codes])
     if not kept_specs:
         raise SchemaError("no usable columns after encoding")
     dataset = CategoricalDataset(kept_specs, np.column_stack(kept_codes))
@@ -280,11 +338,28 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
     return dataset
 
 
+def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
+    """Encode text rows into category codes under the given schema.
+
+    Numeric columns get quantile bins (edges at i/bins quantiles of the
+    observed values, deduplicated; non-finite quantiles, which infinite
+    cells can give, are left out); missing cells map to the column's
+    dedicated missing category.  Cells are stripped of surrounding
+    whitespace first, as ``load_csv`` returns them.  Columns that end up
+    with fewer than two categories are dropped with a warning, since they
+    carry no signal and would make the category-mass matrix singular.
+    """
+    return _discretize(schema, _encode(len(schema), [rows]), bins)
+
+
+def encode_table(names, columns, bins: int = 4) -> CategoricalDataset:
+    """infer_schema + discretize on columns ``read_table`` encoded."""
+    return _discretize(_schema(names, columns), columns, bins)
+
+
 def encode_csv(path, has_header=True, delimiter=",", bins=4) -> CategoricalDataset:
-    """load_csv + infer_schema + discretize in one call."""
-    names, rows = load_csv(path, has_header=has_header, delimiter=delimiter)
-    schema = infer_schema(names, rows)
-    return discretize(rows, schema, bins=bins)
+    """load_csv + infer_schema + discretize, reading and encoding the file once."""
+    return encode_table(*read_table(path, has_header=has_header, delimiter=delimiter), bins=bins)
 
 
 def partition(data, num_partitions: int) -> PartitionedStore:

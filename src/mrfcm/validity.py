@@ -5,6 +5,10 @@ partition: the partition coefficient (maximize), partition entropy
 (minimize), the Xie-Beni ratio (minimize), and a separation/compactness
 ratio (maximize).  The sweep runs one clustering per candidate c and
 picks the consensus winner by majority vote across the four indices.
+
+Each index is a sum over records, so it takes optional ``weights``: a row
+of weight w counts as w identical records.  The sweep scores the distinct
+records weighted by their counts, never the expanded table.
 """
 from __future__ import annotations
 
@@ -25,18 +29,25 @@ SEPARATION_EPS = 1e-12
 INDEX_DIRECTIONS = {"pc": +1, "pe": -1, "xb": -1, "sc": +1}
 
 
-def pc(u) -> float:
+def _weights(u, weights):
+    """(n, 1) multiplicities of the rows of u; ones, which change no bit, for None."""
+    return np.ones((len(u), 1)) if weights is None else np.asarray(weights, float)[:, None]
+
+
+def pc(u, weights=None) -> float:
     """Partition coefficient, mean squared membership; 1/c (uniform) to 1 (crisp)."""
     u = np.asarray(u, dtype=float)
-    return float((u * u).sum() / u.shape[0])
+    w = _weights(u, weights)
+    return float((u * u * w).sum() / w.sum())
 
 
-def pe(u) -> float:
+def pe(u, weights=None) -> float:
     """Partition entropy (natural log); 0 (crisp) to ln c (uniform)."""
     u = np.asarray(u, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(u > 0.0, u * np.log(u), 0.0)
-    return float(-terms.sum() / u.shape[0])
+    w = _weights(u, weights)
+    return float(-(terms * w).sum() / w.sum())
 
 
 def _pairwise_min_sep_sq(centroids) -> float:
@@ -46,7 +57,7 @@ def _pairwise_min_sep_sq(centroids) -> float:
     return float(sq_dist(centroids, centroids)[np.triu_indices(c, 1)].min())
 
 
-def xb(u, centroids, data) -> float:
+def xb(u, centroids, data, weights=None) -> float:
     """Xie-Beni index: squared-membership scatter over n times the minimum
     squared centroid separation.  Coincident centroids give +inf."""
     u = np.asarray(u, dtype=float)
@@ -54,10 +65,10 @@ def xb(u, centroids, data) -> float:
     sep = _pairwise_min_sep_sq(centroids)
     if sep < SEPARATION_EPS:
         return math.inf
-    return objective(u, centroids, data, 2.0) / (u.shape[0] * sep)
+    return objective(u, centroids, data, 2.0, weights) / (_weights(u, weights).sum() * sep)
 
 
-def sc(u, centroids, data, m: float = 2.0) -> float:
+def sc(u, centroids, data, m: float = 2.0, weights=None) -> float:
     """Separation/compactness ratio: minimum squared centroid separation over
     the per-record average of the m-weighted scatter.  Larger is better.
 
@@ -70,7 +81,7 @@ def sc(u, centroids, data, m: float = 2.0) -> float:
     sep = _pairwise_min_sep_sq(centroids)
     if sep < SEPARATION_EPS:
         return 0.0
-    compact = objective(u, centroids, data, m) / u.shape[0]
+    compact = objective(u, centroids, data, m, weights) / _weights(u, weights).sum()
     if compact <= 0.0:
         return math.inf
     return sep / compact
@@ -133,22 +144,21 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
         raise NumericError(f"c_max {c_max} exceeds n/2 = {store.n // 2}")
 
     # The distinct points do not depend on c: find and project them once,
-    # cluster every candidate on them, and score it on every record.
-    points, weights, inverse = _coordinates(store, model, spec, available_cores)
-    coords = points.data[inverse]
+    # then cluster and score every candidate on them, weighted by count.
+    points, weights, _ = _coordinates(store, model, spec, available_cores)
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
             result = _cluster(points, weights, run_cfg, spec, available_cores)
-            u = result.u[inverse]
+            u = result.distinct_u
             row = ValidityRow(
                 c=c,
-                pc=pc(u),
-                pe=pe(u),
-                xb=xb(u, result.v, coords),
-                sc=sc(u, result.v, coords, m=config.m),
+                pc=pc(u, weights),
+                pe=pe(u, weights),
+                xb=xb(u, result.v, points.data, weights),
+                sc=sc(u, result.v, points.data, m=config.m, weights=weights),
                 iters=result.iters_run,
                 jm=result.objective_trace[-1],
             )

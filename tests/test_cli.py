@@ -1,8 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
-from mrfcm import datasets, fcm
+from mrfcm import datasets, fcm, ingest, mca
 from mrfcm.cli import main
+from mrfcm.engine import JobSpec
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,23 @@ class TestCluster:
         u = np.loadtxt(out / "memberships.csv", delimiter=",")
         assert u.shape[0] == 961 and u.shape[1] == 2
         assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-9
+
+    def test_files_match_savetxt_of_the_expanded_result(self, mm_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("cluster", "--input", mm_csv, "--c", "3", "--seed", "5", "--mappers", "4",
+                   "--reducers", "2", "--out-dir", str(out)) == 0
+        dataset = ingest.encode_csv(mm_csv)
+        store = ingest.partition(dataset, 4)
+        margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, JobSpec(4, 2, "b"))
+        result = fcm.run_fcm(store, mca.fit_mca(margins, burt, mca_dims=8),
+                             fcm.FcmConfig(c=3, seed=5), JobSpec(4, 2, "f"))
+        for name, matrix in [("memberships.csv", result.u), ("centroids.csv", result.v)]:
+            want = io.BytesIO()
+            np.savetxt(want, matrix, fmt="%.17g", delimiter=",")
+            assert (out / name).read_bytes() == want.getvalue()
+        distinct = len(result.distinct_u)
+        assert distinct < dataset.n
+        assert f"n={dataset.n} distinct={distinct} " in capsys.readouterr().out
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code = run("cluster", "--input", str(tmp_path / "nope.csv"), "--c", "2",
@@ -117,6 +137,19 @@ class TestBench:
         assert len(body) == 3 * 2
         assert [int(r[0]) for r in body] == [200, 200, 400, 400, 600, 600]
         assert all(float(r[3]) > 0 for r in body)
+
+    def test_each_cell_reports_its_distinct_records(self, tmp_path, capsys):
+        path = tmp_path / "synth.csv"
+        datasets.write_csv(path, datasets.clustered_categorical_rows(400, 5, seed=1),
+                           header=[f"a{j}" for j in range(5)])
+        assert run("bench", "--input", str(path), "--bench-sizes", "100,400,900",
+                   "--bench-deployments", "4x2", "--fixed-iters", "2",
+                   "--out-dir", str(tmp_path / "out")) == 0
+        codes = ingest.encode_csv(str(path)).codes
+        # Grown cells repeat rows of the table, so they add no distinct record.
+        expected = [len(np.unique(codes[:size], axis=0)) for size in (100, 400, 400)]
+        lines = capsys.readouterr().out.splitlines()
+        assert [int(line.rsplit("distinct=", 1)[1]) for line in lines] == expected
 
     def test_unsorted_sizes_are_usage_error(self, tmp_path):
         path = tmp_path / "synth.csv"

@@ -157,6 +157,22 @@ class TestDiscretize:
             assert observed == card, f"column {j}: {observed} observed vs cardinality {card}"
 
 
+    @pytest.mark.parametrize("cells, edges", [
+        (["inf"] * 30, "-inf|0.442308|0.884615|inf"),
+        (["-inf"] * 30, "-inf|0.115385|0.557692|inf"),
+        (["inf", "-inf"] * 30, "-inf|0.5|inf"),
+    ], ids=["inf", "minus-inf", "both"])
+    def test_infinite_cells_give_finite_edges(self, cells, edges):
+        # Quantiles between two infinite cells are NaN; they are dropped
+        # without a RuntimeWarning, which the test run turns into an error.
+        rows = [[str(v / 39)] for v in range(40)] + [[cell] for cell in cells]
+        ds = ingest.discretize(rows, ingest.infer_schema(["x"], rows))
+        assert ingest.schema_dump(ds) == f"x,numeric,{edges}\n"
+        values = np.array([float(row[0]) for row in rows])
+        inner = ds.schema[0].bin_edges[1:-1]
+        assert ds.codes[:, 0].tolist() == np.searchsorted(inner, values, side="left").tolist()
+
+
 class TestDictionaryEncoding:
     def test_missing_token_before_first_label(self):
         rows = [["?"], ["b"], ["a"]]
@@ -197,6 +213,104 @@ class TestDictionaryEncoding:
         schema = [ingest.ColumnSpec("c0", "categorical", categories=["a", "b"])]
         with pytest.raises(SchemaError, match="'zz' not in schema"):
             ingest.discretize([["a"], ["?"], ["zz"], ["b"]], schema)
+
+
+def recipe_rows(n, seed):
+    """The benchmark tables' recipe at size n: three planted-cluster
+    categorical columns, two real columns and "?" in about 1% of cells."""
+    categorical = datasets.clustered_categorical_rows(n, 3, seed=seed)
+    numeric = datasets.gaussian_blob_rows(n, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]], 1.0,
+                                          seed=seed + 1)
+    rows = [a + b for a, b in zip(categorical, numeric)]
+    missing = np.random.default_rng(seed + 2).random((n, 5)) < 0.01
+    for i, j in zip(*np.nonzero(missing)):
+        rows[i][j] = "?"
+    return ["q0", "q1", "q2", "x0", "x1"], rows
+
+
+def decorated_rows(n, seed):
+    """recipe_rows with padded cells, every missing spelling, and NAN and
+    infinite cells in the real columns."""
+    names, rows = recipe_rows(n, seed)
+    odd = sorted(ingest.MISSING_TOKENS) + ["NAN", "inf", "-inf", "Infinity"]
+    for k, row in enumerate(rows[::7]):
+        row[k % 3] = f" {row[k % 3]}  "
+        row[3 + k % 2] = odd[k % len(odd)]
+    return names, rows
+
+
+def spec_fields(dataset):
+    return [(s.name, s.kind, s.categories, s.has_missing,
+             None if s.bin_edges is None else s.bin_edges.tobytes()) for s in dataset.schema]
+
+
+def assert_same_dataset(got, want):
+    assert np.array_equal(got.codes, want.codes) and got.codes.dtype == want.codes.dtype
+    assert spec_fields(got) == spec_fields(want)
+    assert ingest.schema_dump(got) == ingest.schema_dump(want)
+
+
+TABLES = {
+    "mammographic": (datasets.MAMMOGRAPHIC_HEADER, datasets.mammographic_mass_rows()),
+    "balance-scale": (datasets.BALANCE_SCALE_HEADER, datasets.balance_scale_rows()),
+    "recipe": recipe_rows(700, 3),
+    "decorated": decorated_rows(700, 4),
+}
+
+
+class TestOnePassEncoding:
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_encode_csv_equals_the_three_entry_points(self, tmp_path, monkeypatch, table,
+                                                      bom, block_rows):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        names, rows = TABLES[table]
+        path = datasets.write_csv(tmp_path / "t.csv", rows, header=names)
+        if bom:
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        names, rows = ingest.load_csv(str(path))
+        want = ingest.discretize(rows, ingest.infer_schema(names, rows))
+        assert_same_dataset(ingest.encode_csv(str(path)), want)
+
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    def test_columns_match_a_per_cell_encoding(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        names, rows = TABLES["decorated"]
+        got_names, columns = ingest.read_table(str(datasets.write_csv(tmp_path / "t.csv", rows,
+                                                                      header=names)))
+        assert got_names == names
+        for j, column in enumerate(columns):
+            index = {}
+            codes = [index.setdefault(row[j].strip(), len(index)) for row in rows]
+            labels = list(index)
+            assert column.labels == labels
+            assert column.codes.tolist() == codes
+            assert column.present.tolist() == [lab not in ingest.MISSING_TOKENS for lab in labels]
+            for label, parsed, value in zip(labels, column.parsed, column.values):
+                try:
+                    real = float(label)
+                except ValueError:
+                    assert not parsed and np.isnan(value)
+                else:
+                    assert parsed and (value == real or np.isnan(value) and np.isnan(real))
+
+    @pytest.mark.parametrize("table", ["recipe", "decorated"])
+    def test_prefix_equals_encoding_the_first_rows(self, tmp_path, table):
+        names, rows = TABLES[table]
+        path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
+        _, columns = ingest.read_table(path)
+        _, rows = ingest.load_csv(path)
+        for size in (60, 61, 333, len(rows) - 1, len(rows), len(rows) + 50):
+            want = ingest.discretize(rows[:size], ingest.infer_schema(names, rows[:size]))
+            got = ingest.encode_table(names, [column.prefix(size) for column in columns])
+            assert_same_dataset(got, want)
+
+    def test_in_memory_rows_are_stripped(self):
+        rows = [[" a", "1 "], ["a ", " 2"], ["b", "3"]]
+        schema = ingest.infer_schema(["c", "k"], rows)
+        assert schema[0].categories == ["a", "b"] and schema[1].categories == ["1", "2", "3"]
+        assert ingest.discretize(rows, schema).codes.tolist() == [[0, 0], [0, 1], [1, 2]]
 
 
 class TestPartition:

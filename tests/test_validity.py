@@ -6,7 +6,7 @@ import pytest
 from mrfcm import datasets, ingest, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
-from mrfcm.fcm import FcmConfig
+from mrfcm.fcm import FcmConfig, objective, run_fcm
 from mrfcm.validity import pc, pe, sc, sweep, xb
 
 import reference
@@ -144,6 +144,48 @@ class TestRigidMotionInvariance:
         v2 = v @ rot.T + shift
         assert xb(u, v2, coords2) == pytest.approx(xb(u, v, coords), rel=1e-10)
         assert sc(u, v2, coords2, 2.0) == pytest.approx(sc(u, v, coords, 2.0), rel=1e-10)
+
+
+class TestWeights:
+    def _problem(self):
+        rng = np.random.default_rng(6)
+        u = reference.random_membership(rng, 40, 3)
+        return u, rng.normal(size=(40, 2)), rng.normal(size=(3, 2)), rng.integers(1, 6, size=40)
+
+    def test_weights_count_rows_as_repeats(self):
+        u, coords, centroids, counts = self._problem()
+        rows = np.repeat(np.arange(len(u)), counts)
+        w = counts.astype(float)
+        pairs = [(pc(u, w), pc(u[rows])), (pe(u, w), pe(u[rows])),
+                 (xb(u, centroids, coords, w), xb(u[rows], centroids, coords[rows])),
+                 (sc(u, centroids, coords, 1.7, w), sc(u[rows], centroids, coords[rows], 1.7)),
+                 (objective(u, centroids, coords, 1.7, w),
+                  objective(u[rows], centroids, coords[rows], 1.7))]
+        for weighted, expanded in pairs:
+            assert weighted == pytest.approx(expanded, rel=1e-12)
+
+    def test_unit_weights_change_no_bit(self):
+        u, coords, centroids, _ = self._problem()
+        ones = np.ones(len(u))
+        assert pc(u, ones) == pc(u) and pe(u, ones) == pe(u)
+        assert xb(u, centroids, coords, ones) == xb(u, centroids, coords)
+        assert sc(u, centroids, coords, 1.7, ones) == sc(u, centroids, coords, 1.7)
+        assert objective(u, centroids, coords, 1.7, ones) == objective(u, centroids, coords, 1.7)
+
+    def test_sweep_scores_equal_scoring_every_row(self):
+        # Three blobs of 20 distinct points, each repeated 1-6 times.
+        rng = np.random.default_rng(8)
+        distinct = datasets.gaussian_blob_coords(60, [[0, 0], [6, 0], [3, 5]], 0.8, seed=2)
+        coords = distinct[np.repeat(np.arange(60), rng.integers(1, 7, size=60))]
+        store = ingest.partition(rng.permutation(coords), 4)
+        config = FcmConfig(c=2, seed=5)
+        report = sweep(store, None, 2, 4, config, JobSpec(4, 2, "s"))
+        for row in report.rows:
+            result = run_fcm(store, None, FcmConfig(c=row.c, seed=5 + row.c), JobSpec(4, 2, "f"))
+            u, v, data = result.u, result.v, store.data
+            assert row.iters == result.iters_run and row.jm == result.objective_trace[-1]
+            expected = [pc(u), pe(u), xb(u, v, data), sc(u, v, data, config.m)]
+            assert [row.pc, row.pe, row.xb, row.sc] == pytest.approx(expected, rel=1e-12)
 
 
 class TestSweep:
