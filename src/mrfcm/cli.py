@@ -137,12 +137,21 @@ def cmd_mca_info(args) -> int:
 
 def _positive_int(text):
     """argparse type: an integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _seed(text):
+    """argparse type: an integer of at least 0, as numpy's generators require."""
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text, least):
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
     return value
 
 
@@ -176,7 +185,7 @@ def _common_flags(sub):
     sub.add_argument("--m", type=float, default=2.0, help="fuzziness exponent")
     sub.add_argument("--epsilon", type=float, default=1e-5)
     sub.add_argument("--max-iters", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--mappers", type=_positive_int, default=4)
     sub.add_argument("--reducers", type=_positive_int, default=2)
     sub.add_argument("--out-dir", default="out")

@@ -15,12 +15,16 @@ same order under any deployment.  Each map computes the block's squared
 distances to the broadcast centroids once (``sq_dist``, the one distance
 routine of the package) and its memberships by one formula scaled to
 each point's nearest centroid, both cluster-major as (c, b) arrays: the
-reductions over the few clusters run along rows as long as the block,
-while sums over coordinates and points keep their (b, c) order and bits.
-It emits under one key the block's membership rows and the weighted
-partial sums of the prototype update (numerators, denominators and the
-objective); the reduce stacks the former and adds the latter in block
-order (``concat_reduce``, ``sum_reduce``); ``fcm_iteration`` divides.
+reductions over the few clusters run along rows as long as the block.
+The sums over coordinates and over clusters replay numpy's pairwise rule
+plane by plane (``_plane_sum``), so they give a (b, c) layout's bits at
+every c in an order the code writes down.  The sums over points run on
+(b, c) rows; the centroid numerators ``rows.T @ coords`` depend on the
+BLAS build.  Each map emits under one key the block's membership rows
+and the weighted partial sums of the prototype update (numerators,
+denominators and the objective); the reduce stacks the former and adds
+the latter in block order (``concat_reduce``, ``sum_reduce``);
+``fcm_iteration`` divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -107,11 +111,41 @@ def membership_row(x, centroids, m: float) -> np.ndarray:
 def sq_dist(points, centroids):
     """(c, b) squared Euclidean distances from each centroid to each point.
 
-    The (d, c, b) difference keeps each point's coordinates adjacent in
-    memory, so its sum over d adds in the same order as over (b, c, d).
+    The sum over the d coordinates adds (c, b) planes of a C-ordered
+    (d, c, b) difference in ``_plane_sum``'s order.
     """
-    diff = points.T[:, None, :] - centroids.T[:, :, None]
-    return np.square(diff, out=diff).sum(axis=0)
+    diff = np.subtract(points.T[:, None, :], centroids.T[:, :, None], order="C")
+    return _plane_sum(np.square(diff, out=diff))
+
+
+def _plane_sum(a):
+    """Sum of a C-ordered array over axis 0, added plane by plane in place.
+
+    The order is numpy's pairwise rule for summing a contiguous axis of
+    len(a) terms: below 8 terms, in sequence; up to 128, into 8 running
+    planes combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in
+    sequence; above 128, the two halves split at a multiple of 8.  So each
+    element has the bits of numpy's sum of its column laid out contiguously,
+    save that numpy's sum starts from 0.0 and so gives 0.0 where this gives
+    -0.0.  The result is a view of ``a``, whose contents are overwritten.
+    """
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _plane_sum(a[:half])
+        total += _plane_sum(a[half:])
+        return total
+    rest = 1 if n < 8 else n - n % 8
+    if n >= 8:
+        acc = a[:8]
+        for k in range(8, rest, 8):
+            acc += a[k:k + 8]
+        acc[::2] += acc[1::2]
+        acc[::4] += acc[2::4]
+        acc[0] += acc[4]
+    for k in range(rest, n):
+        a[0] += a[k]
+    return a[0]
 
 
 def _membership_block(points, centroids, m):
@@ -122,7 +156,8 @@ def _membership_block(points, centroids, m):
     centroid's ratio is exactly 1, which keeps the power finite and every column
     sum positive, even near m = 1.  A point within SINGULARITY_DISTANCE of some
     centroids splits its membership equally among them.  Min, any and sum run
-    over axis 0; the sum adds in a (b, c) layout's order only for c < 8.
+    over axis 0; the sum adds a copy of the ratios in ``_plane_sum``'s order,
+    which gives a (b, c) layout's row sums bit for bit at every c.
     """
     dist_sq = sq_dist(points, centroids)
     coincident = dist_sq < SINGULARITY_DISTANCE ** 2
@@ -133,7 +168,7 @@ def _membership_block(points, centroids, m):
     if hit.any():
         # Split full membership equally among coincident centroids.
         ratios[:, hit] = coincident[:, hit]
-    return ratios / ratios.sum(axis=0), dist_sq
+    return ratios / _plane_sum(ratios.copy()), dist_sq
 
 
 def _iteration_map(pid, coords, ctx):

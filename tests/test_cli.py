@@ -227,7 +227,7 @@ def assert_usage_error(argv, capsys, flag):
         run(*argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and flag in err
+    assert err.startswith("usage:") and flag in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [";;", ""])
@@ -254,6 +254,14 @@ def test_nonpositive_task_count_is_usage_error(mm_csv, tmp_path, capsys, command
     argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], flag, value,
             "--out-dir", str(tmp_path / "o")]
     assert_usage_error(argv, capsys, flag)
+
+
+@pytest.mark.parametrize("value", ["-1", "-5", "seven"])
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_negative_seed_is_usage_error(mm_csv, tmp_path, capsys, command, value):
+    argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], "--seed", value,
+            "--out-dir", str(tmp_path / "o")]
+    assert_usage_error(argv, capsys, "--seed")
 
 
 def write_bytes(tmp_path, data):

@@ -293,13 +293,31 @@ class TestClusterMajorKernel:
                 assert np.array_equal(ours, theirs), shape
 
     @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
-    def test_nine_clusters_differ_only_in_the_membership_sum(self, m):
-        # numpy adds a row of 8 or more values pairwise, a column in
-        # sequence, so only the normalising sum rounds differently.
-        for shape, got, expected in self.cases(9, m):
-            for ours, theirs in zip(got, expected):
-                scale = np.abs(theirs).max()  # numerators may cancel to near 0
-                assert np.allclose(ours, theirs, rtol=1e-14, atol=1e-14 * scale), shape
+    @pytest.mark.parametrize("c", [8, 9, 17])
+    def test_bitwise_equal_from_eight_clusters(self, c, m):
+        # The sum over clusters takes numpy's pairwise order from 8 terms on.
+        self.test_bitwise_equal_below_eight_clusters(c, m)
+
+
+class TestSummationOrder:
+    """The plane sums against numpy's sum over a contiguous axis."""
+
+    @pytest.mark.parametrize("b", [1, 7, 4096])
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 200, 257])
+    def test_sq_dist_adds_each_pair_as_a_contiguous_row(self, d, b):
+        rng = np.random.default_rng(1000 * d + b)
+        for c in (1, 3, 9):
+            p = rng.normal(size=(b, d)) * 10.0 ** rng.integers(-3, 4, size=d)
+            v = rng.normal(size=(c, d))
+            expected = ((p[:, None] - v[None]) ** 2).sum(axis=2)
+            assert np.array_equal(fcm.sq_dist(p, v), expected.T), c
+
+    def test_plane_sum_equals_each_column_summed_contiguously(self):
+        rng = np.random.default_rng(5)
+        for rows in range(1, 301):
+            a = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+            expected = np.ascontiguousarray(a.T).sum(axis=1)
+            assert np.array_equal(fcm._plane_sum(a.copy()), expected), rows
 
 
 class TestObjective:
