@@ -6,6 +6,8 @@ from every partition, ordered by (origin partition, emission order).
 That ordering rule is the whole determinism story: floating-point sums
 meet their operands in the same order no matter how many workers run.
 """
+import os
+
 import numpy as np
 
 from mrfcm import ingest
@@ -33,10 +35,10 @@ print("same answer every time, as it must be\n")
 
 # ── 2. calls queue onto bounded workers ─────────────────────────────────────
 spec = JobSpec(num_mappers=150, num_reducers=75, job_name="big-deployment")
-workers, reducers = set_parallelism(spec, available_cores=8)
+workers, reducers = set_parallelism(spec)
 print(f"{spec.num_mappers} mappers: one map call per partition, at most {workers} "
-      f"at once (8 cores); {spec.num_reducers} reducers: one reduce call per key, "
-      f"at most {reducers} at once")
+      f"at once ({os.cpu_count()} cores); {spec.num_reducers} reducers: one reduce "
+      f"call per key, at most {reducers} at once")
 
 # ── 3. float reductions are order-stable ────────────────────────────────────
 rng = np.random.default_rng(0)

@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # inputs raise DataIOError, so this is an output file
+        print(f"DataIOError: cannot write output: {exc}", file=sys.stderr)
+        return DataIOError.exit_code
 
 
 if __name__ == "__main__":

@@ -71,14 +71,12 @@ class JobMetrics:
 METRICS_HEADER = "job_name,num_mappers,num_reducers,map_s,shuffle_s,reduce_s,total_s"
 
 
-def set_parallelism(spec: JobSpec, available_cores: int | None = None) -> tuple[int, int]:
+def set_parallelism(spec: JobSpec) -> tuple[int, int]:
     """Effective concurrent (map, reduce) worker counts: the spec's
-    mapper and reducer counts, each capped by the core count.  Every
+    mapper and reducer counts, each capped by ``os.cpu_count()``.  Every
     partition is still one map call and every key one reduce call.
     """
-    cores = available_cores if available_cores is not None else (os.cpu_count() or 1)
-    if cores < 1:
-        raise EngineError("available_cores must be >= 1")
+    cores = os.cpu_count() or 1
     return min(spec.num_mappers, cores), min(spec.num_reducers, cores)
 
 
@@ -103,8 +101,7 @@ def concat_reduce(key, values):
 
 
 def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
-            map_fn: Callable, reduce_fn: Callable,
-            available_cores: int | None = None):
+            map_fn: Callable, reduce_fn: Callable):
     """Execute one map-shuffle-reduce pass.
 
     map_fn(partition_index, block, broadcast) yields (key, value) pairs;
@@ -113,7 +110,7 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
     (sorted list of (key, reduced_value), JobMetrics).  Output does not
     depend on worker scheduling.
     """
-    map_workers, reduce_workers = set_parallelism(spec, available_cores)
+    map_workers, reduce_workers = set_parallelism(spec)
     metrics = JobMetrics(spec.job_name, spec.num_mappers, spec.num_reducers)
     if store.n < INLINE_ROWS_PER_TASK * min(spec.num_mappers, store.num_partitions):
         map_workers = reduce_workers = 1

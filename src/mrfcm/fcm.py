@@ -185,7 +185,7 @@ def _iteration_reduce(key, values):
 
 
 def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
-                  available_cores=None, weights=None):
+                  weights=None):
     """One fused pass: memberships against ``centroids``, then new centroids.
 
     ``weights`` gives each row's multiplicity (all ones when None).  It
@@ -199,8 +199,7 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     """
     weights = np.ones(store.n) if weights is None else np.asarray(weights, dtype=float)
     context = (np.asarray(centroids, float), m, weights, store.offsets)
-    results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce,
-                               available_cores=available_cores)
+    results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce)
     u, numer, denom, jm = results[0][1]
     u = np.ascontiguousarray(u)  # the maps emit transposed views; return rows
     new_centroids = np.empty_like(numer)
@@ -228,7 +227,7 @@ def objective(u, centroids, data, m: float = 2.0, weights=None) -> float:
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
-            spec: JobSpec, available_cores=None, metrics_sink=None) -> FcmResult:
+            spec: JobSpec, metrics_sink=None) -> FcmResult:
     """Repeat the fused iteration job until convergence.
 
     Convergence fires when the largest absolute membership change between
@@ -243,13 +242,13 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     memberships and the row -> record index, and its ``u`` has one row
     per row of ``store``.
     """
-    points, weights, inverse = _coordinates(store, model, spec, available_cores, metrics_sink)
-    result = _cluster(points, weights, config, spec, available_cores, metrics_sink)
+    points, weights, inverse = _coordinates(store, model, spec, metrics_sink)
+    result = _cluster(points, weights, config, spec, metrics_sink)
     result.inverse = inverse
     return result
 
 
-def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
+def _coordinates(store, model, spec, metrics_sink=None):
     """(points, weights, inverse): the distinct records of ``store`` as a
     float store in first-appearance order, how often each occurs, and the
     row -> point index, so that ``u[inverse]`` has one row per record.
@@ -264,16 +263,15 @@ def _coordinates(store, model, spec, available_cores=None, metrics_sink=None):
     first, weights, inverse = _distinct_rows(data)
     points = partition(data[first], -(-len(first) // POINT_BLOCK_ROWS))
     if model is not None:
-        coords, metrics = project_store(points, model, spec, available_cores=available_cores)
+        coords, metrics = project_store(points, model, spec)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         points = PartitionedStore(coords, points.offsets)
-    else:
-        # Every centroid lies in the points' bounding box, so no distance or
-        # objective sum exceeds its squared diagonal times the total weight.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(np.square(np.ptp(points.data, axis=0)).sum() * weights.sum()):
-                raise NumericError("input holds non-finite values, or squared distances overflow")
+    # Every centroid lies in the points' bounding box, so no distance or
+    # objective sum exceeds its squared diagonal times the total weight.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(np.square(np.ptp(points.data, axis=0)).sum() * weights.sum()):
+            raise NumericError("input holds non-finite values, or squared distances overflow")
     return points, weights, inverse
 
 
@@ -292,14 +290,13 @@ def _distinct_rows(array):
     return first[order], counts[order].astype(float), rank[inverse]
 
 
-def _cluster(store, weights, config, spec, available_cores=None, metrics_sink=None):
+def _cluster(store, weights, config, spec, metrics_sink=None):
     """The driver loop of run_fcm over a store of distinct float points."""
     centroids = init_centroids(store.data, config.c, config.seed)
     result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
         u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, m=config.m,
-                                                   available_cores=available_cores,
                                                    weights=weights)
         if metrics_sink is not None:
             metrics_sink.append(metrics)

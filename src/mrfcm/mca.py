@@ -113,8 +113,7 @@ def _burt_map(pid, block, col_offsets):
     yield "burt", indicator.T @ indicator
 
 
-def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None,
-                    available_cores=None):
+def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None):
     """Assemble global margins and the Burt matrix with one engine pass.
 
     Each map task emits its partition's partial co-occurrence counts; the
@@ -123,8 +122,7 @@ def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None
     """
     spec = spec or JobSpec(store.num_partitions, 1, "burt")
     col_offsets = np.concatenate(([0], np.cumsum(cardinalities))).astype(np.int64)
-    results, metrics = run_job(spec, store, col_offsets, _burt_map, sum_reduce,
-                               available_cores=available_cores)
+    results, metrics = run_job(spec, store, col_offsets, _burt_map, sum_reduce)
     burt = results[0][1]
     counts = np.diag(burt).copy()
     margins = CategoryMargins(counts, store.n, len(cardinalities), col_offsets)
@@ -173,22 +171,15 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
     return MCAModel(margins, eigvals[:kept], loadings, total_inertia)
 
 
-def project(record, model: MCAModel) -> np.ndarray:
-    """Row principal coordinates of a single encoded record."""
-    return model.transform(np.asarray(record)[None, :])[0]
-
-
 def _project_map(pid, block, model):
     yield "project", model.transform(block)
 
 
-def project_store(store: PartitionedStore, model: MCAModel, spec: JobSpec | None = None,
-                  available_cores=None):
+def project_store(store: PartitionedStore, model: MCAModel, spec: JobSpec | None = None):
     """Project every partition and reassemble the (n, d) coordinates in
     partition order; returns (coords, metrics)."""
     spec = spec or JobSpec(store.num_partitions, 1, "project")
-    results, metrics = run_job(spec, store, model, _project_map, concat_reduce,
-                               available_cores=available_cores)
+    results, metrics = run_job(spec, store, model, _project_map, concat_reduce)
     return results[0][1], metrics
 
 

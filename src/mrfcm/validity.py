@@ -130,7 +130,7 @@ def _vote(rows) -> tuple[dict, int]:
 
 
 def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: int,
-          config: FcmConfig, spec: JobSpec, available_cores=None) -> ValidityReport:
+          config: FcmConfig, spec: JobSpec) -> ValidityReport:
     """Cluster at every c in [c_min, c_max] and score the four indices.
 
     Each candidate gets a fresh initialization seeded with config.seed + c,
@@ -145,13 +145,13 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
 
     # The distinct points do not depend on c: find and project them once,
     # then cluster and score every candidate on them, weighted by count.
-    points, weights, _ = _coordinates(store, model, spec, available_cores)
+    points, weights, _ = _coordinates(store, model, spec)
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
-            result = _cluster(points, weights, run_cfg, spec, available_cores)
+            result = _cluster(points, weights, run_cfg, spec)
             u = result.distinct_u
             row = ValidityRow(
                 c=c,

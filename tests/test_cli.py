@@ -293,6 +293,19 @@ def test_out_dir_that_cannot_be_made_exits_3(mm_csv, tmp_path, capsys, command, 
     assert "DataIOError: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("cluster", "memberships.csv"), ("sweep", "validity.csv"),
+    ("bench", "bench.csv"), ("mca-info", "axes.csv")])
+def test_output_file_that_cannot_be_written_exits_3(mm_csv, tmp_path, capsys, command, blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    code = run(command, "--input", mm_csv, *COMMAND_ARGS[command], "--out-dir", str(out))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DataIOError: cannot write output:") and blocked in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block_rows", [fcm.POINT_BLOCK_ROWS, 50])
 def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, block_rows):
     """The byte-stable files do not depend on --mappers or --reducers."""

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion from a scratch directory."""
+"""Every demo script, and README's library quickstart, runs to completion
+from a scratch directory."""
 import os
 import subprocess
 import sys
@@ -10,10 +11,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_zero(script, tmp_path):
+def assert_script_exits_zero(script, cwd):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(script)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_exits_zero(script, tmp_path):
+    assert_script_exits_zero(script, tmp_path)
+
+
+def test_readme_quickstart_exits_zero(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quickstart.py"
+    script.write_text(code, encoding="utf-8")
+    assert_script_exits_zero(script, tmp_path)

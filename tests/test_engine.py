@@ -1,3 +1,4 @@
+import os
 import threading
 import time
 
@@ -179,7 +180,8 @@ class TestPooledPath:
             run_job(JobSpec(8, 2, "bad"), store, None, bad_map, sum_reduce)
 
     @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2)])
-    def test_map_concurrency_is_capped(self, pooled, mappers, cores):
+    def test_map_concurrency_is_capped(self, pooled, monkeypatch, mappers, cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
         lock = threading.Lock()
         running = peak = 0
         threads = set()
@@ -196,34 +198,33 @@ class TestPooledPath:
             yield pid, 1
 
         run_job(JobSpec(mappers, 1, "cap"), token_store(range(32), 8), None,
-                slow_map, sum_reduce, available_cores=cores)
+                slow_map, sum_reduce)
         assert threading.current_thread() not in threads  # the pool ran the maps
         assert peak <= min(mappers, cores)
 
-    def test_no_threads_leak_across_jobs(self, pooled):
+    def test_no_threads_leak_across_jobs(self, pooled, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         store = token_store(list(range(64)), 8)
         spec = JobSpec(8, 2, "reuse")
-        expected, _ = run_job(spec, store, None, count_map, sum_reduce, available_cores=2)
+        expected, _ = run_job(spec, store, None, count_map, sum_reduce)
         before = threading.active_count()
         for _ in range(200):
-            results, _ = run_job(spec, store, None, count_map, sum_reduce, available_cores=2)
+            results, _ = run_job(spec, store, None, count_map, sum_reduce)
             assert results == expected
         assert threading.active_count() <= before
 
 
 class TestSetParallelism:
-    def test_tasks_queue_onto_workers(self):
-        workers, _ = set_parallelism(JobSpec(150, 75, "x"), available_cores=8)
+    def test_tasks_queue_onto_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        workers, _ = set_parallelism(JobSpec(150, 75, "x"))
         assert workers == 8
 
-    def test_single_mapper_serial(self):
-        workers, _ = set_parallelism(JobSpec(1, 1, "x"), available_cores=8)
+    def test_single_mapper_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        workers, _ = set_parallelism(JobSpec(1, 1, "x"))
         assert workers == 1
 
     def test_zero_mappers_rejected(self):
         with pytest.raises(EngineError):
             JobSpec(0, 1, "x")
-
-    def test_bad_core_count_rejected(self):
-        with pytest.raises(EngineError):
-            set_parallelism(JobSpec(2, 1, "x"), available_cores=0)

@@ -121,8 +121,8 @@ class TestProject:
         codes = random_codes(rng, 40, cards)
         codes[7] = codes[3]
         model, _ = fit_from_codes(codes, cards)
-        a = mca.project(codes[3], model)
-        b = mca.project(codes[7], model)
+        a = model.transform(codes[3])[0]
+        b = model.transform(codes[7])[0]
         assert np.array_equal(a, b)
 
     def test_projection_centered_and_variance_matches_eigenvalues(self):
@@ -173,7 +173,7 @@ class TestProject:
         codes = np.tile([[0, 0], [1, 1], [0, 1], [1, 0]], (5, 1)).astype(np.int32)
         model, _ = fit_from_codes(codes, [2, 2])
         with pytest.raises(NumericError, match="out of range"):
-            mca.project(np.array([2, 0]), model)
+            model.transform(np.array([2, 0]))[0]
 
     def test_projection_invariant_to_partitioning(self):
         rng = np.random.default_rng(10)
