@@ -45,7 +45,7 @@ for s in range(model.dim):
           f"({100 * model.inertia_fractions[s]:.1f}% of total inertia)")
 
 # ── 5. project and verify the promised geometry ─────────────────────────────
-coords, _ = mca.project_store(store, model)
+coords = model.transform(store.data)
 print(f"\nprojected cloud: {coords.shape[0]} points in {coords.shape[1]}-d")
 print("column means (should be ~0):  ", np.round(coords.mean(axis=0), 12))
 print("per-axis variance vs eigenvalue:")

@@ -26,7 +26,7 @@ model = mca.fit_mca(margins, burt)
 spec = JobSpec(8, 4, "fcm-demo")
 
 # project once: every iteration reads these coordinates
-coords, _ = mca.project_store(store, model)
+coords = model.transform(store.data)
 coord_store = ingest.partition(coords, 8)
 centroids = init_centroids(coords, c=2, seed=42)
 print("initial centroids (two distinct projected records):")

@@ -16,7 +16,7 @@ from .fcm import (FcmConfig, FcmResult, fcm_iteration, init_centroids, membershi
 from .ingest import (CategoricalDataset, ColumnSpec, PartitionedStore, discretize,
                      encode_csv, infer_schema, load_csv, partition,
                      replicate_to_size, schema_dump)
-from .mca import CategoryMargins, MCAModel, accumulate_burt, fit_mca, project_store
+from .mca import CategoryMargins, MCAModel, accumulate_burt, fit_mca
 from .validity import ValidityReport, ValidityRow, pc, pe, sc, sweep, xb
 
 __version__ = "0.1.0"
@@ -28,6 +28,6 @@ __all__ = [
     "SchemaError", "ValidityReport", "ValidityRow",
     "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
     "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
-    "partition", "pc", "pe", "project_store", "replicate_to_size",
+    "partition", "pc", "pe", "replicate_to_size",
     "run_fcm", "run_job", "sc", "schema_dump", "set_parallelism", "sweep", "xb",
 ]

@@ -7,6 +7,7 @@ them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -105,9 +106,8 @@ def cmd_bench(args) -> int:
             for mappers, reducers in args.bench_deployments:
                 store = ingest.partition(dataset, mappers)
                 spec = JobSpec(mappers, reducers, f"bench_{size}")
-                config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
-                                   max_iters=args.fixed_iters, seed=args.seed,
-                                   fixed_iterations=True)
+                config = FcmConfig(c=args.c, m=args.m, max_iters=args.fixed_iters,
+                                   seed=args.seed, fixed_iterations=True)
                 started = time.perf_counter()
                 margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, spec)
                 model = mca.fit_mca(margins, burt, mca_dims=args.mca_dims)
@@ -175,40 +175,46 @@ def _delimiter(text):
     return text
 
 
-def _common_flags(sub):
-    sub.add_argument("--input", required=True, help="input CSV path")
-    sub.add_argument("--delimiter", type=_delimiter, default=",")
-    sub.add_argument("--header", action=argparse.BooleanOptionalAction, default=True,
-                     help="whether the first row is a header")
-    sub.add_argument("--bins", type=int, default=4, help="quantile bins per numeric column")
-    sub.add_argument("--mca-dims", type=int, default=8, help="cap on retained axes")
-    sub.add_argument("--m", type=float, default=2.0, help="fuzziness exponent")
-    sub.add_argument("--epsilon", type=float, default=1e-5)
-    sub.add_argument("--max-iters", type=int, default=100)
-    sub.add_argument("--seed", type=_seed, default=0)
-    sub.add_argument("--mappers", type=_positive_int, default=4)
-    sub.add_argument("--reducers", type=_positive_int, default=2)
-    sub.add_argument("--out-dir", default="out")
+def _flag_groups():
+    """Parent parsers of the flag groups, each subcommand taking the ones it reads."""
+    data, deployment, seeded, converging = (argparse.ArgumentParser(add_help=False)
+                                            for _ in range(4))
+    data.add_argument("--input", required=True, help="input CSV path")
+    data.add_argument("--delimiter", type=_delimiter, default=",")
+    data.add_argument("--header", action=argparse.BooleanOptionalAction, default=True,
+                      help="whether the first row is a header")
+    data.add_argument("--bins", type=int, default=4, help="quantile bins per numeric column")
+    data.add_argument("--mca-dims", type=int, default=8, help="cap on retained axes")
+    data.add_argument("--out-dir", default="out")
+    deployment.add_argument("--mappers", type=_positive_int, default=4)
+    deployment.add_argument("--reducers", type=_positive_int, default=2)
+    seeded.add_argument("--m", type=float, default=2.0, help="fuzziness exponent")
+    seeded.add_argument("--seed", type=_seed, default=0)
+    converging.add_argument("--epsilon", type=float, default=1e-5)
+    converging.add_argument("--max-iters", type=int, default=100)
+    return data, deployment, seeded, converging
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mrfcm",
                                      description="MCA + map-reduce fuzzy c-means pipeline")
     commands = parser.add_subparsers(dest="command", required=True)
+    data, deployment, seeded, converging = _flag_groups()
+    clustering = [data, deployment, seeded, converging]
 
-    cluster = commands.add_parser("cluster", help="cluster at a fixed c")
-    _common_flags(cluster)
+    cluster = commands.add_parser("cluster", help="cluster at a fixed c", parents=clustering)
     cluster.add_argument("--c", type=int, required=True, help="cluster count")
-    cluster.set_defaults(fn=cmd_cluster)
+    cluster.set_defaults(fn=cmd_cluster, outputs=["memberships.csv", "centroids.csv",
+                                                  "trace.csv", "jobs.csv"])
 
-    sweep = commands.add_parser("sweep", help="validity sweep over a range of c")
-    _common_flags(sweep)
+    sweep = commands.add_parser("sweep", help="validity sweep over a range of c",
+                                parents=clustering)
     sweep.add_argument("--c-min", type=int, default=2)
     sweep.add_argument("--c-max", type=int, default=6)
-    sweep.set_defaults(fn=cmd_sweep)
+    sweep.set_defaults(fn=cmd_sweep, outputs=["validity.csv", "validity_plot.dat"])
 
-    bench = commands.add_parser("bench", help="scalability benchmark over sizes x deployments")
-    _common_flags(bench)
+    bench = commands.add_parser("bench", help="scalability benchmark over sizes x deployments",
+                                parents=[data, seeded])
     bench.add_argument("--c", type=int, default=2)
     bench.add_argument("--bench-sizes", required=True, type=_size_list,
                        help="comma-separated ascending row counts, e.g. 100000,200000")
@@ -217,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated mappersxreducers pairs")
     bench.add_argument("--fixed-iters", type=int, default=10,
                        help="iteration budget per bench cell (no convergence exit)")
-    bench.set_defaults(fn=cmd_bench)
+    bench.set_defaults(fn=cmd_bench, outputs=["bench.csv"])
 
-    info = commands.add_parser("mca-info", help="fit the projection model and dump audit files")
-    _common_flags(info)
-    info.set_defaults(fn=cmd_mca_info)
+    info = commands.add_parser("mca-info", help="fit the projection model and dump audit files",
+                               parents=[data, deployment])
+    info.set_defaults(fn=cmd_mca_info, outputs=["schema.txt", "axes.csv", "loadings.csv"])
     return parser
 
 
@@ -229,6 +235,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _make_out_dir(args.out_dir)
+        for name in args.outputs:  # no file of an earlier run survives a failed one
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(args.out_dir, name))
         return args.fn(args)
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

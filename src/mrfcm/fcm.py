@@ -4,10 +4,11 @@ Encoded records repeat, so clustering runs on the distinct records, each
 weighted by how often it occurs: identical points get identical
 memberships, and a point of weight w adds w copies of its terms to every
 sum.  A categorical store arrives with its MCA model; its distinct
-records are found on the codes and projected once, by one engine job,
-before the first iteration.  A float store is deduplicated on its
-coordinates.  The result keeps one membership row per distinct record and
-the row -> record index, and expands them to every row only on request.
+records are found on the codes and projected once, by one
+``MCAModel.transform`` call in the driver, before the first iteration.
+A float store is deduplicated on its coordinates.  The result keeps one
+membership row per distinct record and the row -> record index, and
+expands them to every row only on request.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
@@ -38,7 +39,7 @@ import numpy as np
 from .engine import JobSpec, concat_reduce, run_job, sum_reduce
 from .errors import NumericError
 from .ingest import PartitionedStore, partition
-from .mca import MCAModel, project_store
+from .mca import MCAModel
 
 # Records closer to a centroid than this are treated as coincident with it.
 SINGULARITY_DISTANCE = 1e-12
@@ -242,31 +243,27 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     memberships and the row -> record index, and its ``u`` has one row
     per row of ``store``.
     """
-    points, weights, inverse = _coordinates(store, model, spec, metrics_sink)
+    points, weights, inverse = _coordinates(store, model)
     result = _cluster(points, weights, config, spec, metrics_sink)
     result.inverse = inverse
     return result
 
 
-def _coordinates(store, model, spec, metrics_sink=None):
+def _coordinates(store, model):
     """(points, weights, inverse): the distinct records of ``store`` as a
     float store in first-appearance order, how often each occurs, and the
     row -> point index, so that ``u[inverse]`` has one row per record.
 
-    Codes are deduplicated before the projection job, which then projects
-    only the distinct records; float rows are deduplicated by value.  The
-    k points go into ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever
-    partitions ``store`` had.  Points in first-appearance order give
-    init_centroids the same picks as every row would.
+    Codes are deduplicated first, and only the distinct records are
+    projected; float rows are deduplicated by value.  The k points go into
+    ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever partitions
+    ``store`` had.  Points in first-appearance order give init_centroids
+    the same picks as every row would.
     """
     data = np.asarray(store.data, dtype=float) if model is None else store.data
     first, weights, inverse = _distinct_rows(data)
-    points = partition(data[first], -(-len(first) // POINT_BLOCK_ROWS))
-    if model is not None:
-        coords, metrics = project_store(points, model, spec)
-        if metrics_sink is not None:
-            metrics_sink.append(metrics)
-        points = PartitionedStore(coords, points.offsets)
+    points = data[first] if model is None else model.transform(data[first])
+    points = partition(points, -(-len(first) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
     with np.errstate(over="ignore", invalid="ignore"):

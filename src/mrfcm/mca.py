@@ -2,9 +2,10 @@
 
 The model is estimated once, from the Burt matrix (the J x J category
 co-occurrence table, itself assembled by a map-reduce aggregation pass),
-and then applied record by record: each mapper projects its rows into
-the shared low-dimensional Euclidean space without any per-partition
-state.  Fitting cost depends on J only, never on the row count.
+and then applied record by record: ``MCAModel.transform`` projects each
+record into the shared low-dimensional Euclidean space on its own, with
+no state shared between records.  Fitting cost depends on J only, never
+on the row count.
 
 Geometry conventions
 --------------------
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, concat_reduce, run_job, sum_reduce
+from .engine import JobSpec, run_job, sum_reduce
 from .errors import NumericError
 from .ingest import PartitionedStore
 
@@ -169,18 +170,6 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
 
     total_inertia = len(counts) / num_cols - 1.0
     return MCAModel(margins, eigvals[:kept], loadings, total_inertia)
-
-
-def _project_map(pid, block, model):
-    yield "project", model.transform(block)
-
-
-def project_store(store: PartitionedStore, model: MCAModel, spec: JobSpec | None = None):
-    """Project every partition and reassemble the (n, d) coordinates in
-    partition order; returns (coords, metrics)."""
-    spec = spec or JobSpec(store.num_partitions, 1, "project")
-    results, metrics = run_job(spec, store, model, _project_map, concat_reduce)
-    return results[0][1], metrics
 
 
 def write_model_dump(model: MCAModel, axes_path, loadings_path):

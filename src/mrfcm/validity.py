@@ -145,7 +145,7 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
 
     # The distinct points do not depend on c: find and project them once,
     # then cluster and score every candidate on them, weighted by count.
-    points, weights, _ = _coordinates(store, model, spec)
+    points, weights, _ = _coordinates(store, model)
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):

@@ -89,7 +89,7 @@ def test_criterion_3_mca_against_dense_oracle():
         store = ingest.partition(codes, 4)
         margins, burt, _ = mca.accumulate_burt(store, cards)
         model = mca.fit_mca(margins, burt, mca_dims=8)
-        projected, _ = mca.project_store(store, model)
+        projected = model.transform(store.data)
 
         oracle_coords, oracle_lam = reference.dense_ca_row_coords(
             reference.indicator_of(codes, cards), num_cols)

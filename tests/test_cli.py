@@ -228,6 +228,7 @@ def assert_usage_error(argv, capsys, flag):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and flag in err and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("value", [";;", ""])
@@ -257,11 +258,34 @@ def test_nonpositive_task_count_is_usage_error(mm_csv, tmp_path, capsys, command
 
 
 @pytest.mark.parametrize("value", ["-1", "-5", "seven"])
-@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("command", ["bench", "cluster", "sweep"])
 def test_negative_seed_is_usage_error(mm_csv, tmp_path, capsys, command, value):
     argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], "--seed", value,
             "--out-dir", str(tmp_path / "o")]
     assert_usage_error(argv, capsys, "--seed")
+
+
+DROPPED_FLAGS = [
+    ("bench", "--max-iters", "1", "unrecognized arguments"),
+    ("bench", "--epsilon", "0", "unrecognized arguments"),
+    ("bench", "--mappers", "999", "unrecognized arguments"),
+    ("bench", "--reducers", "999", "unrecognized arguments"),
+    # --m is a prefix of --mappers and --mca-dims, so argparse calls it ambiguous.
+    ("mca-info", "--m", "0.5", "ambiguous option: --m could match"),
+    ("mca-info", "--epsilon", "-1", "unrecognized arguments"),
+    ("mca-info", "--max-iters", "0", "unrecognized arguments"),
+    ("mca-info", "--seed", "-1", "unrecognized arguments"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", DROPPED_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag, _, _ in DROPPED_FLAGS])
+def test_flag_the_command_does_not_read_is_usage_error(mm_csv, tmp_path, capsys, command,
+                                                       flag, value, message):
+    argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], flag, value,
+            "--out-dir", str(tmp_path / "o")]
+    assert message in assert_usage_error(argv, capsys, flag)
+    assert not (tmp_path / "o").exists()
 
 
 def write_bytes(tmp_path, data):
@@ -327,3 +351,24 @@ def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, blo
                       ["validity.csv", "validity_plot.dat"], deployment)
               for deployment in [(2, 1), (16, 1), (7, 3)]]
     assert all(other == sweeps[0] for other in sweeps[1:])
+
+
+@pytest.mark.parametrize("command, first, second, blocked", [
+    ("cluster", ["--c", "3"], ["--c", "4"], "trace.csv"),
+    ("sweep", ["--c-max", "3"], ["--c-max", "4"], "validity_plot.dat"),
+    ("mca-info", [], ["--bins", "3"], "loadings.csv"),
+], ids=["cluster", "sweep", "mca-info"])
+def test_failed_run_leaves_no_file_of_its_own(mm_csv, tmp_path, capsys, command, first, second,
+                                              blocked):
+    """A run that cannot write one output leaves only the earlier run's files."""
+    out = tmp_path / "o"
+    assert run(command, "--input", mm_csv, *first, "--out-dir", str(out)) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    assert run(command, "--input", mm_csv, *second, "--out-dir", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("DataIOError: cannot write output:") and blocked in err
+    assert (out / blocked).is_dir()
+    left = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert all(before[name] == data for name, data in left.items())

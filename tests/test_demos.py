@@ -1,11 +1,14 @@
 """Every demo script, and README's library quickstart, runs to completion
-from a scratch directory."""
+from a scratch directory, and README's CLI lines parse."""
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mrfcm import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -31,3 +34,14 @@ def test_readme_quickstart_exits_zero(tmp_path):
     script = tmp_path / "quickstart.py"
     script.write_text(code, encoding="utf-8")
     assert_script_exits_zero(script, tmp_path)
+
+
+def test_readme_cli_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("mrfcm ")]
+    assert sorted(argv[0] for argv in commands) == ["bench", "cluster", "mca-info", "sweep"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits and fails the test

@@ -418,7 +418,7 @@ class TestRunFcm:
         margins, burt, _ = mca.accumulate_burt(store, [3, 4])
         model = mca.fit_mca(margins, burt)
         result = run_fcm(store, model, FcmConfig(c=2, seed=4, max_iters=40), spec_for(4))
-        projected, _ = mca.project_store(store, model)
+        projected = model.transform(store.data)
         ref_u, ref_v, _, _, _ = reference.reference_fcm(
             projected, 2, m=2.0, epsilon=1e-5, max_iters=40, seed=4)
         assert np.allclose(result.u, ref_u, atol=1e-9)
@@ -433,13 +433,13 @@ class TestRunFcm:
         config = FcmConfig(c=3, seed=4, max_iters=40)
         sink = []
         routed = run_fcm(store, model, config, spec_for(4), metrics_sink=sink)
-        projected, _ = mca.project_store(store, model)
+        projected = model.transform(store.data)
         direct = run_fcm(ingest.partition(projected, 4), None, config, spec_for(4))
         assert routed.u.tobytes() == direct.u.tobytes()
         assert routed.v.tobytes() == direct.v.tobytes()
         assert routed.objective_trace == direct.objective_trace
         assert routed.iters_run == direct.iters_run
-        assert len(sink) == 1 + routed.iters_run  # one projection job, one job per iteration
+        assert len(sink) == routed.iters_run  # one job per iteration
 
     @pytest.mark.parametrize("p", [1, 4, 16])
     def test_duplicate_heavy_store_matches_reference_on_every_row(self, p):
@@ -606,7 +606,7 @@ class TestFewDistinctPoints:
                              metrics_sink=sink)
         assert result.u.shape == (2000, 3)
         assert np.abs(result.u.sum(axis=1) - 1.0).max() <= 1e-12
-        assert len(sink) == 1 + result.iters_run
+        assert len(sink) == result.iters_run
 
     def test_more_clusters_than_distinct_points_raises(self):
         store, model = self.store_and_model()

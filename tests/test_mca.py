@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mrfcm import ingest, mca
-from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 
 import reference
@@ -130,7 +129,7 @@ class TestProject:
         cards = [4, 2, 3, 3]
         codes = random_codes(rng, 180, cards)
         model, store = fit_from_codes(codes, cards, p=4)
-        coords, _ = mca.project_store(store, model)
+        coords = model.transform(store.data)
         assert np.abs(coords.mean(axis=0)).max() < 1e-8
         var = (coords ** 2).mean(axis=0)
         assert np.allclose(var, model.eigenvalues, atol=1e-8)
@@ -146,7 +145,7 @@ class TestProject:
                 codes = codes % 2  # ensure every category observed
                 cards = [2] * num_cols
             model, store = fit_from_codes(codes, cards)
-            projected, _ = mca.project_store(store, model)
+            projected = model.transform(store.data)
             oracle_coords, oracle_lam = reference.dense_ca_row_coords(
                 reference.indicator_of(codes, cards), num_cols)
             for s in range(model.dim):
@@ -159,7 +158,7 @@ class TestProject:
     def test_four_record_perfect_association_geometry(self):
         codes = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=np.int32)
         model, store = fit_from_codes(codes, [2, 2])
-        pts, _ = mca.project_store(store, model)
+        pts = model.transform(store.data)
         assert np.allclose(pts[0], pts[1]) and np.allclose(pts[2], pts[3])
         assert np.allclose(pts[0], -pts[2], atol=1e-12)
         oracle_coords, _ = reference.dense_ca_row_coords(
@@ -180,14 +179,11 @@ class TestProject:
         cards = [3, 4]
         codes = random_codes(rng, 101, cards)
         model, _ = fit_from_codes(codes, cards)
-        outs = []
+        whole = model.transform(codes)
         for p in (1, 7, 16):
             store = ingest.partition(codes, p)
-            projected, _ = mca.project_store(store, model,
-                                             JobSpec(p, 1, "proj"))
-            outs.append(projected)
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
+            blocks = [model.transform(store.block(i)) for i in range(p)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def _standardized(codes, cards):
