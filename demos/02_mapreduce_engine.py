@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from mrfcm import ingest
-from mrfcm.engine import JobSpec, run_job, set_parallelism
+from mrfcm.engine import JobSpec, run_job
 
 # ── 1. word count, the mandatory hello-world ────────────────────────────────
 tokens = np.array([[w] for w in [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]])
@@ -33,12 +33,13 @@ for mappers in (1, 2, 4):
     print(f"mappers={mappers}: counts={dict(results)}")
 print("same answer every time, as it must be\n")
 
-# ── 2. calls queue onto bounded workers ─────────────────────────────────────
+# ── 2. map calls queue onto bounded workers ─────────────────────────────────
 spec = JobSpec(num_mappers=150, num_reducers=75, job_name="big-deployment")
-workers, reducers = set_parallelism(spec)
-print(f"{spec.num_mappers} mappers: one map call per partition, at most {workers} "
-      f"at once ({os.cpu_count()} cores); {spec.num_reducers} reducers: one reduce "
-      f"call per key, at most {reducers} at once")
+cores = os.cpu_count() or 1
+print(f"{spec.num_mappers} mappers: one map call per partition, at most "
+      f"{min(spec.num_mappers, cores)} at once ({cores} cores); "
+      f"one reduce call per key, each in the calling thread, so the "
+      f"{spec.num_reducers} reducers only label the job\n")
 
 # ── 3. float reductions are order-stable ────────────────────────────────────
 rng = np.random.default_rng(0)

@@ -3,62 +3,49 @@
 The benchmark protocol: grow the row count in fixed steps (duplicating
 rows when the table runs out, so the largest step is reachable), run a
 fixed iteration budget per cell so timing measures throughput rather
-than convergence luck, and repeat per deployment.  This demo uses a
-scaled-down schedule; the real protocols are one flag away:
+than convergence luck, and repeat per deployment.  This demo runs that
+protocol through ``mrfcm bench`` on a scaled-down schedule; the real
+protocols differ only in their flags:
 
     mrfcm bench --input forest.csv --bench-sizes 100000,...,600000
     mrfcm bench --input wave.csv   --bench-sizes 200000,...,2000000
 
-Writes bench_demo.csv with gnuplot-friendly columns.
+Writes the table to bench_demo/table.csv and the timings to
+bench_demo/bench.csv, in gnuplot-friendly columns
+instances,mappers,reducers,seconds.
 """
 import os
-import time
 
-from mrfcm import datasets, ingest, mca
-from mrfcm.engine import JobSpec
-from mrfcm.fcm import FcmConfig, run_fcm
+from mrfcm import cli, datasets
 
 TOTAL_ROWS = 58_000           # stands in for 581,012
 SIZES = [10_000, 20_000, 30_000, 40_000, 50_000, 60_000]  # last one needs duplication
-DEPLOYMENTS = [(50, 25), (100, 50), (150, 75)]
-FIXED_ITERS = 10
+DEPLOYMENTS = ["50x25", "100x50", "150x75"]
+OUT_DIR = "bench_demo"
 
-rows = datasets.clustered_categorical_rows(TOTAL_ROWS, 10, num_clusters=3, seed=17)
-schema = ingest.infer_schema([f"a{j}" for j in range(10)], rows)
-full = ingest.discretize(rows, schema)
-print(f"table: {full.n} rows, J = {full.total_categories} categories")
+os.makedirs(OUT_DIR, exist_ok=True)
+table = datasets.write_csv(os.path.join(OUT_DIR, "table.csv"),
+                           datasets.clustered_categorical_rows(TOTAL_ROWS, 10, seed=17),
+                           header=[f"a{j}" for j in range(10)])
+print(f"table: {TOTAL_ROWS} rows x 10 columns in {table}")
 print(f"size schedule: {SIZES} (the last exceeds n, so rows get duplicated)\n")
 
-results = []
-for size in SIZES:
-    dataset = ingest.CategoricalDataset(full.schema, full.codes[:min(size, full.n)])
-    if size > dataset.n:
-        dataset = ingest.replicate_to_size(dataset, size, seed=1)
-    for mappers, reducers in DEPLOYMENTS:
-        store = ingest.partition(dataset, mappers)
-        spec = JobSpec(mappers, reducers, f"bench-{size}")
-        config = FcmConfig(c=3, seed=5, max_iters=FIXED_ITERS, fixed_iterations=True)
-        start = time.perf_counter()
-        margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, spec)
-        model = mca.fit_mca(margins, burt)
-        run_fcm(store, model, config, spec)
-        elapsed = time.perf_counter() - start
-        results.append((size, mappers, reducers, elapsed))
-        print(f"    {size:>7} rows  {mappers:>3} mappers / {reducers:>3} reducers: "
-              f"{elapsed:6.2f} s")
+code = cli.main(["bench", "--input", table, "--c", "3", "--seed", "5", "--fixed-iters", "10",
+                 "--bench-sizes", ",".join(map(str, SIZES)),
+                 "--bench-deployments", ",".join(DEPLOYMENTS), "--out-dir", OUT_DIR])
+if code != 0:
+    raise SystemExit(code)
 
-print(f"\n{'size':>8} | " + " | ".join(f"{m}x{r}" for m, r in DEPLOYMENTS))
-for size in SIZES:
-    cells = [t for s, m, r, t in results if s == size]
-    print(f"{size:>8} | " + " | ".join(f"{t:5.2f}" for t in cells))
+with open(os.path.join(OUT_DIR, "bench.csv"), encoding="utf-8") as fh:
+    rows = [line.strip().split(",") for line in fh.readlines()[1:]]
+seconds = {(int(size), f"{mappers}x{reducers}"): float(t) for size, mappers, reducers, t in rows}
 
-largest = [(s, t) for s, m, r, t in results if (m, r) == DEPLOYMENTS[-1]]
-halfway, full_load = dict(largest)[SIZES[2]], dict(largest)[SIZES[-1]]
-print(f"\nt(60k)/t(30k) at the widest deployment: {full_load / halfway:.2f} "
+print(f"\n{'size':>8} | " + " | ".join(DEPLOYMENTS))
+for size in SIZES:
+    print(f"{size:>8} | " + " | ".join(f"{seconds[size, d]:5.2f}" for d in DEPLOYMENTS))
+
+widest = DEPLOYMENTS[-1]
+ratio = seconds[SIZES[-1], widest] / seconds[SIZES[2], widest]
+print(f"\nt(60k)/t(30k) at the widest deployment: {ratio:.2f} "
       f"(near-linear growth; cores available: {os.cpu_count()})")
-
-with open("bench_demo.csv", "w", encoding="utf-8") as fh:
-    fh.write("instances,mappers,reducers,seconds\n")
-    for size, mappers, reducers, elapsed in results:
-        fh.write(f"{size},{mappers},{reducers},{elapsed:.6f}\n")
-print("wrote bench_demo.csv")
+print(f"wrote {os.path.join(OUT_DIR, 'bench.csv')}")

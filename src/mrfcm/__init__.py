@@ -9,7 +9,7 @@ then expanded back to every record.  A validity sweep scores candidate
 cluster counts with four indices and picks the consensus.
 """
 
-from .engine import JobMetrics, JobSpec, run_job, set_parallelism
+from .engine import JobMetrics, JobSpec, run_job
 from .errors import DataIOError, EngineError, MrfcmError, NumericError, SchemaError
 from .fcm import (FcmConfig, FcmResult, fcm_iteration, init_centroids, membership_row,
                   objective, run_fcm)
@@ -29,5 +29,5 @@ __all__ = [
     "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
     "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
     "partition", "pc", "pe", "replicate_to_size",
-    "run_fcm", "run_job", "sc", "schema_dump", "set_parallelism", "sweep", "xb",
+    "run_fcm", "run_job", "sc", "schema_dump", "sweep", "xb",
 ]

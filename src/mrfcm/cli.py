@@ -73,9 +73,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.c_min > args.c_max:
-        print("sweep: --c-min must not exceed --c-max", file=sys.stderr)
-        return 2
     _, store, model, _ = _encode_and_fit(args)
     spec = JobSpec(args.mappers, args.reducers, "sweep")
     config = FcmConfig(c=2, m=args.m, epsilon=args.epsilon,
@@ -88,10 +85,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.bench_sizes != sorted(args.bench_sizes):
-        print("bench: --bench-sizes must be ascending", file=sys.stderr)
-        return 2
-
     # First-appearance codes make each size's prefix of the table exact.
     names, columns = ingest.read_table(args.input, has_header=args.header,
                                        delimiter=args.delimiter)
@@ -231,8 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args):
+    """The message of a usage error that argparse cannot see, or None."""
+    if args.command == "sweep" and args.c_min > args.c_max:
+        return "sweep: --c-min must not exceed --c-max"
+    if args.command == "bench" and args.bench_sizes != sorted(args.bench_sizes):
+        return "bench: --bench-sizes must be ascending"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error = _usage_error(args)
+    if error:  # checked before any file of an earlier run is removed
+        print(error, file=sys.stderr)
+        return 2
     try:
         _make_out_dir(args.out_dir)
         for name in args.outputs:  # no file of an earlier run survives a failed one

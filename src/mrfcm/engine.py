@@ -1,13 +1,15 @@
 """A small deterministic map-shuffle-reduce runtime.
 
 Jobs run over a PartitionedStore with an immutable broadcast context.
-Each partition is one map call and each key one reduce call.  The calls
-queue onto a worker pool of at most ``num_mappers`` (``num_reducers``)
-threads, capped by the core count, so deployments with many more mappers
-than cores behave like their cluster counterparts.  A job whose mappers
-average fewer than ``INLINE_ROWS_PER_TASK`` rows runs both phases in the
-calling thread instead: blocks that small cost a pool more CPU than it
-saves in wall time.
+Each partition is one map call and each key one reduce call.  The map
+calls queue onto a pool of at most ``num_mappers`` threads, capped by the
+core count, so deployments with many more mappers than cores behave like
+their cluster counterparts.  A job whose mappers average fewer than
+``INLINE_ROWS_PER_TASK`` rows maps in the calling thread instead: blocks
+that small cost a pool more CPU than it saves in wall time.  The reduce
+calls always run in the calling thread, in ascending key order; every job
+of the pipeline emits one key, so a reduce pool would never run two calls
+at once, and ``num_reducers`` only labels the job in its metrics.
 
 The shuffle walks map output in ascending partition order, so every
 key's values arrive ordered by (origin partition, emission order) with
@@ -56,7 +58,6 @@ class JobMetrics:
     shuffle_wall_time: float = 0.0
     reduce_wall_time: float = 0.0
     records_in: int = 0
-    records_out: int = 0
 
     @property
     def total_time(self) -> float:
@@ -71,22 +72,24 @@ class JobMetrics:
 METRICS_HEADER = "job_name,num_mappers,num_reducers,map_s,shuffle_s,reduce_s,total_s"
 
 
-def set_parallelism(spec: JobSpec) -> tuple[int, int]:
-    """Effective concurrent (map, reduce) worker counts: the spec's
-    mapper and reducer counts, each capped by ``os.cpu_count()``.  Every
-    partition is still one map call and every key one reduce call.
-    """
-    cores = os.cpu_count() or 1
-    return min(spec.num_mappers, cores), min(spec.num_reducers, cores)
+def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable) -> list:
+    """Every partition's map output as a list, in partition order.  The
+    calls run in the calling thread when the mappers average fewer than
+    ``INLINE_ROWS_PER_TASK`` rows, else on at most min(num_mappers, cores)
+    threads."""
+    def run_map(pid):
+        try:
+            return list(map_fn(pid, store.block(pid), broadcast))
+        except Exception as exc:
+            raise EngineError(f"{spec.job_name}: map failed on partition {pid}: {exc}") from exc
 
-
-def _run_tasks(fn, items, workers):
-    """fn applied to every item on up to ``workers`` threads, results in
-    item order."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+    pids = range(store.num_partitions)
+    mappers = min(spec.num_mappers, store.num_partitions)
+    workers = min(mappers, os.cpu_count() or 1)
+    if workers <= 1 or store.n < INLINE_ROWS_PER_TASK * mappers:
+        return [run_map(pid) for pid in pids]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(run_map, pids))
 
 
 def sum_reduce(key, values):
@@ -110,19 +113,9 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
     (sorted list of (key, reduced_value), JobMetrics).  Output does not
     depend on worker scheduling.
     """
-    map_workers, reduce_workers = set_parallelism(spec)
     metrics = JobMetrics(spec.job_name, spec.num_mappers, spec.num_reducers)
-    if store.n < INLINE_ROWS_PER_TASK * min(spec.num_mappers, store.num_partitions):
-        map_workers = reduce_workers = 1
-
-    def run_map(pid):
-        try:
-            return list(map_fn(pid, store.block(pid), broadcast))
-        except Exception as exc:
-            raise EngineError(f"{spec.job_name}: map failed on partition {pid}: {exc}") from exc
-
     t0 = time.perf_counter()
-    map_outputs = _run_tasks(run_map, range(store.num_partitions), map_workers)
+    map_outputs = _map_all(spec, store, broadcast, map_fn)
     metrics.map_wall_time = time.perf_counter() - t0
 
     # Shuffle: walking partitions in ascending order appends each key's
@@ -139,14 +132,12 @@ def run_job(spec: JobSpec, store: PartitionedStore, broadcast,
         raise EngineError(f"{spec.job_name}: emitted keys are not totally ordered: {exc}") from exc
     metrics.shuffle_wall_time = time.perf_counter() - t0
 
-    def run_reduce(key):
+    t0 = time.perf_counter()
+    results = []
+    for key in keys:
         try:
-            return key, reduce_fn(key, groups[key])
+            results.append((key, reduce_fn(key, groups[key])))
         except Exception as exc:
             raise EngineError(f"{spec.job_name}: reduce failed on key {key!r}: {exc}") from exc
-
-    t0 = time.perf_counter()
-    results = _run_tasks(run_reduce, keys, reduce_workers)
     metrics.reduce_wall_time = time.perf_counter() - t0
-    metrics.records_out = len(results)
     return results, metrics

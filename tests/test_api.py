@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
     "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
     "partition", "pc", "pe", "replicate_to_size",
-    "run_fcm", "run_job", "sc", "schema_dump", "set_parallelism", "sweep", "xb",
+    "run_fcm", "run_job", "sc", "schema_dump", "sweep", "xb",
 ]
 
 

@@ -3,8 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from mrfcm import datasets, fcm, ingest, mca
-from mrfcm.cli import main
+from mrfcm import datasets, engine, fcm, ingest, mca
+from mrfcm.cli import build_parser, main
 from mrfcm.engine import JobSpec
 
 
@@ -330,10 +330,18 @@ def test_output_file_that_cannot_be_written_exits_3(mm_csv, tmp_path, capsys, co
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("block_rows", [fcm.POINT_BLOCK_ROWS, 50])
-def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, block_rows):
+@pytest.mark.parametrize("block_rows, inline_rows", [
+    pytest.param(fcm.POINT_BLOCK_ROWS, engine.INLINE_ROWS_PER_TASK, id=str(fcm.POINT_BLOCK_ROWS)),
+    pytest.param(50, engine.INLINE_ROWS_PER_TASK, id="50"),
+    # Every job with more than one partition maps on the worker pool.
+    pytest.param(fcm.POINT_BLOCK_ROWS, 0, id=f"{fcm.POINT_BLOCK_ROWS}-pooled"),
+    pytest.param(50, 0, id="50-pooled"),
+])
+def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, block_rows,
+                                              inline_rows):
     """The byte-stable files do not depend on --mappers or --reducers."""
     monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
 
     def outputs(command, extra, names, deployment):
         mappers, reducers = deployment
@@ -349,7 +357,7 @@ def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, blo
     assert all(other == clusters[0] for other in clusters[1:])
     sweeps = [outputs("sweep", ["--c-min", "2", "--c-max", "5"],
                       ["validity.csv", "validity_plot.dat"], deployment)
-              for deployment in [(2, 1), (16, 1), (7, 3)]]
+              for deployment in [(1, 1), (2, 1), (16, 1), (7, 3)]]
     assert all(other == sweeps[0] for other in sweeps[1:])
 
 
@@ -372,3 +380,32 @@ def test_failed_run_leaves_no_file_of_its_own(mm_csv, tmp_path, capsys, command,
     assert (out / blocked).is_dir()
     left = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
     assert all(before[name] == data for name, data in left.items())
+
+
+@pytest.mark.parametrize("command, first, second, message", [
+    ("sweep", ["--c-min", "2", "--c-max", "3"], ["--c-min", "5", "--c-max", "3"],
+     "sweep: --c-min must not exceed --c-max"),
+    ("bench", ["--bench-sizes", "500,900", "--bench-deployments", "1x1"],
+     ["--bench-sizes", "900,500", "--bench-deployments", "1x1"],
+     "bench: --bench-sizes must be ascending"),
+], ids=["sweep", "bench"])
+def test_usage_error_leaves_earlier_outputs(mm_csv, tmp_path, capsys, command, first, second,
+                                            message):
+    """A usage error found after parsing removes no file of an earlier run."""
+    out = tmp_path / "o"
+    assert run(command, "--input", mm_csv, *first, "--out-dir", str(out)) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert run(command, "--input", mm_csv, *second, "--out-dir", str(out)) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_run_writes_exactly_its_declared_outputs(mm_csv, tmp_path, command):
+    """Each subcommand names its output files once: the list that a run
+    clears first is the list of files that it writes."""
+    out = tmp_path / "o"
+    argv = [command, "--input", mm_csv, *COMMAND_ARGS[command], "--out-dir", str(out)]
+    assert run(*argv) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        build_parser().parse_args(argv).outputs)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrfcm import engine, ingest
-from mrfcm.engine import JobSpec, run_job, set_parallelism
+from mrfcm.engine import JobSpec, run_job
 from mrfcm.errors import EngineError
 
 
@@ -49,7 +49,7 @@ class TestRunJob:
         results, metrics = run_job(JobSpec(1, 1, "empty"), store, None,
                                    count_map, sum_reduce)
         assert results == []
-        assert metrics.records_in == 0 and metrics.records_out == 0
+        assert metrics.records_in == 0
 
     def test_value_order_is_origin_then_emission(self):
         def emit_two(pid, block, broadcast):
@@ -90,7 +90,6 @@ class TestRunJob:
         results, metrics = run_job(JobSpec(3, 2, "wc"), store, None, count_map, sum_reduce)
         assert sum(count for _, count in results) == len(tokens)
         assert metrics.records_in == len(tokens)
-        assert metrics.records_out == 10
 
     def test_map_failure_names_partition(self):
         def bad_map(pid, block, broadcast):
@@ -179,7 +178,7 @@ class TestPooledPath:
         with pytest.raises(EngineError, match="partition 5"):
             run_job(JobSpec(8, 2, "bad"), store, None, bad_map, sum_reduce)
 
-    @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2)])
+    @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2), (150, 8)])
     def test_map_concurrency_is_capped(self, pooled, monkeypatch, mappers, cores):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         lock = threading.Lock()
@@ -197,10 +196,36 @@ class TestPooledPath:
                 running -= 1
             yield pid, 1
 
-        run_job(JobSpec(mappers, 1, "cap"), token_store(range(32), 8), None,
+        run_job(JobSpec(mappers, 1, "cap"), token_store(range(64), 16), None,
                 slow_map, sum_reduce)
         assert threading.current_thread() not in threads  # the pool ran the maps
         assert peak <= min(mappers, cores)
+
+    def test_single_mapper_runs_in_calling_thread(self, pooled, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        threads = set()
+
+        def record(pid, block, broadcast):
+            threads.add(threading.current_thread())
+            yield pid, 1
+
+        run_job(JobSpec(1, 1, "serial"), token_store(range(32), 8), None, record, sum_reduce)
+        assert threads == {threading.current_thread()}
+
+    def test_reduce_calls_run_in_calling_thread_in_key_order(self, pooled, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        calls = []
+
+        def record(key, values):
+            calls.append((key, threading.current_thread()))
+            return sum(values)
+
+        tokens = list(range(20, 0, -1)) * 3
+        results, _ = run_job(JobSpec(8, 4, "keys"), token_store(tokens, 8), None,
+                             count_map, record)
+        assert [key for key, _ in calls] == list(range(1, 21))
+        assert {thread for _, thread in calls} == {threading.current_thread()}
+        assert dict(results) == {key: 3 for key in range(1, 21)}
 
     def test_no_threads_leak_across_jobs(self, pooled, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -214,17 +239,7 @@ class TestPooledPath:
         assert threading.active_count() <= before
 
 
-class TestSetParallelism:
-    def test_tasks_queue_onto_workers(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        workers, _ = set_parallelism(JobSpec(150, 75, "x"))
-        assert workers == 8
-
-    def test_single_mapper_serial(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        workers, _ = set_parallelism(JobSpec(1, 1, "x"))
-        assert workers == 1
-
+class TestJobSpec:
     def test_zero_mappers_rejected(self):
         with pytest.raises(EngineError):
             JobSpec(0, 1, "x")

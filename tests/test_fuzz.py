@@ -8,20 +8,22 @@ end it in 2.  A run that succeeds must write membership rows that sum to 1
 with no NaN, and must rerun byte for byte.  Case ``i`` is drawn from
 ``random.Random(i)``, so a failing id names the input that reproduces it.
 """
+import argparse
 import random
 
 import numpy as np
 import pytest
 
-from mrfcm.cli import main
+from mrfcm.cli import build_parser, main
 from mrfcm.ingest import MISSING_TOKENS
 
 CASES = 160
 EXIT_CODES = {0, 2, 3, 4, 5}
-OUTPUTS = {"cluster": ["memberships.csv", "centroids.csv", "trace.csv", "jobs.csv"],
-           "sweep": ["validity.csv", "validity_plot.dat"],
-           "bench": ["bench.csv"],
-           "mca-info": ["schema.txt", "axes.csv", "loadings.csv"]}
+# The files each subcommand writes, as the CLI declares them.
+OUTPUTS = {command: subparser.get_default("outputs")
+           for action in build_parser()._actions
+           if isinstance(action, argparse._SubParsersAction)
+           for command, subparser in action.choices.items()}
 NON_FINITE = ["inf", "-inf", "Infinity", "-Infinity", "nan", "NAN", "1e309", "-1e308", "1e308"]
 
 # The flag groups of the CLI, each with its extreme and invalid values.
