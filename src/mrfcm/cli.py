@@ -1,8 +1,11 @@
 """Command-line surface: cluster, sweep, bench, and mca-info subcommands.
 
-All numeric output files are written with full-precision decimal
-formatting, so a rerun with the same configuration and seed reproduces
-them byte for byte.
+``main`` owns the output directory: it makes ``--out-dir``, removes the
+earlier run's files of the subcommand's declared ``outputs``, and hands
+their paths to the subcommand, which writes each one and joins no path.
+A failure to make or write any of them exits 3.  All numeric output
+files are written with full-precision decimal formatting, so a rerun
+with the same configuration and seed reproduces them byte for byte.
 """
 from __future__ import annotations
 
@@ -17,13 +20,6 @@ from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
 from .errors import DataIOError, MrfcmError
 from .fcm import FcmConfig, run_fcm
-
-
-def _make_out_dir(path):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise DataIOError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _write_matrix(path, rows, inverse=None):
@@ -52,44 +48,43 @@ def _encode_and_fit(args):
     return dataset, store, mca.fit_mca(margins, burt, mca_dims=args.mca_dims), metrics
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> int:
     dataset, store, model, burt_metrics = _encode_and_fit(args)
     metrics_sink = [burt_metrics]
     spec = JobSpec(args.mappers, args.reducers, "fcm")
     config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
     result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink)
-    _write_matrix(os.path.join(args.out_dir, "memberships.csv"), result.distinct_u, result.inverse)
-    _write_matrix(os.path.join(args.out_dir, "centroids.csv"), result.v)
-    with open(os.path.join(args.out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
+    _write_matrix(memberships_csv, result.distinct_u, result.inverse)
+    _write_matrix(centroids_csv, result.v)
+    with open(trace_csv, "w", encoding="utf-8") as fh:
         fh.write("iter,jm,max_delta_u\n")
         for i, (jm, delta) in enumerate(zip(result.objective_trace, result.max_delta_trace), 1):
             fh.write(f"{i},{jm:.17g},{delta:.17g}\n")
-    _write_metrics(os.path.join(args.out_dir, "jobs.csv"), metrics_sink)
+    _write_metrics(jobs_csv, metrics_sink)
     status = "converged" if result.converged else f"stopped at max_iters={args.max_iters}"
     print(f"cluster: n={dataset.n} distinct={len(result.distinct_u)} c={args.c} "
           f"iters={result.iters_run} ({status})")
     return 0
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, validity_csv, validity_plot_dat) -> int:
     _, store, model, _ = _encode_and_fit(args)
     spec = JobSpec(args.mappers, args.reducers, "sweep")
     config = FcmConfig(c=2, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
     report = validity.sweep(store, model, args.c_min, args.c_max, config, spec)
-    validity.write_validity_csv(report, os.path.join(args.out_dir, "validity.csv"))
-    validity.write_plot_data(report, os.path.join(args.out_dir, "validity_plot.dat"))
+    validity.write_validity_csv(report, validity_csv)
+    validity.write_plot_data(report, validity_plot_dat)
     print(f"sweep: consensus_c={report.consensus_c} best_per_index={report.best_per_index}")
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, bench_csv) -> int:
     # First-appearance codes make each size's prefix of the table exact.
     names, columns = ingest.read_table(args.input, has_header=args.header,
                                        delimiter=args.delimiter)
-    out_path = os.path.join(args.out_dir, "bench.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with open(bench_csv, "w", encoding="utf-8") as fh:
         fh.write("instances,mappers,reducers,seconds\n")
         for size in args.bench_sizes:
             dataset = ingest.encode_table(names, [column.prefix(size) for column in columns],
@@ -113,12 +108,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_mca_info(args) -> int:
+def cmd_mca_info(args, schema_txt, axes_csv, loadings_csv) -> int:
     dataset, _, model, _ = _encode_and_fit(args)
-    with open(os.path.join(args.out_dir, "schema.txt"), "w", encoding="utf-8") as fh:
+    with open(schema_txt, "w", encoding="utf-8") as fh:
         fh.write(ingest.schema_dump(dataset))
-    mca.write_model_dump(model, os.path.join(args.out_dir, "axes.csv"),
-                         os.path.join(args.out_dir, "loadings.csv"))
+    with open(axes_csv, "w", encoding="utf-8") as fh:
+        fh.write("axis_index,eigenvalue,inertia_fraction\n")
+        for s in range(model.dim):
+            fh.write(f"{s},{model.eigenvalues[s]:.17g},{model.inertia_fractions[s]:.17g}\n")
+    _write_matrix(loadings_csv, model.loadings)
     print(f"mca-info: n={dataset.n} columns={dataset.num_columns} "
           f"categories={dataset.total_categories} axes={model.dim} "
           f"inertia={model.total_inertia:.6g}")
@@ -240,15 +238,16 @@ def main(argv=None) -> int:
         print(error, file=sys.stderr)
         return 2
     try:
-        _make_out_dir(args.out_dir)
-        for name in args.outputs:  # no file of an earlier run survives a failed one
+        os.makedirs(args.out_dir, exist_ok=True)
+        paths = [os.path.join(args.out_dir, name) for name in args.outputs]
+        for path in paths:  # no file of an earlier run survives a failed one
             with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(args.out_dir, name))
-        return args.fn(args)
+                os.remove(path)
+        return args.fn(args, *paths)
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:  # inputs raise DataIOError, so this is an output file
+    except OSError as exc:  # inputs raise DataIOError, so this is an output path
         print(f"DataIOError: cannot write output: {exc}", file=sys.stderr)
         return DataIOError.exit_code
 

@@ -272,6 +272,14 @@ def _schema(names, columns) -> list[ColumnSpec]:
     return schema
 
 
+def _width(rows, width):
+    """``width``, once every row is known to hold that many cells."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError(f"row {i}: expected {width} cells, got {len(row)}")
+    return width
+
+
 def infer_schema(names, rows):
     """Classify each column as numeric or categorical.
 
@@ -279,12 +287,12 @@ def infer_schema(names, rows):
     cells parse as reals AND it has more than ``MAX_CARD`` distinct cell
     strings; otherwise it is categorical with labels in first-appearance
     order.  Cells are compared stripped of surrounding whitespace, as
-    ``load_csv`` returns them.  Raises SchemaError if a column has no
-    non-missing cells.
+    ``load_csv`` returns them.  Raises SchemaError if a row does not hold
+    one cell per name, or a column has no non-missing cells.
     """
     if not rows:
         raise SchemaError("empty table")
-    return _schema(names, _encode(len(rows[0]), [rows]))
+    return _schema(names, _encode(_width(rows, len(names)), [rows]))
 
 
 def _discretize(schema, columns, bins) -> CategoricalDataset:
@@ -308,8 +316,7 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
             raw = np.searchsorted(inner, column.values[ok], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
-            occupied = np.unique(raw)
-            raw = np.searchsorted(occupied, raw)
+            occupied, raw = np.unique(raw, return_inverse=True)
             edges = np.concatenate(([-np.inf], inner[occupied[:-1]], [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
             lut = np.full(len(column.labels), len(occupied), dtype=np.int32)
@@ -348,8 +355,9 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
     whitespace first, as ``load_csv`` returns them.  Columns that end up
     with fewer than two categories are dropped with a warning, since they
     carry no signal and would make the category-mass matrix singular.
+    A row that does not hold one cell per schema column raises SchemaError.
     """
-    return _discretize(schema, _encode(len(schema), [rows]), bins)
+    return _discretize(schema, _encode(_width(rows, len(schema)), [rows]), bins)
 
 
 def encode_table(names, columns, bins: int = 4) -> CategoricalDataset:

@@ -170,12 +170,3 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
 
     total_inertia = len(counts) / num_cols - 1.0
     return MCAModel(margins, eigvals[:kept], loadings, total_inertia)
-
-
-def write_model_dump(model: MCAModel, axes_path, loadings_path):
-    """Audit dump: one line per axis, plus the loading matrix as CSV."""
-    with open(axes_path, "w", encoding="utf-8") as fh:
-        fh.write("axis_index,eigenvalue,inertia_fraction\n")
-        for s in range(model.dim):
-            fh.write(f"{s},{model.eigenvalues[s]:.17g},{model.inertia_fractions[s]:.17g}\n")
-    np.savetxt(loadings_path, model.loadings, delimiter=",", fmt="%.17g")

@@ -123,8 +123,6 @@ def _vote(rows) -> tuple[dict, int]:
         tally[winner] = tally.get(winner, 0) + 1
     top = max(tally.values())
     tied = sorted(c for c, votes in tally.items() if votes == top)
-    if len(tied) == 1:
-        return best, tied[0]
     xb_of = {r.c: r.xb for r in usable}
     return best, min(tied, key=lambda c: (xb_of[c], c))
 

@@ -32,4 +32,4 @@ def test_mca_functions_hold_no_projection_job():
     functions = [name for name, value in vars(mca).items()
                  if inspect.isfunction(value) and value.__module__ == mca.__name__
                  and not name.startswith("_")]
-    assert functions == ["accumulate_burt", "fit_mca", "write_model_dump"]
+    assert functions == ["accumulate_burt", "fit_mca"]

@@ -195,6 +195,25 @@ class TestMcaInfo:
         assert loadings.shape[1] == len(eigs)
         assert "axes=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dims", [8, 1])
+    def test_files_match_savetxt_of_the_fitted_model(self, mm_csv, tmp_path, dims):
+        out = tmp_path / "out"
+        assert run("mca-info", "--input", mm_csv, "--mca-dims", str(dims),
+                   "--out-dir", str(out)) == 0
+        dataset = ingest.encode_csv(mm_csv)
+        store = ingest.partition(dataset, 4)
+        margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, JobSpec(4, 2, "b"))
+        model = mca.fit_mca(margins, burt, mca_dims=dims)
+        assert model.loadings.shape == (dataset.total_categories, dims)  # (J, 1) at dims=1
+        want = io.BytesIO()
+        np.savetxt(want, model.loadings, fmt="%.17g", delimiter=",")
+        assert (out / "loadings.csv").read_bytes() == want.getvalue()
+        axes = [f"{s},{eigenvalue:.17g},{fraction:.17g}"
+                for s, (eigenvalue, fraction)
+                in enumerate(zip(model.eigenvalues, model.inertia_fractions))]
+        assert (out / "axes.csv").read_text().split("\n") == [
+            "axis_index,eigenvalue,inertia_fraction", *axes, ""]
+
 
 @pytest.mark.parametrize("dims", ["-1", "0"])
 @pytest.mark.parametrize("command, extra", [("cluster", ["--c", "2"]),
@@ -314,7 +333,8 @@ def test_out_dir_that_cannot_be_made_exits_3(mm_csv, tmp_path, capsys, command, 
     code = run(command, "--input", mm_csv, *COMMAND_ARGS[command],
                "--out-dir", str(tmp_path / out_dir))
     assert code == 3
-    assert "DataIOError: cannot create output directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("DataIOError: cannot write output:") and str(tmp_path / out_dir) in err
 
 
 @pytest.mark.parametrize("command, blocked", [

@@ -94,6 +94,15 @@ class TestInferSchema:
         schema = ingest.infer_schema(["c0"], rows)
         assert schema[0].categories == ["z", "a", "m"]
 
+    @pytest.mark.parametrize("names, rows, message", [
+        (["a", "b"], [["1", "2"], ["3"]], "row 1: expected 2 cells, got 1"),
+        (["a", "b"], [["1"], ["3", "4"]], "row 0: expected 2 cells, got 1"),
+        (["a"], [["1", "2"], ["3", "4"]], "row 0: expected 1 cells, got 2"),
+    ], ids=["short-later-row", "short-first-row", "more-cells-than-names"])
+    def test_row_width_must_match_names(self, names, rows, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            ingest.infer_schema(names, rows)
+
 
 class TestDiscretize:
     def test_median_split(self):
@@ -112,6 +121,12 @@ class TestDiscretize:
         schema = [ingest.ColumnSpec("x", "numeric")]
         ds = ingest.discretize(rows, schema, bins=2)
         assert ds.codes[:, 0].tolist() == [0, 0, 1, 1]
+
+    def test_row_width_must_match_schema(self):
+        schema = [ingest.ColumnSpec("x", "categorical", categories=["a", "b"]),
+                  ingest.ColumnSpec("y", "categorical", categories=["a", "b"])]
+        with pytest.raises(SchemaError, match="^row 0: expected 2 cells, got 1$"):
+            ingest.discretize([["a"], ["b"]], schema)
 
     def test_constant_numeric_column_dropped(self):
         rows = [["7", "a"], ["7", "b"], ["7", "a"]]
