@@ -97,6 +97,12 @@ def init_centroids(data, c: int, seed: int) -> np.ndarray:
     """
     coords = np.asarray(data, dtype=float)
     first, _, _ = _distinct_rows(coords)
+    return _draw_centroids(coords, first, c, seed)
+
+
+def _draw_centroids(coords, first, c, seed):
+    """init_centroids' seeded draw among the rows ``first`` of ``coords``,
+    the first positions of its distinct rows."""
     if len(first) < c:
         raise NumericError(f"need {c} distinct points to seed centroids, have {len(first)}")
     rng = np.random.default_rng(seed)
@@ -243,33 +249,37 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     memberships and the row -> record index, and its ``u`` has one row
     per row of ``store``.
     """
-    points, weights, inverse = _coordinates(store, model)
-    result = _cluster(points, weights, config, spec, metrics_sink)
+    points, weights, seeds, inverse = _coordinates(store, model)
+    result = _cluster(points, weights, seeds, config, spec, metrics_sink)
     result.inverse = inverse
     return result
 
 
 def _coordinates(store, model):
-    """(points, weights, inverse): the distinct records of ``store`` as a
-    float store in first-appearance order, how often each occurs, and the
-    row -> point index, so that ``u[inverse]`` has one row per record.
+    """(points, weights, seeds, inverse): the distinct records of ``store``
+    as a float store in first-appearance order, how often each occurs, the
+    first positions of the distinct point values, and the row -> point
+    index, so that ``u[inverse]`` has one row per record.
 
     Codes are deduplicated first, and only the distinct records are
-    projected; float rows are deduplicated by value.  The k points go into
-    ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever partitions
-    ``store`` had.  Points in first-appearance order give init_centroids
-    the same picks as every row would.
+    projected; float rows are deduplicated by value.  Two records can
+    project to one point, so the seeds come from a second dedup on the
+    points, found here once for every candidate of a sweep.  The k points
+    go into ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever
+    partitions ``store`` had.  Points in first-appearance order give
+    init_centroids the same picks as every row would.
     """
     data = np.asarray(store.data, dtype=float) if model is None else store.data
     first, weights, inverse = _distinct_rows(data)
     points = data[first] if model is None else model.transform(data[first])
+    seeds, _, _ = _distinct_rows(points)
     points = partition(points, -(-len(first) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.square(np.ptp(points.data, axis=0)).sum() * weights.sum()):
             raise NumericError("input holds non-finite values, or squared distances overflow")
-    return points, weights, inverse
+    return points, weights, seeds, inverse
 
 
 def _distinct_rows(array):
@@ -287,9 +297,10 @@ def _distinct_rows(array):
     return first[order], counts[order].astype(float), rank[inverse]
 
 
-def _cluster(store, weights, config, spec, metrics_sink=None):
-    """The driver loop of run_fcm over a store of distinct float points."""
-    centroids = init_centroids(store.data, config.c, config.seed)
+def _cluster(store, weights, seeds, config, spec, metrics_sink=None):
+    """The driver loop of run_fcm over a store of distinct float points,
+    seeded among the rows ``seeds`` (see ``_coordinates``)."""
+    centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
     result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
     u_prev = None
     for iteration in range(1, config.max_iters + 1):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, run_job, sum_reduce
+from .engine import JobSpec, _one_blas_thread, run_job, sum_reduce
 from .errors import NumericError
 from .ingest import PartitionedStore
 
@@ -137,6 +137,11 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
     Axes are kept while their inertia exceeds the 1/Q noise floor, capped
     at ``mca_dims``; if nothing clears the floor the single leading axis
     is kept so downstream clustering always has coordinates to work with.
+
+    The eigensolve runs with OpenBLAS on one thread (``engine``'s
+    ``_one_blas_thread``), and the caller's thread count is restored
+    afterwards: at J of 30 and more a threaded ``eigh`` leaves a worker
+    spinning on another core for longer than the solve takes.
     """
     if mca_dims < 1:
         raise NumericError(f"mca_dims must be >= 1, got {mca_dims}")
@@ -150,7 +155,8 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
     inv_sqrt = 1.0 / np.sqrt(masses)
     residual = burt / (n * num_cols ** 2) - np.outer(masses, masses)
     sym = residual * np.outer(inv_sqrt, inv_sqrt)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    with _one_blas_thread:
+        eigvals, eigvecs = np.linalg.eigh(sym)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     if eigvals[-1] < -1e-10 or eigvals[0] > 1.0 + 1e-10:

@@ -143,13 +143,13 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
 
     # The distinct points do not depend on c: find and project them once,
     # then cluster and score every candidate on them, weighted by count.
-    points, weights, _ = _coordinates(store, model)
+    points, weights, seeds, _ = _coordinates(store, model)
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
-            result = _cluster(points, weights, run_cfg, spec)
+            result = _cluster(points, weights, seeds, run_cfg, spec)
             u = result.distinct_u
             row = ValidityRow(
                 c=c,

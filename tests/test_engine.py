@@ -1,4 +1,6 @@
+import contextlib
 import os
+import sys
 import threading
 import time
 
@@ -227,6 +229,31 @@ class TestPooledPath:
         assert {thread for _, thread in calls} == {threading.current_thread()}
         assert dict(results) == {key: 3 for key in range(1, 21)}
 
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_maps_run_on_one_blas_thread(self, pooled, monkeypatch, fail):
+        get, set_ = real_blas_calls()
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        seen = []
+
+        def record(pid, block, broadcast):
+            seen.append((get(), threading.current_thread()))
+            if fail and pid == 3:
+                raise ValueError("boom")
+            yield pid, 1
+
+        original = get()
+        set_(2)
+        try:
+            with pytest.raises(EngineError) if fail else contextlib.nullcontext():
+                run_job(JobSpec(8, 2, "blas"), token_store(range(32), 8), None,
+                        record, sum_reduce)
+            after = get()
+        finally:
+            set_(original)
+        assert seen and {count for count, _ in seen} == {1}
+        assert threading.current_thread() not in {thread for _, thread in seen}
+        assert after == 2
+
     def test_no_threads_leak_across_jobs(self, pooled, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         store = token_store(list(range(64)), 8)
@@ -237,6 +264,71 @@ class TestPooledPath:
             results, _ = run_job(spec, store, None, count_map, sum_reduce)
             assert results == expected
         assert threading.active_count() <= before
+
+
+def real_blas_calls():
+    calls = engine._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count setter")
+    return calls
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    """A thread-count setter over a Python int, so the scope logic runs on any BLAS."""
+    count = [4]
+
+    def set_(n):
+        count[0] = n
+
+    monkeypatch.setattr(engine, "_blas_thread_calls", lambda: (lambda: count[0], set_))
+    return count
+
+
+class TestOneBlasThread:
+    def test_nested_scopes_restore_at_outermost_exit(self, fake_blas):
+        with engine._one_blas_thread:
+            assert fake_blas[0] == 1
+            with engine._one_blas_thread:
+                assert fake_blas[0] == 1
+            assert fake_blas[0] == 1
+        assert fake_blas[0] == 4
+
+    def test_concurrent_scopes_restore_once_all_exit(self, fake_blas):
+        inside = []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=10)
+            for _ in range(200):
+                with engine._one_blas_thread:
+                    inside.append(fake_blas[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside == [1] * 1600
+        assert fake_blas[0] == 4
+
+    def test_no_setter_gives_bitwise_equal_results(self, pooled, monkeypatch):
+        def gram(pid, block, broadcast):
+            yield 0, block.T @ block
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        store = ingest.partition(np.random.default_rng(5).normal(size=(40000, 50)), 16)
+        spec = JobSpec(4, 2, "gram")
+        (expected,), _ = run_job(spec, store, None, gram, add_arrays)
+        monkeypatch.setattr(engine, "_blas_thread_calls", lambda: None)
+        (results,), _ = run_job(spec, store, None, gram, add_arrays)
+        assert results[1].tobytes() == expected[1].tobytes()
 
 
 class TestJobSpec:

@@ -1,7 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
-from mrfcm import ingest, mca
+from mrfcm import datasets, engine, ingest, mca
 from mrfcm.errors import NumericError
 
 import reference
@@ -184,6 +186,39 @@ class TestProject:
             store = ingest.partition(codes, p)
             blocks = [model.transform(store.block(i)) for i in range(p)]
             assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def wide(self):
+        """Margins and Burt matrix of a table with J = 40 categories: a
+        threaded eigh at J >= 30 wakes an OpenBLAS worker."""
+        rows = datasets.clustered_categorical_rows(3000, 8, num_clusters=3, cardinality=5,
+                                                   seed=1)
+        dataset = ingest.discretize(rows, ingest.infer_schema([f"q{i}" for i in range(8)], rows))
+        margins, burt, _ = mca.accumulate_burt(ingest.partition(dataset.codes, 1),
+                                               dataset.cardinalities)
+        assert len(margins.counts) >= 30
+        return margins, burt
+
+    def test_fit_leaves_no_blas_worker_spinning(self, wide):
+        if engine._blas_thread_calls() is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count setter")
+        time.sleep(0.3)  # a worker woken by an earlier test goes idle
+        process, thread = time.process_time(), time.thread_time()
+        mca.fit_mca(*wide)
+        end = time.perf_counter() + 0.2
+        while time.perf_counter() < end:
+            pass
+        other_threads = (time.process_time() - process) - (time.thread_time() - thread)
+        assert other_threads < 0.02
+
+    def test_no_setter_gives_bitwise_equal_fit(self, wide, monkeypatch):
+        expected = mca.fit_mca(*wide)
+        monkeypatch.setattr(engine, "_blas_thread_calls", lambda: None)
+        model = mca.fit_mca(*wide)
+        assert model.eigenvalues.tobytes() == expected.eigenvalues.tobytes()
+        assert model.loadings.tobytes() == expected.loadings.tobytes()
 
 
 def _standardized(codes, cards):
