@@ -32,6 +32,7 @@ membership matrix stops moving.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,17 +285,33 @@ def _coordinates(store, model):
 
 def _distinct_rows(array):
     """(first position, count, row -> distinct index) of a 2-D array's
-    distinct rows, in first-appearance order.  Each row is compared as one
-    byte string: wide code tables need no packed key, which overflows int64.
-    """
-    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
-    rows = array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
-                                          return_counts=True)
+    distinct rows, in first-appearance order, found on ``_row_keys``."""
+    _, first, inverse, counts = np.unique(_row_keys(array), return_index=True,
+                                          return_inverse=True, return_counts=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], counts[order].astype(float), rank[inverse]
+
+
+def _row_keys(array):
+    """One value per row of a 2-D array, equal only for equal rows.
+
+    A table of nonnegative signed integers whose per-column (max + 1)
+    product fits int64 gets one mixed-radix int64 key per row.  Any other
+    row, float or from a code table wide enough to overflow that key, is
+    compared as one byte string.
+    """
+    if array.dtype.kind == "i" and array.size and array.min() >= 0:
+        radices = [int(top) + 1 for top in array.max(axis=0)]
+        if math.prod(radices) <= 2 ** 63:
+            keys = np.zeros(len(array), dtype=np.int64)
+            for column, radix in zip(array.T, radices):
+                keys *= radix
+                keys += column
+            return keys
+    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
+    return array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
 
 
 def _cluster(store, weights, seeds, config, spec, metrics_sink=None):

@@ -7,17 +7,26 @@ split into contiguous partitions that the map-reduce engine schedules.
 
 A CSV is read once, in blocks of rows, and each column is dictionary-encoded
 as it is read: its distinct stripped cells (labels) in first-appearance
-order, plus one int code per cell.  Schema inference and binning then work
-per column on the labels and codes; only the distinct labels are
+order, plus one int code per cell.  A file the csv module would split at
+every delimiter byte is tokenized from its bytes with numpy; in a column
+whose cells in a block all fit 8 bytes, each cell is one uint64 key and
+only the block's distinct keys are decoded, while wider columns decode
+every cell.  Quoted or otherwise irregular files, and every input error
+message, go through the csv module.  Schema inference and binning then
+work per column on the labels and codes; only the distinct labels are
 classified and parsed.  ``load_csv``, ``infer_schema`` and ``discretize``
 are entry points over the same encoder for rows held in memory.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -216,6 +225,38 @@ def _parse_real(cell: str):
         return None
 
 
+def _positions(index, cells, n, count, dtype=np.intp):
+    """Map ``count`` cells, stripped, to the row where each first appears,
+    counting rows from ``n``; ``index`` records new cells."""
+    return np.fromiter(map(index.setdefault, map(str.strip, cells), range(n, n + count)),
+                       dtype=dtype, count=count)
+
+
+def _merge(keys, index, parts, n) -> EncodedColumn:
+    """A column's EncodedColumn from the maps its reader built.
+
+    ``keys`` maps a narrow cell's byte key, ``index`` a stripped cell, to the
+    row where it first appears; both are in ascending row order and every
+    row of ``keys`` precedes those of ``index``.  ``parts`` holds, block by
+    block, that first row for each of the n rows.  Keys that strip to one
+    label, and a wide cell equal to it, share its code.
+    """
+    if keys:
+        merged = {}
+        codes = [merged.setdefault(label, len(merged))
+                 for label in chain(map(_key_label, keys), index)]
+        labels = list(merged)
+    else:
+        labels, codes = list(index), np.arange(len(index))
+    dense = np.empty(n, dtype=np.intp)
+    dense[np.fromiter(chain(keys.values(), index.values()), dtype=np.intp,
+                      count=len(keys) + len(index))] = codes
+    reals = np.array(list(map(_parse_real, labels)), dtype=object)
+    present = np.array([label not in MISSING_TOKENS for label in labels], dtype=bool)
+    return EncodedColumn(labels, dense[np.concatenate(parts)], present,
+                         np.not_equal(reals, None), reals.astype(float))
+
+
 def _encode(width, blocks) -> list[EncodedColumn]:
     """Dictionary-encode the first ``width`` columns of row blocks in one pass.
 
@@ -223,32 +264,159 @@ def _encode(width, blocks) -> list[EncodedColumn]:
     those rows turns them into dense first-appearance codes.  Only the
     distinct labels are classified and parsed.
     """
-    seen = [{} for _ in range(width)]
-    firsts = [[np.empty(0, dtype=np.intp)] for _ in range(width)]
+    index = [{} for _ in range(width)]
+    parts = [[np.empty(0, dtype=np.intp)] for _ in range(width)]
     n = 0
     for rows in blocks:
-        positions = range(n, n + len(rows))
-        for j, (index, parts) in enumerate(zip(seen, firsts)):
-            cells = map(str.strip, map(itemgetter(j), rows))
-            parts.append(np.fromiter(map(index.setdefault, cells, positions),
-                                     dtype=np.intp, count=len(rows)))
+        for j in range(width):
+            parts[j].append(_positions(index[j], map(itemgetter(j), rows), n, len(rows)))
         n += len(rows)
-    columns = []
-    while seen:  # frees each dictionary once its column is encoded
-        index, parts = seen.pop(0), firsts.pop(0)
-        dense = np.empty(n, dtype=np.intp)
-        dense[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
-        labels = list(index)
-        reals = np.array(list(map(_parse_real, labels)), dtype=object)
-        present = np.array([label not in MISSING_TOKENS for label in labels], dtype=bool)
-        columns.append(EncodedColumn(labels, dense[np.concatenate(parts)], present,
-                                     np.not_equal(reals, None), reals.astype(float)))
-    return columns
+    # Popping frees each dictionary once its column is encoded.
+    return [_merge({}, index.pop(0), parts.pop(0), n) for _ in range(width)]
+
+
+# Masks that keep the first k bytes of a little-endian 8-byte word, k = 0..8.
+_BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _key_label(key: int) -> str:
+    """The stripped text of a narrow cell from its byte key."""
+    return key.to_bytes(8, "little").rstrip(b"\0").decode("utf-8").strip()
+
+
+def _cells(buf, delimiter):
+    """(starts, lengths) of the cells of a block of whole lines, as (rows,
+    width) arrays with blank lines dropped; None if rows differ in width.
+
+    Every line ends in LF, and a CR before it ends the line's last cell.
+    """
+    seps = np.flatnonzero((buf == delimiter) | (buf == 10))
+    seps = seps.astype(np.int32 if buf.size < 2 ** 31 else np.intp)
+    starts = np.zeros_like(seps)
+    starts[1:] = seps[:-1] + 1
+    lengths = seps - starts - (buf[seps - 1] == 13)
+    ends = np.flatnonzero(buf[seps] == 10)  # each line's last cell
+    counts = np.diff(ends, prepend=-1)
+    blank = (counts == 1) & (lengths[ends] == 0)
+    if blank.any():
+        keep = np.repeat(~blank, counts)
+        starts, lengths, counts = starts[keep], lengths[keep], counts[~blank]
+    if not counts.size:
+        return starts.reshape(0, 0), lengths.reshape(0, 0)
+    if (counts != counts[0]).any():
+        return None
+    return starts.reshape(-1, counts[0]), lengths.reshape(-1, counts[0])
+
+
+def _narrow_positions(keys, words, at, size, n, dtype):
+    """First rows of one column's cells in a block, each cell keyed by its
+    ``size`` bytes from ``words``; only the block's distinct keys reach the
+    column's ``keys``."""
+    unique, first, inverse = np.unique(words[at] & _BYTE_MASKS[size], return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)  # new keys enter in row order
+    rows = np.empty(len(unique), dtype=dtype)
+    rows[order] = list(map(keys.setdefault, unique[order].tolist(), (first[order] + n).tolist()))
+    return rows[inverse]
+
+
+def _wide_cells(lined, at, size):
+    """One column's cells in a block, decoded: one gather of every cell
+    with the LF that follows it in ``lined``, one decode and one split."""
+    step = size + 1
+    gather = np.repeat(at - (np.cumsum(step) - step), step) + np.arange(step.sum())
+    return lined[gather].tobytes().decode("utf-8").split("\n")[:-1]
+
+
+def _read_unquoted(path, has_header, delimiter):
+    """``read_table``'s result, tokenized with numpy from the file's bytes,
+    or None if the csv module must read the file.
+
+    Taken only where csv would split every line at each delimiter byte: no
+    quote, NUL or lone CR byte in the file, an ASCII delimiter that is none
+    of those nor LF, UTF-8 text, rows of one width, cells within
+    ``csv.field_size_limit()`` and at least one data row.  A column whose
+    cells in a block are all at most 8 bytes is deduplicated on one uint64
+    key per cell (no NUL byte means zero padding is unambiguous), so only
+    the block's distinct keys reach its dictionary; from its first wider
+    cell on, its cells are decoded and stripped one by one, as ``_encode``
+    does, and ``_merge`` joins the two maps.
+    """
+    if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
+        return None
+    try:
+        with open(path, "rb") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None  # a pipe cannot be read again by the csv module
+            return _tokenize(fh, has_header, ord(delimiter))
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def _tokenize(fh, has_header, delimiter):
+    """``_read_unquoted`` on an open binary file and a delimiter byte."""
+    if fh.read(3) != codecs.BOM_UTF8:
+        fh.seek(0)
+    names, n, limit = None, 0, csv.field_size_limit()
+    while data := b"".join(islice(fh, BLOCK_ROWS)):
+        if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        buf = np.frombuffer(data, dtype=np.uint8)
+        cells = _cells(buf, delimiter)
+        if cells is None or (cells[1].size and cells[1].max() > limit):
+            return None
+        starts, lengths = cells
+        if not starts.size:
+            continue
+        if names is None:
+            width = starts.shape[1]
+            if has_header:
+                names = [data[s:s + k].decode("utf-8").strip()
+                         for s, k in zip(starts[0].tolist(), lengths[0].tolist())]
+                starts, lengths = starts[1:], lengths[1:]
+            else:
+                names = [f"col{j}" for j in range(width)]
+            keys, index = [{} for _ in range(width)], [{} for _ in range(width)]
+            parts, wide = [[] for _ in range(width)], [False] * width
+        elif starts.shape[1] != width:
+            return None
+        rows = len(starts)
+        if not rows:
+            continue
+        dtype = np.int32 if n + rows < 2 ** 31 else np.intp
+        words = lined = None
+        for j in range(width):
+            at, size = starts[:, j], lengths[:, j]
+            wide[j] = wide[j] or size.max() > 8
+            if wide[j]:
+                if lined is None:  # every cell followed by LF
+                    lined = buf.copy()
+                    lined[starts + lengths] = 10
+                part = _positions(index[j], _wide_cells(lined, at, size), n, rows, dtype)
+            else:
+                if words is None:  # the 8 bytes from each position, little-endian
+                    words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
+                part = _narrow_positions(keys[j], words, at, size, n, dtype)
+            parts[j].append(part)
+        n += rows
+    if not n:
+        return None
+    # Popping frees each dictionary once its column is encoded.
+    return names, [_merge(keys.pop(0), index.pop(0), parts.pop(0), n) for _ in range(width)]
 
 
 def read_table(path, has_header: bool = True, delimiter: str = ","):
     """(column names, encoded columns) of a CSV, read as ``load_csv`` reads
-    it and encoded block by block as it is read, so no text rows are kept."""
+    it and encoded block by block as it is read, so no text rows are kept.
+
+    ``_read_unquoted`` reads plain delimited files; any other file, and
+    every error message, goes through the csv module.
+    """
+    table = _read_unquoted(path, has_header, delimiter)
+    if table is not None:
+        return table
     blocks = _read_csv(path, has_header, delimiter)
     names = next(blocks)
     return names, _encode(len(names), blocks)

@@ -622,6 +622,48 @@ class TestFewDistinctPoints:
         assert 2 <= report.consensus_c <= 6
 
 
+def distinct_by_tuples(array):
+    """(first, counts, inverse) of a 2-D array's distinct rows, from a dict of row tuples."""
+    index, first, inverse = {}, [], []
+    for i, row in enumerate(map(tuple, array.tolist())):
+        if row not in index:
+            index[row] = len(first)
+            first.append(i)
+        inverse.append(index[row])
+    return first, np.bincount(inverse).tolist(), inverse
+
+
+class TestDistinctRows:
+    """Code tables dedup on one mixed-radix int64 key while the product of
+    their per-column (max + 1) fits int64, and on row bytes otherwise."""
+
+    @pytest.mark.parametrize("tops, packed", [
+        ([3] * 10, True),
+        ([99] * 10, False),  # 100 ** 10 overflows int64
+        ([2 ** 62 - 1, 1], True),  # product exactly 2 ** 63
+        ([2 ** 62 - 1, 2], False),
+        ([0, 5, 0], True),
+    ], ids=["ten-of-four", "ten-of-hundred", "product-2-63", "product-over", "constant-columns"])
+    def test_same_rows_either_way(self, tops, packed):
+        rng = np.random.default_rng(len(tops) + tops[1])
+        pool = np.column_stack([rng.integers(0, top, 40, endpoint=True) for top in tops])
+        pool[0] = tops  # every column reaches its top
+        table = pool[rng.integers(0, 40, 500)].astype(np.int32 if max(tops) < 2 ** 31 else np.int64)
+        assert (fcm._row_keys(table).dtype == np.int64) is packed
+        first, counts, inverse = fcm._distinct_rows(table)
+        assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
+        assert counts.dtype == float
+
+    @pytest.mark.parametrize("table", [
+        np.array([[-1, 0], [0, 0], [-1, 0]], dtype=np.int32),
+        np.array([[0.5, -0.0], [0.5, 0.0], [1.0, 0.0]]),
+    ], ids=["negative-codes", "floats"])
+    def test_other_tables_compare_bytes(self, table):
+        assert fcm._row_keys(table).dtype.kind == "V"
+        first, counts, inverse = fcm._distinct_rows(table)
+        assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
+
+
 class TestConfigValidation:
     def test_bad_cluster_count(self):
         with pytest.raises(NumericError):

@@ -1,3 +1,6 @@
+import csv
+import random
+
 import numpy as np
 import pytest
 
@@ -274,6 +277,18 @@ TABLES = {
 
 
 class TestOnePassEncoding:
+    """Every file these tests read takes the byte tokenizer."""
+
+    @pytest.fixture(autouse=True)
+    def read_path(self, monkeypatch):
+        tokenize = ingest._read_unquoted
+
+        def taken(*args):
+            table = tokenize(*args)
+            assert table is not None
+            return table
+        monkeypatch.setattr(ingest, "_read_unquoted", taken)
+
     @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
     @pytest.mark.parametrize("table", sorted(TABLES))
@@ -326,6 +341,183 @@ class TestOnePassEncoding:
         schema = ingest.infer_schema(["c", "k"], rows)
         assert schema[0].categories == ["a", "b"] and schema[1].categories == ["1", "2", "3"]
         assert ingest.discretize(rows, schema).codes.tolist() == [[0, 0], [0, 1], [1, 2]]
+
+
+class TestOnePassEncodingOnCsvModule(TestOnePassEncoding):
+    """TestOnePassEncoding with the byte tokenizer declining every file."""
+
+    @pytest.fixture(autouse=True)
+    def read_path(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_read_unquoted", lambda *args: None)
+
+
+def csv_module_table(path, has_header=True, delimiter=","):
+    """read_table's result as the csv module reads the file."""
+    blocks = ingest._read_csv(path, has_header, delimiter)
+    names = next(blocks)
+    return names, ingest._encode(len(names), blocks)
+
+
+def assert_same_table(got, want):
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert a.labels == b.labels
+        assert a.codes.dtype == b.codes.dtype and a.codes.tolist() == b.codes.tolist()
+        assert a.present.tolist() == b.present.tolist()
+        assert a.parsed.tolist() == b.parsed.tolist()
+        assert np.array_equal(a.values, b.values, equal_nan=True)
+
+
+def write_bytes(tmp_path, data, name="data.csv"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+# Cells of the random files: missing tokens, padding, non-ASCII text, a
+# mark and characters that str.strip() removes, and cells of 8 and 9 bytes.
+RANDOM_CELLS = ["a", "b", "7", "3.25", "-0.5", "?", "", "NA", "nan", " x ", "x", "é", "\ufeff",
+                "\x1c", "\x85", " \x85a", "12345678", "123456789", "abcdefgh", " abcdefg",
+                "abcdefghé", "inf", "1e3"]
+# Bytes inserted at random: quotes, line ends, NUL, non-UTF-8, delimiters, marks.
+RANDOM_JUNK = [b'"', b"\r", b"\n", b"\r\n", b"\x00", b"\xff", b"\x85", b",", b";", b"\t",
+               b"\xef\xbb\xbf", b"\n\n", b"\r\n\r\n", b" "]
+
+
+def random_file(rng):
+    """(bytes, delimiter, has_header) of a small random delimited file."""
+    delimiter = rng.choice([",", ",", ";", "\t", " "])
+    width, eol = rng.randint(1, 4), rng.choice(["\n", "\r\n"])
+    lines = [delimiter.join(rng.choice(RANDOM_CELLS) for _ in range(width))
+             for _ in range(rng.randint(0, 14))]
+    data = (eol.join(lines) + rng.choice(["", eol, eol * 2])).encode("utf-8")
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + rng.choice(RANDOM_JUNK) + data[at:]
+    return data, delimiter, rng.random() < 0.7
+
+
+class TestByteTokenizer:
+    def test_write_csv_tables_take_it(self, tmp_path):
+        # datasets.write_csv ends lines in CRLF and quotes nothing here.
+        path = datasets.write_csv(tmp_path / "mm.csv", datasets.mammographic_mass_rows(),
+                                  header=datasets.MAMMOGRAPHIC_HEADER)
+        assert path.read_bytes().count(b"\r\n") == 962
+        table = ingest._read_unquoted(str(path), True, ",")
+        assert table is not None
+        assert_same_table(table, csv_module_table(str(path)))
+
+    def test_random_bytes_match_the_csv_module(self, tmp_path, monkeypatch):
+        rng = random.Random(17)
+        taken = declined = 0
+        for case in range(2000):
+            data, delimiter, has_header = random_file(rng)
+            monkeypatch.setattr(ingest, "BLOCK_ROWS", rng.choice([1, 2, 3, 8192]))
+            path = write_bytes(tmp_path, data)
+            table = ingest._read_unquoted(path, has_header, delimiter)
+            try:
+                want = csv_module_table(path, has_header, delimiter)
+            except DataIOError:
+                assert table is None, (case, data)
+                declined += 1
+                continue
+            if table is None:
+                declined += 1
+            else:
+                taken += 1
+                assert_same_table(table, want)
+        assert taken > 700 and declined > 400, (taken, declined)
+
+    @pytest.mark.parametrize("data, delimiter", [
+        (b'a,b\n1,"x"\n', ","),
+        (b"a,b\n1,x\x00\n", ","),
+        (b"a,b\n1,x\r2,y\n", ","),
+        (b"a,b\n1,x\r", ","),
+        ("a§b\n1§x\n".encode("utf-8"), "§"),
+        (b"a\rb\n1\rx\n", "\r"),
+        (b"a\nb\n1\nx\n", "\n"),
+        (b'a"b\n1"x\n', '"'),
+        (b"a\x00b\n1\x00x\n", "\x00"),
+        (b"a,b\n1,x\n", ",,"),
+    ], ids=["quote", "nul", "lone-cr", "cr-at-end", "non-ascii-delimiter", "cr-delimiter",
+            "lf-delimiter", "quote-delimiter", "nul-delimiter", "two-char-delimiter"])
+    def test_declines(self, tmp_path, data, delimiter):
+        assert ingest._read_unquoted(write_bytes(tmp_path, data), True, delimiter) is None
+
+    @pytest.mark.parametrize("data", [b"a,b\n1,x\n2,\xff\n", b"a,b\n1,12345\xc3\n",
+                                      b"a\xff,b\n1,x\n"],
+                             ids=["narrow-cell", "wide-cell", "header"])
+    def test_declines_bytes_that_are_not_utf8(self, tmp_path, data):
+        path = write_bytes(tmp_path, data)
+        assert ingest._read_unquoted(path, True, ",") is None
+        line = data.count(b"\n", 0, data.index(b"\xff" if b"\xff" in data else b"\xc3")) + 1
+        with pytest.raises(DataIOError, match=f"^{path}: line {line} is not UTF-8: "):
+            ingest.read_table(path)
+
+    def test_declines_a_ragged_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 2)
+        data = b"a,b\r\n1,x\r\n\r\n2,y\r\n3,z,w\r\n"  # the ragged row is in a later block
+        path = write_bytes(tmp_path, data)
+        assert ingest._read_unquoted(path, True, ",") is None
+        with pytest.raises(DataIOError,
+                           match=f"^{path}: ragged row at line 5: expected 2 cells, got 3$"):
+            ingest.read_table(path)
+
+    def test_declines_a_cell_over_the_field_limit(self, tmp_path):
+        limit = csv.field_size_limit()
+        fits = write_bytes(tmp_path, b"a,b\n1," + b"z" * limit + b"\n", "fits.csv")
+        assert ingest._read_unquoted(fits, True, ",") is not None
+        path = write_bytes(tmp_path, b"a,b\n1," + b"z" * (limit + 1) + b"\n")
+        assert ingest._read_unquoted(path, True, ",") is None
+        with pytest.raises(DataIOError, match="field larger than field limit"):
+            ingest.read_table(path)
+
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf", b"a,b\r\n", b"a,b\n\n\r\n"],
+                             ids=["empty", "mark-only", "header-only", "header-and-blanks"])
+    def test_declines_a_file_without_data_rows(self, tmp_path, data):
+        path = write_bytes(tmp_path, data)
+        assert ingest._read_unquoted(path, True, ",") is None
+        with pytest.raises(DataIOError, match="no data rows"):
+            ingest.read_table(path)
+
+    def test_missing_file_keeps_the_csv_message(self, tmp_path):
+        path = str(tmp_path / "absent.csv")
+        assert ingest._read_unquoted(path, True, ",") is None
+        with pytest.raises(DataIOError, match=f"^cannot open {path}: "):
+            ingest.read_table(path)
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_is_skipped(self, tmp_path, has_header):
+        text = b"x,c\r\n1,a\r\n\xef\xbb\xbf2,b\r\n"  # only the first mark is skipped
+        plain = ingest._read_unquoted(write_bytes(tmp_path, text, "plain.csv"), has_header, ",")
+        marked = write_bytes(tmp_path, b"\xef\xbb\xbf" + text)
+        table = ingest._read_unquoted(marked, has_header, ",")
+        assert_same_table(table, plain)
+        assert_same_table(table, csv_module_table(marked, has_header))
+        assert table[1][0].labels[-1] == "\ufeff2"
+
+    def test_column_that_widens_after_the_first_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 7)
+        # Column c is narrow for the first block only; its later wide cells
+        # repeat, padded or not, labels first seen as narrow keys.
+        cells = [" a", "b", "a ", "?", "b", "a", "12345678", "abcdefghij", " a ",
+                 "b       ", "?", "abcdefghij", "c", " 12345678 "]
+        lines = ["c,k"] + [f"{cell},{k % 3}" for k, cell in enumerate(cells)]
+        path = write_bytes(tmp_path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
+        column = table[1][0]
+        assert column.labels == ["a", "b", "?", "12345678", "abcdefghij", "c"]
+        assert column.codes.tolist() == [0, 1, 0, 2, 1, 0, 3, 4, 0, 1, 2, 4, 5, 3]
+
+    def test_narrow_keys_that_strip_alike_share_a_label(self, tmp_path):
+        path = write_bytes(tmp_path, b"c\n b\n a\na \n a \nb\n\t\n?\n")
+        column = ingest._read_unquoted(path, True, ",")[1][0]
+        assert column.labels == ["b", "a", "", "?"]
+        assert column.codes.tolist() == [0, 1, 1, 1, 0, 2, 3]
 
 
 class TestPartition:
