@@ -24,11 +24,15 @@ from .fcm import FcmConfig, run_fcm
 
 def _write_matrix(path, rows, inverse=None):
     """Write rows[inverse] (every row when None) as ``np.savetxt`` with
-    fmt="%.17g" and delimiter="," would, formatting each row of ``rows`` once."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    lines = [line % tuple(row) for row in rows.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines if inverse is None else map(lines.__getitem__, inverse.tolist()))
+    fmt="%.17g" and delimiter="," would.  One bytes ``%`` call formats each
+    row of ``rows`` once; the file is written in binary, ``ingest.BLOCK_ROWS``
+    gathered lines per write."""
+    line = b",".join([b"%.17g"] * rows.shape[1]) + b"\n"
+    lines = ((line * len(rows)) % tuple(rows.ravel().tolist())).splitlines(keepends=True)
+    order = range(len(lines)) if inverse is None else inverse.tolist()
+    with open(path, "wb") as fh:
+        for start in range(0, len(order), ingest.BLOCK_ROWS):
+            fh.write(b"".join(map(lines.__getitem__, order[start:start + ingest.BLOCK_ROWS])))
 
 
 def _write_metrics(path, metrics_list):

@@ -277,8 +277,11 @@ def _coordinates(store, model):
     points = partition(points, -(-len(first) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
+    # ptp runs along the rows of a (d, k) copy: on the narrow (k, d) array
+    # numpy's axis-0 max and min take several times as long.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(np.square(np.ptp(points.data, axis=0)).sum() * weights.sum()):
+        extent = np.ptp(points.data.T.copy(), axis=1)
+        if not np.isfinite(np.square(extent).sum() * weights.sum()):
             raise NumericError("input holds non-finite values, or squared distances overflow")
     return points, weights, seeds, inverse
 

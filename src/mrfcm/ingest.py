@@ -9,13 +9,15 @@ A CSV is read once, in blocks of rows, and each column is dictionary-encoded
 as it is read: its distinct stripped cells (labels) in first-appearance
 order, plus one int code per cell.  A file the csv module would split at
 every delimiter byte is tokenized from its bytes with numpy; in a column
-whose cells in a block all fit 8 bytes, each cell is one uint64 key and
-only the block's distinct keys are decoded, while wider columns decode
-every cell.  Quoted or otherwise irregular files, and every input error
-message, go through the csv module.  Schema inference and binning then
-work per column on the labels and codes; only the distinct labels are
-classified and parsed.  ``load_csv``, ``infer_schema`` and ``discretize``
-are entry points over the same encoder for rows held in memory.
+whose cells in a block all fit 8 bytes, each cell is one uint64 key,
+looked up among the keys the column has already seen, and only new keys
+are deduplicated and decoded, while wider columns decode every cell.
+Quoted or otherwise irregular files, and every input error message, go
+through the csv module.  Schema inference and binning then work per
+column on the labels and codes; only the distinct labels are classified
+and parsed, by ``float`` mapped over them in C while every present label
+is a real.  ``load_csv``, ``infer_schema`` and ``discretize`` are entry
+points over the same encoder for rows held in memory.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -251,10 +253,28 @@ def _merge(keys, index, parts, n) -> EncodedColumn:
     dense = np.empty(n, dtype=np.intp)
     dense[np.fromiter(chain(keys.values(), index.values()), dtype=np.intp,
                       count=len(keys) + len(index))] = codes
-    reals = np.array(list(map(_parse_real, labels)), dtype=object)
-    present = np.array([label not in MISSING_TOKENS for label in labels], dtype=bool)
-    return EncodedColumn(labels, dense[np.concatenate(parts)], present,
-                         np.not_equal(reals, None), reals.astype(float))
+    return EncodedColumn(labels, dense[np.concatenate(parts)], *_classify(labels))
+
+
+def _classify(labels):
+    """(present, parsed, values) of distinct labels, as EncodedColumn holds them.
+
+    When every present label is a real, one pass of float() in C parses
+    them; otherwise each label is parsed on its own.  Of the missing
+    tokens, those float() accepts ("nan", "NaN") count as parsed.
+    """
+    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
+    values = np.full(len(labels), np.nan)
+    try:
+        values[present] = np.fromiter(map(float, compress(labels, present)), float,
+                                      np.count_nonzero(present))
+    except ValueError:
+        reals = np.array(list(map(_parse_real, labels)), dtype=object)
+        return present, np.not_equal(reals, None), reals.astype(float)
+    parsed = present.copy()
+    parsed[~present] = [_parse_real(label) is not None
+                        for label in compress(labels, ~present)]
+    return present, parsed, values
 
 
 def _encode(width, blocks) -> list[EncodedColumn]:
@@ -309,15 +329,51 @@ def _cells(buf, delimiter):
 
 
 def _narrow_positions(keys, words, at, size, n, dtype):
-    """First rows of one column's cells in a block, each cell keyed by its
-    ``size`` bytes from ``words``; only the block's distinct keys reach the
-    column's ``keys``."""
-    unique, first, inverse = np.unique(words[at] & _BYTE_MASKS[size], return_index=True,
-                                       return_inverse=True)
-    order = np.argsort(first)  # new keys enter in row order
-    rows = np.empty(len(unique), dtype=dtype)
-    rows[order] = list(map(keys.setdefault, unique[order].tolist(), (first[order] + n).tolist()))
-    return rows[inverse]
+    """(first rows of one column's cells in a block, the column's keys after it).
+
+    Each cell is keyed by its ``size`` bytes from ``words``.  ``keys`` maps
+    the column's known keys to their first rows: a (sorted keys, rows) pair
+    while it holds at most BLOCK_ROWS keys, which one searchsorted looks the
+    block up in, and a dict after that.  Only the cells not found go through
+    np.unique, and new keys enter in row order.
+    """
+    block = words[at] & _BYTE_MASKS[size]
+    positions = np.empty(len(block), dtype=dtype)
+    miss = np.arange(len(block))
+    if isinstance(keys, tuple) and len(keys[0]):
+        seen, rows = keys
+        found = np.searchsorted(seen, block)
+        np.minimum(found, len(seen) - 1, out=found)
+        hit = seen[found] == block
+        if hit.all():
+            return rows.take(found, out=positions), keys
+        positions[hit] = rows[found[hit]]
+        miss = miss[~hit]
+    unique, first, inverse = np.unique(block[miss], return_index=True, return_inverse=True)
+    first = miss[first] + n
+    if isinstance(keys, dict):
+        order = np.argsort(first)
+        new = np.empty(len(unique), dtype=np.intp)
+        new[order] = list(map(keys.setdefault, unique[order].tolist(), first[order].tolist()))
+    else:  # every key here missed the lookup, so it is new
+        new = first
+        seen, rows = np.concatenate((keys[0], unique)), np.concatenate((keys[1], first))
+        if len(seen) > BLOCK_ROWS:
+            keys = _key_rows((seen, rows))
+        else:
+            order = np.argsort(seen)
+            keys = seen[order], rows[order]
+    positions[miss] = new[inverse]
+    return positions, keys
+
+
+def _key_rows(keys):
+    """A narrow column's keys as a dict of their first rows, in row order."""
+    if isinstance(keys, dict):
+        return keys
+    seen, rows = keys
+    order = np.argsort(rows)
+    return dict(zip(seen[order].tolist(), rows[order].tolist()))
 
 
 def _wide_cells(lined, at, size):
@@ -338,9 +394,9 @@ def _read_unquoted(path, has_header, delimiter):
     ``csv.field_size_limit()`` and at least one data row.  A column whose
     cells in a block are all at most 8 bytes is deduplicated on one uint64
     key per cell (no NUL byte means zero padding is unambiguous), so only
-    the block's distinct keys reach its dictionary; from its first wider
-    cell on, its cells are decoded and stripped one by one, as ``_encode``
-    does, and ``_merge`` joins the two maps.
+    keys new to the column are decoded (``_narrow_positions``); from its
+    first wider cell on, its cells are decoded and stripped one by one, as
+    ``_encode`` does, and ``_merge`` joins the two maps.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -378,7 +434,8 @@ def _tokenize(fh, has_header, delimiter):
                 starts, lengths = starts[1:], lengths[1:]
             else:
                 names = [f"col{j}" for j in range(width)]
-            keys, index = [{} for _ in range(width)], [{} for _ in range(width)]
+            keys = [(np.empty(0, np.uint64), np.empty(0, np.intp))] * width
+            index = [{} for _ in range(width)]
             parts, wide = [[] for _ in range(width)], [False] * width
         elif starts.shape[1] != width:
             return None
@@ -398,13 +455,14 @@ def _tokenize(fh, has_header, delimiter):
             else:
                 if words is None:  # the 8 bytes from each position, little-endian
                     words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
-                part = _narrow_positions(keys[j], words, at, size, n, dtype)
+                part, keys[j] = _narrow_positions(keys[j], words, at, size, n, dtype)
             parts[j].append(part)
         n += rows
     if not n:
         return None
     # Popping frees each dictionary once its column is encoded.
-    return names, [_merge(keys.pop(0), index.pop(0), parts.pop(0), n) for _ in range(width)]
+    return names, [_merge(_key_rows(keys.pop(0)), index.pop(0), parts.pop(0), n)
+                   for _ in range(width)]
 
 
 def read_table(path, has_header: bool = True, delimiter: str = ","):

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from mrfcm import datasets, engine, fcm, ingest, mca
+from mrfcm import cli, datasets, engine, fcm, ingest, mca
 from mrfcm.cli import build_parser, main
 from mrfcm.engine import JobSpec
 
@@ -61,6 +61,23 @@ class TestCluster:
         distinct = len(result.distinct_u)
         assert distinct < dataset.n
         assert f"n={dataset.n} distinct={distinct} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["special-values", "inverse-over-a-slice", "no-inverse"])
+    def test_matrix_writer_matches_savetxt(self, tmp_path, case):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, size=(40, 3))
+        inverse = rng.integers(0, len(rows), size=2 * ingest.BLOCK_ROWS + 5)
+        if case == "special-values":
+            special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.8e308, 1 / 3]
+            rows = np.array(special)[:, None] * [1.0, -1.0]
+            inverse = np.arange(len(rows))[::-1]
+        elif case == "no-inverse":
+            inverse = None
+        path = tmp_path / "m.csv"
+        cli._write_matrix(path, rows, inverse)
+        want = io.BytesIO()
+        np.savetxt(want, rows if inverse is None else rows[inverse], fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == want.getvalue()
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         code = run("cluster", "--input", str(tmp_path / "nope.csv"), "--c", "2",

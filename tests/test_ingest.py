@@ -520,6 +520,37 @@ class TestByteTokenizer:
         assert column.codes.tolist() == [0, 1, 1, 1, 0, 2, 3]
 
 
+# Labels float() reads in unusual ways: signed NaN, infinity, negative zero,
+# a digit separator, padding and non-ASCII digits.  It rejects "0x10".
+ODD_REALS = ["-nan", "inf", "-0", "1_0", " 1.5 ", "١٢"]
+
+
+class TestMerge:
+    @pytest.mark.parametrize("labels", [
+        sorted(ingest.MISSING_TOKENS) + ODD_REALS + ["0x10", "2.5"],
+        sorted(ingest.MISSING_TOKENS) + ODD_REALS,
+        [f"{k / 7:.6f}" for k in range(300)] + ["?", "nan", "text"],
+    ], ids=["text-label", "all-reals", "text-label-last"])
+    def test_labels_match_a_per_label_float_oracle(self, labels):
+        # Each label appears once, then again in reverse, so codes repeat.
+        rows = list(range(len(labels))) + list(range(len(labels)))[::-1]
+        index = {label: row for row, label in enumerate(labels)}
+        column = ingest._merge({}, index, [np.array(rows[:5]), np.array(rows[5:])], len(rows))
+        assert column.labels == labels
+        assert column.codes.tolist() == rows
+        assert column.present.tolist() == [lab not in ingest.MISSING_TOKENS for lab in labels]
+        parsed, values = [], []
+        for label in labels:
+            try:
+                values.append(float(label))
+                parsed.append(True)
+            except ValueError:
+                values.append(float("nan"))
+                parsed.append(False)
+        assert column.parsed.tolist() == parsed
+        assert column.values.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+
+
 class TestPartition:
     def test_balanced_split(self):
         store = ingest.partition(np.arange(20).reshape(10, 2), 3)

@@ -1,0 +1,96 @@
+"""Exact relations between runs on related inputs.
+
+Codes are first-appearance indices of each column's labels, so renaming
+every categorical label one-to-one changes no code, and with it no
+byte-stable output.  The renamed tables are read both by ingest's byte
+tokenizer and, from a copy with every cell quoted, by the csv module;
+narrow names go through the tokenizer's key lookup, wide ones (9-16
+bytes) through its per-cell path.
+"""
+import csv
+
+import pytest
+
+from mrfcm import datasets, ingest
+from mrfcm.cli import main
+
+RUNS = [["cluster", "--c", "3", "--seed", "7"],
+        ["sweep", "--c-min", "2", "--c-max", "5", "--seed", "7"],
+        ["mca-info"]]
+OUTPUTS = ["memberships.csv", "centroids.csv", "trace.csv", "validity.csv", "axes.csv",
+           "loadings.csv"]
+RENAMES = {"same": str, "narrow": lambda x: f"L{x}x", "wide": lambda x: f"L{x}x".rjust(9, "_")}
+
+
+def clustered_table():
+    """(names, rows, categorical column indices) of a categorical-only table."""
+    rows = datasets.clustered_categorical_rows(3000, 6, seed=11)
+    return [f"q{j}" for j in range(6)], rows, set(range(6))
+
+
+def block_table():
+    """A mixed table whose columns change between small blocks of rows.
+
+    ``late`` meets the label "c" only from row 21 on; ``widens`` holds
+    narrow cells until row 30, then a wide one; ``pads`` repeats labels
+    padded in different ways, so keys that strip alike meet in different
+    blocks; ``real`` is a numeric column of distinct narrow cells.
+    """
+    rows = []
+    for k in range(60):
+        late = "?" if k == 9 else "abc"[k % 3] if k > 20 else "ab"[k % 2]
+        widens = ("abcdefghijk" if k >= 30 and k % 4 == 2
+                  else "xyz"[k % 3] if k > 20 else "xy"[k % 2])
+        pads = [" p", "q", "p ", " q ", "p", "q  ", "r"][k % 7]
+        real = "?" if k == 40 else f"{k * 0.37:.4f}"
+        rows.append([late, widens, pads, real])
+    return ["late", "widens", "pads", "real"], rows, {0, 1, 2}
+
+
+TABLES = {"clustered": clustered_table, "blocks": block_table}
+
+
+def relabel(rows, categorical, rename):
+    """``rows`` with each categorical label renamed, padding and missing cells kept."""
+    def cell(text):
+        label = text.strip()
+        return text if label in ingest.MISSING_TOKENS else text.replace(label, rename(label), 1)
+    return [[cell(text) if j in categorical else text for j, text in enumerate(row)]
+            for row in rows]
+
+
+def write(path, names, rows, quoting):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(rows)
+    return str(path)
+
+
+def outputs(path, out_dir):
+    """The byte-stable files of every run on ``path``, by name."""
+    files = {}
+    for k, argv in enumerate(RUNS):
+        out = out_dir / str(k)
+        assert main([*argv, "--input", path, "--out-dir", str(out)]) == 0
+        files.update((name, (out / name).read_bytes())
+                     for name in OUTPUTS if (out / name).exists())
+    assert sorted(files) == sorted(OUTPUTS)
+    return files
+
+
+@pytest.mark.parametrize("table, block_rows", [
+    ("clustered", ingest.BLOCK_ROWS), ("blocks", ingest.BLOCK_ROWS), ("blocks", 2),
+    ("blocks", 7)])
+def test_relabelling_keeps_every_output(tmp_path, monkeypatch, table, block_rows):
+    names, rows, categorical = TABLES[table]()
+    want = outputs(write(tmp_path / "t.csv", names, rows, csv.QUOTE_MINIMAL), tmp_path / "want")
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    for name, rename in RENAMES.items():
+        renamed = relabel(rows, categorical, rename)
+        plain = write(tmp_path / f"{name}.csv", names, renamed, csv.QUOTE_MINIMAL)
+        quoted = write(tmp_path / f"{name}-quoted.csv", names, renamed, csv.QUOTE_ALL)
+        assert ingest._read_unquoted(plain, True, ",") is not None
+        assert ingest._read_unquoted(quoted, True, ",") is None
+        assert outputs(plain, tmp_path / name) == want, name
+        assert outputs(quoted, tmp_path / f"{name}-quoted") == want, name
