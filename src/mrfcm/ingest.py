@@ -11,7 +11,8 @@ order, plus one int code per cell.  A file the csv module would split at
 every delimiter byte is tokenized from its bytes with numpy; in a column
 whose cells in a block all fit 8 bytes, each cell is one uint64 key,
 looked up among the keys the column has already seen, and only new keys
-are deduplicated and decoded, while wider columns decode every cell.
+are deduplicated and decoded.  From its first wider cell, or once it has
+seen more than BLOCK_ROWS keys, a column decodes every cell.
 Quoted or otherwise irregular files, and every input error message, go
 through the csv module.  Schema inference and binning then work per
 column on the labels and codes; only the distinct labels are classified
@@ -306,7 +307,8 @@ def _key_label(key: int) -> str:
 
 def _cells(buf, delimiter):
     """(starts, lengths) of the cells of a block of whole lines, as (rows,
-    width) arrays with blank lines dropped; None if rows differ in width.
+    width) arrays with blank lines dropped; None if rows differ in width or
+    a CR byte is not followed by LF.
 
     Every line ends in LF, and a CR before it ends the line's last cell.
     """
@@ -314,8 +316,11 @@ def _cells(buf, delimiter):
     seps = seps.astype(np.int32 if buf.size < 2 ** 31 else np.intp)
     starts = np.zeros_like(seps)
     starts[1:] = seps[:-1] + 1
-    lengths = seps - starts - (buf[seps - 1] == 13)
+    cr = buf[seps - 1] == 13
+    lengths = seps - starts - cr
     ends = np.flatnonzero(buf[seps] == 10)  # each line's last cell
+    if np.count_nonzero(buf == 13) != np.count_nonzero(cr[ends]):
+        return None
     counts = np.diff(ends, prepend=-1)
     blank = (counts == 1) & (lengths[ends] == 0)
     if blank.any():
@@ -331,17 +336,16 @@ def _cells(buf, delimiter):
 def _narrow_positions(keys, words, at, size, n, dtype):
     """(first rows of one column's cells in a block, the column's keys after it).
 
-    Each cell is keyed by its ``size`` bytes from ``words``.  ``keys`` maps
-    the column's known keys to their first rows: a (sorted keys, rows) pair
-    while it holds at most BLOCK_ROWS keys, which one searchsorted looks the
-    block up in, and a dict after that.  Only the cells not found go through
-    np.unique, and new keys enter in row order.
+    Each cell is keyed by its ``size`` bytes from ``words``.  ``keys`` pairs
+    the column's known keys, sorted, with their first rows; one searchsorted
+    looks the block up in them, and only the cells not found go through
+    np.unique.
     """
     block = words[at] & _BYTE_MASKS[size]
     positions = np.empty(len(block), dtype=dtype)
     miss = np.arange(len(block))
-    if isinstance(keys, tuple) and len(keys[0]):
-        seen, rows = keys
+    seen, rows = keys
+    if len(seen):
         found = np.searchsorted(seen, block)
         np.minimum(found, len(seen) - 1, out=found)
         hit = seen[found] == block
@@ -351,26 +355,14 @@ def _narrow_positions(keys, words, at, size, n, dtype):
         miss = miss[~hit]
     unique, first, inverse = np.unique(block[miss], return_index=True, return_inverse=True)
     first = miss[first] + n
-    if isinstance(keys, dict):
-        order = np.argsort(first)
-        new = np.empty(len(unique), dtype=np.intp)
-        new[order] = list(map(keys.setdefault, unique[order].tolist(), first[order].tolist()))
-    else:  # every key here missed the lookup, so it is new
-        new = first
-        seen, rows = np.concatenate((keys[0], unique)), np.concatenate((keys[1], first))
-        if len(seen) > BLOCK_ROWS:
-            keys = _key_rows((seen, rows))
-        else:
-            order = np.argsort(seen)
-            keys = seen[order], rows[order]
-    positions[miss] = new[inverse]
-    return positions, keys
+    positions[miss] = first[inverse]
+    seen, rows = np.concatenate((seen, unique)), np.concatenate((rows, first))
+    order = np.argsort(seen)
+    return positions, (seen[order], rows[order])
 
 
 def _key_rows(keys):
     """A narrow column's keys as a dict of their first rows, in row order."""
-    if isinstance(keys, dict):
-        return keys
     seen, rows = keys
     order = np.argsort(rows)
     return dict(zip(seen[order].tolist(), rows[order].tolist()))
@@ -394,9 +386,10 @@ def _read_unquoted(path, has_header, delimiter):
     ``csv.field_size_limit()`` and at least one data row.  A column whose
     cells in a block are all at most 8 bytes is deduplicated on one uint64
     key per cell (no NUL byte means zero padding is unambiguous), so only
-    keys new to the column are decoded (``_narrow_positions``); from its
-    first wider cell on, its cells are decoded and stripped one by one, as
-    ``_encode`` does, and ``_merge`` joins the two maps.
+    keys new to the column are decoded (``_narrow_positions``).  From its
+    first wider cell on, or once it holds more than BLOCK_ROWS keys, its
+    cells are decoded and stripped one by one, as ``_encode`` does, and
+    ``_merge`` joins the two maps.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -415,7 +408,7 @@ def _tokenize(fh, has_header, delimiter):
         fh.seek(0)
     names, n, limit = None, 0, csv.field_size_limit()
     while data := b"".join(islice(fh, BLOCK_ROWS)):
-        if b'"' in data or b"\0" in data or data.count(b"\r") != data.count(b"\r\n"):
+        if b'"' in data or b"\0" in data or data.endswith(b"\r"):
             return None
         if not data.endswith(b"\n"):
             data += b"\n"
@@ -446,7 +439,7 @@ def _tokenize(fh, has_header, delimiter):
         words = lined = None
         for j in range(width):
             at, size = starts[:, j], lengths[:, j]
-            wide[j] = wide[j] or size.max() > 8
+            wide[j] = wide[j] or size.max() > 8 or len(keys[j][0]) > BLOCK_ROWS
             if wide[j]:
                 if lined is None:  # every cell followed by LF
                     lined = buf.copy()

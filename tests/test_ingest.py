@@ -499,19 +499,51 @@ class TestByteTokenizer:
         assert_same_table(table, csv_module_table(marked, has_header))
         assert table[1][0].labels[-1] == "\ufeff2"
 
-    def test_column_that_widens_after_the_first_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "BLOCK_ROWS", 7)
+    @pytest.mark.parametrize("block_rows, cells, labels, codes, narrow_calls", [
         # Column c is narrow for the first block only; its later wide cells
         # repeat, padded or not, labels first seen as narrow keys.
-        cells = [" a", "b", "a ", "?", "b", "a", "12345678", "abcdefghij", " a ",
-                 "b       ", "?", "abcdefghij", "c", " 12345678 "]
+        (7, [" a", "b", "a ", "?", "b", "a", "12345678", "abcdefghij", " a ",
+             "b       ", "?", "abcdefghij", "c", " 12345678 "],
+         ["a", "b", "?", "12345678", "abcdefghij", "c"],
+         [0, 1, 0, 2, 1, 0, 3, 4, 0, 1, 2, 4, 5, 3], 1 + 3),
+        # Every cell of c fits 8 bytes, but after two blocks (the header and
+        # five rows) its lookup holds five keys, more than BLOCK_ROWS, so c
+        # is wide from the third block on.
+        (3, ["a", "b", "?", "12345678", "xy", " a ", "b", " ? ", "12345678", "xy ", "zz",
+             "a", " b", "zz", "?"],
+         ["a", "b", "?", "12345678", "xy", "zz"],
+         [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 5, 2], 2 + 6),
+    ], ids=["long-cell", "lookup-outgrown"])
+    def test_column_that_widens_after_the_first_block(self, tmp_path, monkeypatch, block_rows,
+                                                      cells, labels, codes, narrow_calls):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        narrow, calls = ingest._narrow_positions, []
+        monkeypatch.setattr(ingest, "_narrow_positions",
+                            lambda *args: calls.append(1) or narrow(*args))
         lines = ["c,k"] + [f"{cell},{k % 3}" for k, cell in enumerate(cells)]
         path = write_bytes(tmp_path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
         table = ingest._read_unquoted(path, True, ",")
         assert_same_table(table, csv_module_table(path))
         column = table[1][0]
-        assert column.labels == ["a", "b", "?", "12345678", "abcdefghij", "c"]
-        assert column.codes.tolist() == [0, 1, 0, 2, 1, 0, 3, 4, 0, 1, 2, 4, 5, 3]
+        assert column.labels == labels
+        assert column.codes.tolist() == codes
+        assert len(calls) == narrow_calls  # c's narrow blocks, then every block of k
+
+    def test_a_narrow_lookup_holds_at_most_block_rows_keys(self, tmp_path, monkeypatch):
+        # Distinct 8-digit ids outgrow the lookup in the second block.
+        ids = [10_000_000 + (7919 * i) % 90_000_000 for i in range(3 * ingest.BLOCK_ROWS)]
+        lines = ["id,k"] + [f"{cell},{cell % 5}" for cell in ids]
+        path = write_bytes(tmp_path, ("\n".join(lines) + "\n").encode("utf-8"))
+        narrow = ingest._narrow_positions
+
+        def spy(keys, *args):
+            assert isinstance(keys, tuple) and len(keys) == 2
+            assert all(isinstance(part, np.ndarray) for part in keys)
+            assert len(keys[0]) <= ingest.BLOCK_ROWS
+            return narrow(keys, *args)
+        monkeypatch.setattr(ingest, "_narrow_positions", spy)
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
 
     def test_narrow_keys_that_strip_alike_share_a_label(self, tmp_path):
         path = write_bytes(tmp_path, b"c\n b\n a\na \n a \nb\n\t\n?\n")
