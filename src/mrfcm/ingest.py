@@ -12,7 +12,10 @@ every delimiter byte is tokenized from its bytes with numpy; in a column
 whose cells in a block all fit 8 bytes, each cell is one uint64 key,
 looked up among the keys the column has already seen, and only new keys
 are deduplicated and decoded.  From its first wider cell, or once it has
-seen more than BLOCK_ROWS keys, a column decodes every cell.
+seen more than BLOCK_ROWS keys, a column decodes every cell.  A column
+wide in its first block is read as reals, one float per row and no
+dictionary, until a present cell is not a real; with more than MAX_CARD
+distinct reals at the end it is a RealColumn, binned row by row.
 Quoted or otherwise irregular files, and every input error message, go
 through the csv module.  Schema inference and binning then work per
 column on the labels and codes; only the distinct labels are classified
@@ -29,6 +32,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress, islice
 from operator import itemgetter
 
@@ -221,6 +225,61 @@ class EncodedColumn:
                              self.parsed[:k], self.values[:k])
 
 
+@dataclass(frozen=True)
+class RealColumn:
+    """A column whose present cells all parse as reals, read without a
+    dictionary.  Per row, ``row_present`` marks the stripped cells that are
+    not missing tokens and ``row_values`` holds their floats (NaN elsewhere);
+    ``text`` holds the cells block by block as UTF-8 bytes, each cell
+    followed by LF.  ``read_table`` gives one only when its rows hold more
+    than MAX_CARD distinct reals, which makes it numeric; its EncodedColumn
+    fields are derived from ``text`` when asked for.
+    """
+
+    text: tuple[bytes, ...]
+    row_present: np.ndarray
+    row_values: np.ndarray
+
+    @cached_property
+    def encoded(self) -> EncodedColumn:
+        index, parts = {}, []
+        return _merge({}, index, parts, _replay(index, parts, self.text))
+
+    labels = property(lambda self: self.encoded.labels)
+    codes = property(lambda self: self.encoded.codes)
+    present = property(lambda self: self.encoded.present)
+    parsed = property(lambda self: self.encoded.parsed)
+    values = property(lambda self: self.encoded.values)
+
+    def settle(self) -> RealColumn | EncodedColumn:
+        """This column if its rows hold more than MAX_CARD distinct reals,
+        and so more than MAX_CARD labels; otherwise its EncodedColumn.
+        Equal reals count once, as NaNs and zeros of either sign do."""
+        seen = np.empty(0)
+        for start in range(0, len(self.row_values), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            seen = np.unique(np.concatenate((seen, self.row_values[rows][self.row_present[rows]])),
+                             equal_nan=True)
+            if len(seen) > MAX_CARD:
+                return self
+        return self.encoded
+
+    def prefix(self, n: int) -> RealColumn | EncodedColumn:
+        """The column of the first n rows, as ``read_table`` gives it for them."""
+        if n >= len(self.row_values):
+            return self
+        text, rest = [], n
+        for block in self.text:
+            rows = block.count(b"\n")
+            if rest <= rows:
+                ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+                text.append(block[:ends[rest - 1] + 1])
+                break
+            text.append(block)
+            rest -= rows
+        return RealColumn(tuple(text), self.row_present[:n], self.row_values[:n]).settle()
+
+
 def _parse_real(cell: str):
     try:
         return float(cell)
@@ -233,6 +292,17 @@ def _positions(index, cells, n, count, dtype=np.intp):
     counting rows from ``n``; ``index`` records new cells."""
     return np.fromiter(map(index.setdefault, map(str.strip, cells), range(n, n + count)),
                        dtype=dtype, count=count)
+
+
+def _replay(index, parts, text):
+    """Map the cells of a RealColumn's ``text`` through ``_positions`` in row
+    order, appending each block's part to ``parts``; the number of rows."""
+    n = 0
+    for block in text:
+        cells = _split(block)
+        parts.append(_positions(index, cells, n, len(cells)))
+        n += len(cells)
+    return n
 
 
 def _merge(keys, index, parts, n) -> EncodedColumn:
@@ -257,6 +327,21 @@ def _merge(keys, index, parts, n) -> EncodedColumn:
     return EncodedColumn(labels, dense[np.concatenate(parts)], *_classify(labels))
 
 
+def _reals(labels):
+    """(present, values) of stripped cells: ``present`` marks those that are
+    not missing tokens, and ``values`` holds their floats, parsed by float()
+    mapped in C, with NaN elsewhere; ``values`` is None if a present cell is
+    not a real."""
+    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
+    values = np.full(len(labels), np.nan)
+    try:
+        values[present] = np.fromiter(map(float, compress(labels, present)), float,
+                                      np.count_nonzero(present))
+    except ValueError:
+        return present, None
+    return present, values
+
+
 def _classify(labels):
     """(present, parsed, values) of distinct labels, as EncodedColumn holds them.
 
@@ -264,12 +349,8 @@ def _classify(labels):
     them; otherwise each label is parsed on its own.  Of the missing
     tokens, those float() accepts ("nan", "NaN") count as parsed.
     """
-    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
-    values = np.full(len(labels), np.nan)
-    try:
-        values[present] = np.fromiter(map(float, compress(labels, present)), float,
-                                      np.count_nonzero(present))
-    except ValueError:
+    present, values = _reals(labels)
+    if values is None:
         reals = np.array(list(map(_parse_real, labels)), dtype=object)
         return present, np.not_equal(reals, None), reals.astype(float)
     parsed = present.copy()
@@ -368,12 +449,20 @@ def _key_rows(keys):
     return dict(zip(seen[order].tolist(), rows[order].tolist()))
 
 
-def _wide_cells(lined, at, size):
-    """One column's cells in a block, decoded: one gather of every cell
-    with the LF that follows it in ``lined``, one decode and one split."""
+def _wide_text(lined, at, size):
+    """One column's cells in a block as bytes: one gather of every cell with
+    the LF that follows it in ``lined``."""
     step = size + 1
-    gather = np.repeat(at - (np.cumsum(step) - step), step) + np.arange(step.sum())
-    return lined[gather].tobytes().decode("utf-8").split("\n")[:-1]
+    # In the dtype of the cell positions (int32 for blocks under 2 GiB):
+    # an int64 gather index over the block's bytes takes twice as long.
+    gather = np.repeat(at - np.cumsum(step, dtype=step.dtype) + step, step)
+    gather += np.arange(len(gather), dtype=gather.dtype)
+    return lined[gather].tobytes()
+
+
+def _split(text):
+    """The decoded cells of ``_wide_text``'s bytes."""
+    return text.decode("utf-8").split("\n")[:-1]
 
 
 def _read_unquoted(path, has_header, delimiter):
@@ -389,7 +478,13 @@ def _read_unquoted(path, has_header, delimiter):
     keys new to the column are decoded (``_narrow_positions``).  From its
     first wider cell on, or once it holds more than BLOCK_ROWS keys, its
     cells are decoded and stripped one by one, as ``_encode`` does, and
-    ``_merge`` joins the two maps.
+    ``_merge`` joins the two maps.  A column with a wider cell in its first
+    block is read as reals instead, while every present cell parses: each
+    block keeps its bytes, its present mask and one float per row
+    (``_reals``).  At its first present cell that is not a real, the kept
+    bytes are replayed through ``_positions`` and the column goes on as
+    above.  At the end, ``RealColumn.settle`` keeps it as a RealColumn or
+    replays it into an EncodedColumn.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -429,7 +524,7 @@ def _tokenize(fh, has_header, delimiter):
                 names = [f"col{j}" for j in range(width)]
             keys = [(np.empty(0, np.uint64), np.empty(0, np.intp))] * width
             index = [{} for _ in range(width)]
-            parts, wide = [[] for _ in range(width)], [False] * width
+            parts, wide, reals = [[] for _ in range(width)], [False] * width, [None] * width
         elif starts.shape[1] != width:
             return None
         rows = len(starts)
@@ -441,10 +536,22 @@ def _tokenize(fh, has_header, delimiter):
             at, size = starts[:, j], lengths[:, j]
             wide[j] = wide[j] or size.max() > 8 or len(keys[j][0]) > BLOCK_ROWS
             if wide[j]:
+                if not n:  # wide in the first block: read as reals while they parse
+                    reals[j] = []
                 if lined is None:  # every cell followed by LF
                     lined = buf.copy()
                     lined[starts + lengths] = 10
-                part = _positions(index[j], _wide_cells(lined, at, size), n, rows, dtype)
+                text = _wide_text(lined, at, size)
+                decoded = _split(text)
+                if reals[j] is not None:
+                    decoded = list(map(str.strip, decoded))
+                    present, values = _reals(decoded)
+                    if values is not None:
+                        reals[j].append((text, present, values))
+                        continue
+                    _replay(index[j], parts[j], [kept for kept, _, _ in reals[j]])
+                    reals[j] = None
+                part = _positions(index[j], decoded, n, rows, dtype)
             else:
                 if words is None:  # the 8 bytes from each position, little-endian
                     words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
@@ -453,14 +560,23 @@ def _tokenize(fh, has_header, delimiter):
         n += rows
     if not n:
         return None
-    # Popping frees each dictionary once its column is encoded.
-    return names, [_merge(_key_rows(keys.pop(0)), index.pop(0), parts.pop(0), n)
-                   for _ in range(width)]
+    columns = []
+    for j, blocks in enumerate(reals):
+        if blocks is None:
+            columns.append(_merge(_key_rows(keys[j]), index[j], parts[j], n))
+        else:
+            text, present, values = zip(*blocks)
+            columns.append(RealColumn(text, np.concatenate(present),
+                                      np.concatenate(values)).settle())
+        keys[j] = index[j] = parts[j] = reals[j] = None  # frees the column's maps
+    return names, columns
 
 
 def read_table(path, has_header: bool = True, delimiter: str = ","):
     """(column names, encoded columns) of a CSV, read as ``load_csv`` reads
     it and encoded block by block as it is read, so no text rows are kept.
+    Each column is an EncodedColumn, or a RealColumn, whose EncodedColumn
+    fields are the same.
 
     ``_read_unquoted`` reads plain delimited files; any other file, and
     every error message, goes through the csv module.
@@ -476,6 +592,9 @@ def read_table(path, has_header: bool = True, delimiter: str = ","):
 def _schema(names, columns) -> list[ColumnSpec]:
     schema = []
     for name, column in zip(names, columns):
+        if isinstance(column, RealColumn):  # more than MAX_CARD labels, every present one a real
+            schema.append(ColumnSpec(name, "numeric", has_missing=not column.row_present.all()))
+            continue
         if not column.present.any():
             raise SchemaError(f"column {name!r}: all cells missing")
         counts = np.bincount(column.codes, minlength=len(column.labels))
@@ -521,25 +640,31 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
     kept_codes = []
     for spec, column in zip(schema, columns):
         # lut maps each label to its category code; missing labels get the
-        # column's dedicated missing category, one past the last.
+        # column's dedicated missing category, one past the last.  A
+        # RealColumn is binned row by row, each row its own label.
         if spec.kind == "numeric":
-            ok = column.present & ~np.isnan(column.values)
+            if isinstance(column, RealColumn):
+                values, present, codes = column.row_values, column.row_present, None
+            else:
+                values, present, codes = column.values, column.present, column.codes
+            ok = present & ~np.isnan(values)
             if not ok.any():
                 raise SchemaError(f"column {spec.name!r}: no parseable values")
             # Quantiles between infinite cells are NaN, and no finite value
             # lies beyond an infinite one: both are dropped.
             with np.errstate(invalid="ignore"):
-                qs = np.quantile(column.values[column.codes[ok[column.codes]]],
+                qs = np.quantile(values[ok] if codes is None else values[codes[ok[codes]]],
                                  [i / bins for i in range(1, bins)])
             inner = np.unique(qs[np.isfinite(qs)])
-            raw = np.searchsorted(inner, column.values[ok], side="left")
+            raw = np.searchsorted(inner, values[ok], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
-            occupied, raw = np.unique(raw, return_inverse=True)
-            edges = np.concatenate(([-np.inf], inner[occupied[:-1]], [np.inf]))
+            occupied = np.bincount(raw) > 0
+            rank = np.cumsum(occupied) - 1
+            edges = np.concatenate(([-np.inf], inner[np.flatnonzero(occupied)[:-1]], [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
-            lut = np.full(len(column.labels), len(occupied), dtype=np.int32)
-            lut[ok] = raw
+            lut = np.full(len(values), rank[-1] + 1, dtype=np.int32)
+            lut[ok] = rank[raw]
         else:
             index = {label: k for k, label in enumerate(spec.categories)}
             try:
@@ -551,12 +676,13 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
                                   "not in schema") from None
             out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
                              has_missing=not column.present.all())
+            codes = column.codes
         if out.cardinality < 2:
             what = "constant numeric" if out.kind == "numeric" else "single-category"
             warnings.warn(f"dropping {what} column {spec.name!r}")
             continue
         kept_specs.append(out)
-        kept_codes.append(lut[column.codes])
+        kept_codes.append(lut if codes is None else lut[codes])
     if not kept_specs:
         raise SchemaError("no usable columns after encoding")
     dataset = CategoricalDataset(kept_specs, np.column_stack(kept_codes))

@@ -331,7 +331,9 @@ class TestOnePassEncoding:
         path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
         _, columns = ingest.read_table(path)
         _, rows = ingest.load_csv(path)
-        for size in (60, 61, 333, len(rows) - 1, len(rows), len(rows) + 50):
+        # Up to 12 rows, a real column holds at most MAX_CARD distinct labels
+        # and is categorical; from 13 on, numeric.
+        for size in (5, 12, 13, 60, 61, 333, len(rows) - 1, len(rows), len(rows) + 50):
             want = ingest.discretize(rows[:size], ingest.infer_schema(names, rows[:size]))
             got = ingest.encode_table(names, [column.prefix(size) for column in columns])
             assert_same_dataset(got, want)
@@ -550,6 +552,106 @@ class TestByteTokenizer:
         column = ingest._read_unquoted(path, True, ",")[1][0]
         assert column.labels == ["b", "a", "", "?"]
         assert column.codes.tolist() == [0, 1, 1, 1, 0, 2, 3]
+
+
+def quoted_copy(path):
+    """A copy of the CSV at ``path`` with every cell quoted, which only the
+    csv module reads."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    copy = path[:-len(".csv")] + "-quoted.csv"
+    with open(copy, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    return copy
+
+
+def read_like_the_csv_module(path):
+    """read_table's result on ``path``, which the tokenizer reads, after
+    checking it and its encoding against the csv module's on a quoted copy."""
+    quoted = quoted_copy(path)
+    assert ingest._read_unquoted(path, True, ",") is not None
+    assert ingest._read_unquoted(quoted, True, ",") is None
+    table = ingest.read_table(path)
+    assert_same_dataset(ingest.encode_table(*table), ingest.encode_csv(quoted))
+    assert_same_table(table, ingest.read_table(quoted))
+    return table
+
+
+def real_lines(cells):
+    """CSV lines of a wide real column x beside a categorical column k."""
+    return ["x,k"] + [f"{cell},{k % 3}" for k, cell in enumerate(cells)]
+
+
+def write_lines(tmp_path, lines):
+    return write_bytes(tmp_path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+class TestRealColumns:
+    """A column wide in its first block is read as reals while every present
+    cell parses, without a dictionary."""
+
+    @pytest.mark.parametrize("text_row", [3, 20], ids=["first-block", "later-block"])
+    def test_text_label_turns_the_column_into_a_dictionary(self, tmp_path, monkeypatch,
+                                                           text_row):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 7)
+        cells = [f"{100 + k * 0.37:.6f}" for k in range(40)]
+        cells[9], cells[text_row] = " ? ", "some text"
+        cells[30] = cells[2]  # a label seen before the switch
+        table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
+        column = table[1][0]
+        assert isinstance(column, ingest.EncodedColumn)
+        assert column.labels[column.codes[text_row]] == "some text"
+        assert column.codes[30] == column.codes[2]
+
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    @pytest.mark.parametrize("spellings, values, kind", [
+        (1, ingest.MAX_CARD, "categorical"),
+        (2, ingest.MAX_CARD, "numeric"),
+        (1, ingest.MAX_CARD + 1, "numeric"),
+    ], ids=["max-card-labels", "two-labels-per-real", "max-card-plus-one-reals"])
+    def test_few_distinct_reals_keep_their_labels(self, tmp_path, monkeypatch, block_rows,
+                                                  spellings, values, kind):
+        # Each real is written with nine or ten decimals: distinct labels,
+        # one value.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        labels = [f"{v}.{'0' * (9 + s)}" for s in range(spellings) for v in range(values)]
+        cells = [labels[k % len(labels)] for k in range(3 * len(labels))] + ["?"]
+        table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
+        column = table[1][0]
+        assert isinstance(column, ingest.RealColumn) == (len(labels) == values > ingest.MAX_CARD)
+        assert column.labels == labels + ["?"]
+        spec = ingest.encode_table(*table).schema[0]
+        assert spec.kind == kind
+        if kind == "categorical":
+            assert spec.categories == labels
+
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    def test_odd_wide_cells_stay_reals(self, tmp_path, monkeypatch, block_rows):
+        # Stripped, each odd cell is a missing token or a real; unstripped,
+        # " ? " and "\x1c1.5" are neither.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        odd = [" ? ", "NAN", "-nan", "inf", "1_0", "\x1c1.5"]
+        cells = [f"{k * 0.37 - 5:.7f}" if k % 3 else odd[k // 3 % len(odd)] for k in range(90)]
+        table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
+        column = table[1][0]
+        assert isinstance(column, ingest.RealColumn)
+        assert {"?", "NAN", "-nan", "inf", "1_0", "1.5"} <= set(column.labels)
+        assert column.row_present.tolist() == [cell != " ? " for cell in cells]
+
+    def test_recipe_reals_never_reach_the_dictionary(self, tmp_path, monkeypatch):
+        names, rows = TABLES["recipe"]
+        path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
+        calls = []
+        positions = ingest._positions
+        monkeypatch.setattr(ingest, "_positions", lambda *args: calls.append(1) or positions(*args))
+        table = ingest.read_table(path)
+        dataset = ingest.encode_table(*table)
+        assert not calls
+        kinds = [type(column).__name__ for column in table[1]]
+        assert kinds == ["EncodedColumn"] * 3 + ["RealColumn"] * 2
+        assert [spec.kind for spec in dataset.schema] == ["categorical"] * 3 + ["numeric"] * 2
+        monkeypatch.setattr(ingest, "_positions", positions)
+        assert_same_dataset(dataset, ingest.encode_csv(quoted_copy(path)))
 
 
 # Labels float() reads in unusual ways: signed NaN, infinity, negative zero,

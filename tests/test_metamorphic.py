@@ -2,13 +2,16 @@
 
 Codes are first-appearance indices of each column's labels, so renaming
 every categorical label one-to-one changes no code, and with it no
-byte-stable output.  The renamed tables are read both by ingest's byte
-tokenizer and, from a copy with every cell quoted, by the csv module;
-narrow names go through the tokenizer's key lookup, wide ones (9-16
-bytes) through its per-cell path.
+byte-stable output.  Scaling every real by 4, a power of two, scales each
+quantile exactly, so it moves every bin edge and no real across one.
+The changed tables are read both by ingest's byte tokenizer and, from a
+copy with every cell quoted, by the csv module; narrow names go through
+the tokenizer's key lookup, wide ones (9-16 bytes) through its per-cell
+path, and wide reals through its per-row floats.
 """
 import csv
 
+import numpy as np
 import pytest
 
 from mrfcm import datasets, ingest
@@ -94,3 +97,37 @@ def test_relabelling_keeps_every_output(tmp_path, monkeypatch, table, block_rows
         assert ingest._read_unquoted(quoted, True, ",") is None
         assert outputs(plain, tmp_path / name) == want, name
         assert outputs(quoted, tmp_path / f"{name}-quoted") == want, name
+
+
+def real_table():
+    """A mixed table of three categorical and two wide real columns, with
+    "?" in about 1% of cells."""
+    categorical = datasets.clustered_categorical_rows(3000, 3, seed=13)
+    reals = datasets.gaussian_blob_rows(3000, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]], 1.0, seed=14)
+    rows = [a + b for a, b in zip(categorical, reals)]
+    missing = np.random.default_rng(15).random((3000, 5)) < 0.01
+    for i, j in zip(*np.nonzero(missing)):
+        rows[i][j] = "?"
+    return ["q0", "q1", "q2", "x0", "x1"], rows
+
+
+@pytest.mark.parametrize("block_rows", [ingest.BLOCK_ROWS, 7])
+def test_scaling_the_reals_keeps_every_output(tmp_path, monkeypatch, block_rows):
+    names, rows = real_table()
+    original = write(tmp_path / "t.csv", names, rows, csv.QUOTE_MINIMAL)
+    want = outputs(original, tmp_path / "want")
+    dataset = ingest.encode_csv(original)
+    for spec in dataset.schema:
+        if spec.kind == "numeric":
+            spec.bin_edges = 4 * spec.bin_edges
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    scaled = [[cell if j < 3 or cell == "?" else repr(4 * float(cell))
+               for j, cell in enumerate(row)] for row in rows]
+    plain = write(tmp_path / "scaled.csv", names, scaled, csv.QUOTE_MINIMAL)
+    quoted = write(tmp_path / "scaled-quoted.csv", names, scaled, csv.QUOTE_ALL)
+    assert isinstance(ingest.read_table(plain)[1][3], ingest.RealColumn)
+    assert ingest._read_unquoted(quoted, True, ",") is None
+    for name, path in {"plain": plain, "quoted": quoted}.items():
+        out = tmp_path / name
+        assert outputs(path, out) == want, name
+        assert (out / "2" / "schema.txt").read_text() == ingest.schema_dump(dataset)
