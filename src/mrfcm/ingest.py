@@ -5,23 +5,23 @@ input is normalized here: numeric columns are quantile-binned, missing
 cells become an explicit per-column category, and the encoded rows are
 split into contiguous partitions that the map-reduce engine schedules.
 
-A CSV is read once, in blocks of rows, and each column is dictionary-encoded
-as it is read: its distinct stripped cells (labels) in first-appearance
-order, plus one int code per cell.  A file the csv module would split at
-every delimiter byte is tokenized from its bytes with numpy; in a column
-whose cells in a block all fit 8 bytes, each cell is one uint64 key,
-looked up among the keys the column has already seen, and only new keys
-are deduplicated and decoded.  From its first wider cell, or once it has
-seen more than BLOCK_ROWS keys, a column decodes every cell.  A column
-wide in its first block is read as reals, one float per row and no
-dictionary, until a present cell is not a real; with more than MAX_CARD
-distinct reals at the end it is a RealColumn, binned row by row.
-Quoted or otherwise irregular files, and every input error message, go
-through the csv module.  Schema inference and binning then work per
-column on the labels and codes; only the distinct labels are classified
-and parsed, by ``float`` mapped over them in C while every present label
-is a real.  ``load_csv``, ``infer_schema`` and ``discretize`` are entry
-points over the same encoder for rows held in memory.
+A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
+(its distinct stripped cells, or labels, in first-appearance order plus
+one int code per cell) or, if it holds many distinct reals, kept as one
+float per row.  A file the csv module would split at every delimiter byte
+is tokenized from its bytes with numpy; there a column is narrow keys,
+then bytes.  While its cells in a block fit 8 bytes, each is one uint64
+key, and only keys the column has not seen are deduplicated and decoded.
+From its first wider cell, or once it holds more than BLOCK_ROWS keys, it
+keeps its cells' bytes, its narrow rows so far rebuilt from their keys.
+Its type is decided once, at end of file: a RealColumn if every present
+cell is a real and more than MAX_CARD of them differ, else the
+dictionary encoding of its bytes.  Quoted or otherwise irregular files,
+and every input error message, go through the csv module.  Schema
+inference and binning work per column on the labels and codes; only the
+distinct labels are classified and parsed, by ``float`` mapped in C.
+``load_csv``, ``infer_schema`` and ``discretize`` are entry points over
+the same encoder for rows held in memory.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import stat
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -227,13 +227,12 @@ class EncodedColumn:
 
 @dataclass(frozen=True)
 class RealColumn:
-    """A column whose present cells all parse as reals, read without a
-    dictionary.  Per row, ``row_present`` marks the stripped cells that are
-    not missing tokens and ``row_values`` holds their floats (NaN elsewhere);
-    ``text`` holds the cells block by block as UTF-8 bytes, each cell
-    followed by LF.  ``read_table`` gives one only when its rows hold more
-    than MAX_CARD distinct reals, which makes it numeric; its EncodedColumn
-    fields are derived from ``text`` when asked for.
+    """A column whose present cells all parse as reals, more than MAX_CARD
+    of them distinct, so numeric: more than MAX_CARD labels, all present
+    reals.  Per row, ``row_present`` marks the stripped cells that are not
+    missing tokens and ``row_values`` holds their floats (NaN elsewhere).
+    ``text`` holds the cells block by block as UTF-8 bytes, each followed by
+    LF; the EncodedColumn fields are derived from it when asked for.
     """
 
     text: tuple[bytes, ...]
@@ -242,8 +241,7 @@ class RealColumn:
 
     @cached_property
     def encoded(self) -> EncodedColumn:
-        index, parts = {}, []
-        return _merge({}, index, parts, _replay(index, parts, self.text))
+        return _replay(self.text)
 
     labels = property(lambda self: self.encoded.labels)
     codes = property(lambda self: self.encoded.codes)
@@ -251,33 +249,18 @@ class RealColumn:
     parsed = property(lambda self: self.encoded.parsed)
     values = property(lambda self: self.encoded.values)
 
-    def settle(self) -> RealColumn | EncodedColumn:
-        """This column if its rows hold more than MAX_CARD distinct reals,
-        and so more than MAX_CARD labels; otherwise its EncodedColumn.
-        Equal reals count once, as NaNs and zeros of either sign do."""
-        seen = np.empty(0)
-        for start in range(0, len(self.row_values), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            seen = np.unique(np.concatenate((seen, self.row_values[rows][self.row_present[rows]])),
-                             equal_nan=True)
-            if len(seen) > MAX_CARD:
-                return self
-        return self.encoded
-
     def prefix(self, n: int) -> RealColumn | EncodedColumn:
         """The column of the first n rows, as ``read_table`` gives it for them."""
         if n >= len(self.row_values):
             return self
-        text, rest = [], n
-        for block in self.text:
-            rows = block.count(b"\n")
-            if rest <= rows:
-                ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-                text.append(block[:ends[rest - 1] + 1])
+        text = []
+        for block in self.text:  # each block up to the LF that ends row n
+            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+            text.append(block[:ends[min(n, len(ends)) - 1] + 1])
+            n -= len(ends)
+            if n <= 0:
                 break
-            text.append(block)
-            rest -= rows
-        return RealColumn(tuple(text), self.row_present[:n], self.row_values[:n]).settle()
+        return _wide_column(text)
 
 
 def _parse_real(cell: str):
@@ -287,43 +270,20 @@ def _parse_real(cell: str):
         return None
 
 
-def _positions(index, cells, n, count, dtype=np.intp):
+def _positions(index, cells, n, count):
     """Map ``count`` cells, stripped, to the row where each first appears,
     counting rows from ``n``; ``index`` records new cells."""
     return np.fromiter(map(index.setdefault, map(str.strip, cells), range(n, n + count)),
-                       dtype=dtype, count=count)
+                       dtype=np.intp, count=count)
 
 
-def _replay(index, parts, text):
-    """Map the cells of a RealColumn's ``text`` through ``_positions`` in row
-    order, appending each block's part to ``parts``; the number of rows."""
-    n = 0
-    for block in text:
-        cells = _split(block)
-        parts.append(_positions(index, cells, n, len(cells)))
-        n += len(cells)
-    return n
-
-
-def _merge(keys, index, parts, n) -> EncodedColumn:
-    """A column's EncodedColumn from the maps its reader built.
-
-    ``keys`` maps a narrow cell's byte key, ``index`` a stripped cell, to the
-    row where it first appears; both are in ascending row order and every
-    row of ``keys`` precedes those of ``index``.  ``parts`` holds, block by
-    block, that first row for each of the n rows.  Keys that strip to one
-    label, and a wide cell equal to it, share its code.
-    """
-    if keys:
-        merged = {}
-        codes = [merged.setdefault(label, len(merged))
-                 for label in chain(map(_key_label, keys), index)]
-        labels = list(merged)
-    else:
-        labels, codes = list(index), np.arange(len(index))
+def _merge(index, parts, n) -> EncodedColumn:
+    """A column's EncodedColumn from the map its reader built: ``index`` maps
+    each label to the row where it first appears, in ascending row order, and
+    ``parts`` holds, block by block, that first row for each of the n rows."""
+    labels = list(index)
     dense = np.empty(n, dtype=np.intp)
-    dense[np.fromiter(chain(keys.values(), index.values()), dtype=np.intp,
-                      count=len(keys) + len(index))] = codes
+    dense[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
     return EncodedColumn(labels, dense[np.concatenate(parts)], *_classify(labels))
 
 
@@ -374,7 +334,7 @@ def _encode(width, blocks) -> list[EncodedColumn]:
             parts[j].append(_positions(index[j], map(itemgetter(j), rows), n, len(rows)))
         n += len(rows)
     # Popping frees each dictionary once its column is encoded.
-    return [_merge({}, index.pop(0), parts.pop(0), n) for _ in range(width)]
+    return [_merge(index.pop(0), parts.pop(0), n) for _ in range(width)]
 
 
 # Masks that keep the first k bytes of a little-endian 8-byte word, k = 0..8.
@@ -442,11 +402,36 @@ def _narrow_positions(keys, words, at, size, n, dtype):
     return positions, (seen[order], rows[order])
 
 
-def _key_rows(keys):
-    """A narrow column's keys as a dict of their first rows, in row order."""
+def _key_column(keys, parts, n) -> EncodedColumn:
+    """A narrow column's EncodedColumn from its keys, sorted with their first
+    rows, and ``parts``.  Keys that strip to one label share its first row."""
     seen, rows = keys
     order = np.argsort(rows)
-    return dict(zip(seen[order].tolist(), rows[order].tolist()))
+    seen, rows = seen[order], rows[order]
+    index = {}
+    firsts = np.fromiter(map(index.setdefault, map(_key_label, seen.tolist()), rows.tolist()),
+                         dtype=np.intp, count=len(rows))
+    if len(index) < len(rows):
+        remap = np.empty(n, dtype=np.intp)
+        remap[rows] = firsts
+        parts = [remap[np.concatenate(parts)]]
+    return _merge(index, parts, n)
+
+
+def _key_text(keys, parts):
+    """A narrow column's rows so far as ``_wide_text`` bytes, rebuilt from
+    its keys, sorted with their first rows, and ``parts``.  Each row's key,
+    as 8 little-endian bytes, is its cell padded with NUL bytes, which no
+    cell holds: an LF goes in after the cell and the NUL bytes are dropped.
+    """
+    seen, rows = keys
+    first = np.concatenate(parts)
+    by_row = np.empty(len(first), dtype=np.uint64)
+    by_row[rows] = seen
+    cells = np.zeros((len(first), 9), dtype=np.uint8)
+    cells[:, :8] = by_row[first].astype("<u8").view(np.uint8).reshape(-1, 8)
+    cells[np.arange(len(first)), np.count_nonzero(cells, axis=1)] = 10
+    return cells[cells != 0].tobytes()
 
 
 def _wide_text(lined, at, size):
@@ -465,6 +450,36 @@ def _split(text):
     return text.decode("utf-8").split("\n")[:-1]
 
 
+def _replay(text) -> EncodedColumn:
+    """The EncodedColumn of a column's ``_wide_text`` bytes blocks, their
+    cells mapped through ``_positions`` in row order."""
+    index, parts, n = {}, [], 0
+    for block in text:
+        cells = _split(block)
+        parts.append(_positions(index, cells, n, len(cells)))
+        n += len(cells)
+    return _merge(index, parts, n)
+
+
+def _wide_column(text) -> RealColumn | EncodedColumn:
+    """The column of ``_wide_text`` bytes blocks: a RealColumn if every
+    present cell, stripped, is a real (``_reals``) and more than MAX_CARD of
+    them differ, otherwise their replay.  Equal reals count once, as NaNs
+    and zeros of either sign do."""
+    reals, seen = [], np.empty(0)
+    for block in text:
+        present, values = _reals(list(map(str.strip, _split(block))))
+        if values is None:
+            return _replay(text)
+        if len(seen) <= MAX_CARD:
+            seen = np.unique(np.concatenate((seen, values[present])), equal_nan=True)
+        reals.append((present, values))
+    if len(seen) <= MAX_CARD:
+        return _replay(text)
+    present, values = zip(*reals)
+    return RealColumn(tuple(text), np.concatenate(present), np.concatenate(values))
+
+
 def _read_unquoted(path, has_header, delimiter):
     """``read_table``'s result, tokenized with numpy from the file's bytes,
     or None if the csv module must read the file.
@@ -472,19 +487,15 @@ def _read_unquoted(path, has_header, delimiter):
     Taken only where csv would split every line at each delimiter byte: no
     quote, NUL or lone CR byte in the file, an ASCII delimiter that is none
     of those nor LF, UTF-8 text, rows of one width, cells within
-    ``csv.field_size_limit()`` and at least one data row.  A column whose
-    cells in a block are all at most 8 bytes is deduplicated on one uint64
-    key per cell (no NUL byte means zero padding is unambiguous), so only
-    keys new to the column are decoded (``_narrow_positions``).  From its
-    first wider cell on, or once it holds more than BLOCK_ROWS keys, its
-    cells are decoded and stripped one by one, as ``_encode`` does, and
-    ``_merge`` joins the two maps.  A column with a wider cell in its first
-    block is read as reals instead, while every present cell parses: each
-    block keeps its bytes, its present mask and one float per row
-    (``_reals``).  At its first present cell that is not a real, the kept
-    bytes are replayed through ``_positions`` and the column goes on as
-    above.  At the end, ``RealColumn.settle`` keeps it as a RealColumn or
-    replays it into an EncodedColumn.
+    ``csv.field_size_limit()`` and at least one data row.  A column is
+    narrow keys, then bytes.  While its cells in a block all fit 8 bytes,
+    each is one uint64 key (no NUL byte means zero padding is unambiguous)
+    and only keys new to the column are decoded (``_narrow_positions``).
+    At its first wider cell, or once it holds more than BLOCK_ROWS keys, it
+    turns wide for good, in whatever block that happens: its narrow rows so
+    far become its first bytes block (``_key_text``), and each later block
+    appends its cells' bytes (``_wide_text``).  Its type is decided once,
+    at end of file: by ``_key_column`` while narrow, else ``_wide_column``.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -523,8 +534,7 @@ def _tokenize(fh, has_header, delimiter):
             else:
                 names = [f"col{j}" for j in range(width)]
             keys = [(np.empty(0, np.uint64), np.empty(0, np.intp))] * width
-            index = [{} for _ in range(width)]
-            parts, wide, reals = [[] for _ in range(width)], [False] * width, [None] * width
+            parts = [[] for _ in range(width)]  # first rows while narrow, then bytes
         elif starts.shape[1] != width:
             return None
         rows = len(starts)
@@ -534,41 +544,27 @@ def _tokenize(fh, has_header, delimiter):
         words = lined = None
         for j in range(width):
             at, size = starts[:, j], lengths[:, j]
-            wide[j] = wide[j] or size.max() > 8 or len(keys[j][0]) > BLOCK_ROWS
-            if wide[j]:
-                if not n:  # wide in the first block: read as reals while they parse
-                    reals[j] = []
+            if keys[j] is not None and (size.max() > 8 or len(keys[j][0]) > BLOCK_ROWS):
+                parts[j] = [_key_text(keys[j], parts[j])] if parts[j] else []
+                keys[j] = None  # wide from here on
+            if keys[j] is None:
                 if lined is None:  # every cell followed by LF
                     lined = buf.copy()
                     lined[starts + lengths] = 10
-                text = _wide_text(lined, at, size)
-                decoded = _split(text)
-                if reals[j] is not None:
-                    decoded = list(map(str.strip, decoded))
-                    present, values = _reals(decoded)
-                    if values is not None:
-                        reals[j].append((text, present, values))
-                        continue
-                    _replay(index[j], parts[j], [kept for kept, _, _ in reals[j]])
-                    reals[j] = None
-                part = _positions(index[j], decoded, n, rows, dtype)
+                parts[j].append(_wide_text(lined, at, size))
             else:
                 if words is None:  # the 8 bytes from each position, little-endian
                     words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
                 part, keys[j] = _narrow_positions(keys[j], words, at, size, n, dtype)
-            parts[j].append(part)
+                parts[j].append(part)
         n += rows
     if not n:
         return None
     columns = []
-    for j, blocks in enumerate(reals):
-        if blocks is None:
-            columns.append(_merge(_key_rows(keys[j]), index[j], parts[j], n))
-        else:
-            text, present, values = zip(*blocks)
-            columns.append(RealColumn(text, np.concatenate(present),
-                                      np.concatenate(values)).settle())
-        keys[j] = index[j] = parts[j] = reals[j] = None  # frees the column's maps
+    for j in range(width):
+        columns.append(_wide_column(parts[j]) if keys[j] is None
+                       else _key_column(keys[j], parts[j], n))
+        keys[j] = parts[j] = None  # frees the column's keys and bytes
     return names, columns
 
 

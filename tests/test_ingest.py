@@ -587,8 +587,9 @@ def write_lines(tmp_path, lines):
 
 
 class TestRealColumns:
-    """A column wide in its first block is read as reals while every present
-    cell parses, without a dictionary."""
+    """A wide column keeps its bytes, whenever it turned wide, and is read
+    as reals, without a dictionary, if at end of file every present cell
+    parses and more than MAX_CARD of them differ."""
 
     @pytest.mark.parametrize("text_row", [3, 20], ids=["first-block", "later-block"])
     def test_text_label_turns_the_column_into_a_dictionary(self, tmp_path, monkeypatch,
@@ -638,6 +639,37 @@ class TestRealColumns:
         assert {"?", "NAN", "-nan", "inf", "1_0", "1.5"} <= set(column.labels)
         assert column.row_present.tolist() == [cell != " ? " for cell in cells]
 
+    @pytest.mark.parametrize("block_rows", [3, ingest.BLOCK_ROWS])
+    @pytest.mark.parametrize("case", ["ids", "wide-real-later", "wide-real-then-text"])
+    def test_a_column_that_turns_wide_later_is_typed_at_the_end(self, tmp_path, monkeypatch,
+                                                                block_rows, case):
+        # The header and the first rows fill the first block, so data row
+        # 2 * block_rows lies in the third.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        rows = 4 * block_rows + 20
+        if case == "ids":
+            # Distinct 8-digit ids outgrow the lookup at the third block;
+            # " ? " and "?" are narrow, the padded ids from the fourth wide.
+            cells = [str(10_000_000 + (7919 * k) % 90_000_000) for k in range(rows)]
+            for k in range(rows):
+                if k % 11 == 5:
+                    cells[k] = "?" if k % 2 else " ? "
+                elif k >= 3 * block_rows and k % 7 == 0:
+                    cells[k] = f" {cells[k]}  "
+        else:
+            # Five narrow reals, then a wide real in the third block and
+            # distinct reals after it.
+            cells = [f"{k % 5 * 0.25:.2f}" if k < 2 * block_rows else f"{k * 0.37:.3f}"
+                     for k in range(rows)]
+            cells[3], cells[2 * block_rows] = "?", "123.4567890"
+            if case == "wide-real-then-text":
+                cells[2 * block_rows + 2] = "some text"
+        column = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))[1][0]
+        real = case != "wide-real-then-text"
+        assert isinstance(column, ingest.RealColumn if real else ingest.EncodedColumn)
+        if real:
+            assert column.row_present.tolist() == [cell.strip() != "?" for cell in cells]
+
     def test_recipe_reals_never_reach_the_dictionary(self, tmp_path, monkeypatch):
         names, rows = TABLES["recipe"]
         path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
@@ -669,7 +701,7 @@ class TestMerge:
         # Each label appears once, then again in reverse, so codes repeat.
         rows = list(range(len(labels))) + list(range(len(labels)))[::-1]
         index = {label: row for row, label in enumerate(labels)}
-        column = ingest._merge({}, index, [np.array(rows[:5]), np.array(rows[5:])], len(rows))
+        column = ingest._merge(index, [np.array(rows[:5]), np.array(rows[5:])], len(rows))
         assert column.labels == labels
         assert column.codes.tolist() == rows
         assert column.present.tolist() == [lab not in ingest.MISSING_TOKENS for lab in labels]
