@@ -9,19 +9,17 @@ A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
 (its distinct stripped cells, or labels, in first-appearance order plus
 one int code per cell) or, if it holds many distinct reals, kept as one
 float per row.  A file the csv module would split at every delimiter byte
-is tokenized from its bytes with numpy; there a column is narrow keys,
-then bytes.  While its cells in a block fit 8 bytes, each is one uint64
-key, and only keys the column has not seen are deduplicated and decoded.
-From its first wider cell, or once it holds more than BLOCK_ROWS keys, it
-keeps its cells' bytes, its narrow rows so far rebuilt from their keys.
-Its type is decided once, at end of file: a RealColumn if every present
-cell is a real and more than MAX_CARD of them differ, else the
-dictionary encoding of its bytes.  Quoted or otherwise irregular files,
-and every input error message, go through the csv module.  Schema
-inference and binning work per column on the labels and codes; only the
-distinct labels are classified and parsed, by ``float`` mapped in C.
-``load_csv``, ``infer_schema`` and ``discretize`` are entry points over
-the same encoder for rows held in memory.
+is tokenized from its bytes with numpy; there a column is narrow keys
+(cells of at most 8 bytes, each one uint64), then, from its first wider
+cell or once it holds more than BLOCK_ROWS keys, its cells' bytes.  At
+end of file it is a RealColumn if every present cell is a real and more
+than MAX_CARD of them differ; otherwise its bytes, or its distinct keys
+written as bytes, are replayed into the dictionary, one label decoder for
+both.  Quoted or otherwise irregular files, and every input error
+message, go through the csv module.  Only distinct labels are classified
+and parsed, by ``float`` mapped in C; every numeric column is binned from
+its per-row floats.  ``load_csv``, ``infer_schema`` and ``discretize``
+are entry points over the same encoder for rows held in memory.
 """
 from __future__ import annotations
 
@@ -31,8 +29,7 @@ import os
 import re
 import stat
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from itertools import compress, islice
 from operator import itemgetter
 
@@ -45,6 +42,9 @@ MISSING_TOKENS = frozenset({"", "?", "NA", "na", "NaN", "nan", "NULL", "null"})
 # Thresholds of infer_schema's numeric test.
 NUMERIC_DETECT = 0.95
 MAX_CARD = 12
+# Domain bound on J, the categories of all columns: the MCA fit
+# eigendecomposes a J x J matrix, whose cost grows as J**3.
+MAX_CATEGORIES = 2048
 # Rows read before each encoding step: the text of at most this many rows
 # is held at once.
 BLOCK_ROWS = 8192
@@ -228,26 +228,17 @@ class EncodedColumn:
 @dataclass(frozen=True)
 class RealColumn:
     """A column whose present cells all parse as reals, more than MAX_CARD
-    of them distinct, so numeric: more than MAX_CARD labels, all present
-    reals.  Per row, ``row_present`` marks the stripped cells that are not
-    missing tokens and ``row_values`` holds their floats (NaN elsewhere).
-    ``text`` holds the cells block by block as UTF-8 bytes, each followed by
-    LF; the EncodedColumn fields are derived from it when asked for.
+    of them distinct, so numeric, and kept only as its rows: per row,
+    ``row_present`` marks the stripped cells that are not missing tokens
+    and ``row_values`` holds their floats (NaN elsewhere).  ``text`` holds
+    the cells block by block as UTF-8 bytes, each followed by LF, from
+    which ``prefix`` cuts its rows; ``_replay(text)`` is the column's
+    dictionary encoding.
     """
 
     text: tuple[bytes, ...]
     row_present: np.ndarray
     row_values: np.ndarray
-
-    @cached_property
-    def encoded(self) -> EncodedColumn:
-        return _replay(self.text)
-
-    labels = property(lambda self: self.encoded.labels)
-    codes = property(lambda self: self.encoded.codes)
-    present = property(lambda self: self.encoded.present)
-    parsed = property(lambda self: self.encoded.parsed)
-    values = property(lambda self: self.encoded.values)
 
     def prefix(self, n: int) -> RealColumn | EncodedColumn:
         """The column of the first n rows, as ``read_table`` gives it for them."""
@@ -341,11 +332,6 @@ def _encode(width, blocks) -> list[EncodedColumn]:
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _key_label(key: int) -> str:
-    """The stripped text of a narrow cell from its byte key."""
-    return key.to_bytes(8, "little").rstrip(b"\0").decode("utf-8").strip()
-
-
 def _cells(buf, delimiter):
     """(starts, lengths) of the cells of a block of whole lines, as (rows,
     width) arrays with blank lines dropped; None if rows differ in width or
@@ -402,36 +388,38 @@ def _narrow_positions(keys, words, at, size, n, dtype):
     return positions, (seen[order], rows[order])
 
 
+def _key_bytes(keys):
+    """Narrow cells as ``_wide_text`` bytes, from their uint64 keys.  Each
+    key, as 8 little-endian bytes, is its cell padded with NUL bytes, which
+    no cell holds: an LF goes in after the cell and the NUL bytes are dropped.
+    """
+    cells = np.zeros((len(keys), 9), dtype=np.uint8)
+    cells[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    cells[np.arange(len(keys)), np.count_nonzero(cells, axis=1)] = 10
+    return cells[cells != 0].tobytes()
+
+
 def _key_column(keys, parts, n) -> EncodedColumn:
     """A narrow column's EncodedColumn from its keys, sorted with their first
-    rows, and ``parts``.  Keys that strip to one label share its first row."""
+    rows, and ``parts``: the keys in first-row order are replayed as bytes,
+    so keys that strip to one label share its code, and each row takes its
+    key's code by one gather."""
     seen, rows = keys
     order = np.argsort(rows)
-    seen, rows = seen[order], rows[order]
-    index = {}
-    firsts = np.fromiter(map(index.setdefault, map(_key_label, seen.tolist()), rows.tolist()),
-                         dtype=np.intp, count=len(rows))
-    if len(index) < len(rows):
-        remap = np.empty(n, dtype=np.intp)
-        remap[rows] = firsts
-        parts = [remap[np.concatenate(parts)]]
-    return _merge(index, parts, n)
+    column = _replay([_key_bytes(seen[order])])
+    dense = np.empty(n, dtype=column.codes.dtype)
+    dense[rows[order]] = column.codes
+    return replace(column, codes=dense[np.concatenate(parts)])
 
 
 def _key_text(keys, parts):
     """A narrow column's rows so far as ``_wide_text`` bytes, rebuilt from
-    its keys, sorted with their first rows, and ``parts``.  Each row's key,
-    as 8 little-endian bytes, is its cell padded with NUL bytes, which no
-    cell holds: an LF goes in after the cell and the NUL bytes are dropped.
-    """
+    its keys, sorted with their first rows, and ``parts``."""
     seen, rows = keys
     first = np.concatenate(parts)
     by_row = np.empty(len(first), dtype=np.uint64)
     by_row[rows] = seen
-    cells = np.zeros((len(first), 9), dtype=np.uint8)
-    cells[:, :8] = by_row[first].astype("<u8").view(np.uint8).reshape(-1, 8)
-    cells[np.arange(len(first)), np.count_nonzero(cells, axis=1)] = 10
-    return cells[cells != 0].tobytes()
+    return _key_bytes(by_row[first])
 
 
 def _wide_text(lined, at, size):
@@ -495,7 +483,8 @@ def _read_unquoted(path, has_header, delimiter):
     turns wide for good, in whatever block that happens: its narrow rows so
     far become its first bytes block (``_key_text``), and each later block
     appends its cells' bytes (``_wide_text``).  Its type is decided once,
-    at end of file: by ``_key_column`` while narrow, else ``_wide_column``.
+    at end of file: by ``_key_column`` while narrow, else ``_wide_column``;
+    both decode labels through ``_replay``.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -571,8 +560,8 @@ def _tokenize(fh, has_header, delimiter):
 def read_table(path, has_header: bool = True, delimiter: str = ","):
     """(column names, encoded columns) of a CSV, read as ``load_csv`` reads
     it and encoded block by block as it is read, so no text rows are kept.
-    Each column is an EncodedColumn, or a RealColumn, whose EncodedColumn
-    fields are the same.
+    Each column is an EncodedColumn, or a RealColumn, whose bytes replay
+    (``_replay``) to the EncodedColumn the csv module gives.
 
     ``_read_unquoted`` reads plain delimited files; any other file, and
     every error message, goes through the csv module.
@@ -588,7 +577,7 @@ def read_table(path, has_header: bool = True, delimiter: str = ","):
 def _schema(names, columns) -> list[ColumnSpec]:
     schema = []
     for name, column in zip(names, columns):
-        if isinstance(column, RealColumn):  # more than MAX_CARD labels, every present one a real
+        if isinstance(column, RealColumn):  # more than MAX_CARD distinct reals, so numeric
             schema.append(ColumnSpec(name, "numeric", has_missing=not column.row_present.all()))
             continue
         if not column.present.any():
@@ -635,22 +624,20 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
     kept_specs = []
     kept_codes = []
     for spec, column in zip(schema, columns):
-        # lut maps each label to its category code; missing labels get the
-        # column's dedicated missing category, one past the last.  A
-        # RealColumn is binned row by row, each row its own label.
+        # Missing cells get the column's dedicated missing category, one
+        # past the last.  Numeric columns are binned row by row.
         if spec.kind == "numeric":
             if isinstance(column, RealColumn):
-                values, present, codes = column.row_values, column.row_present, None
+                values, present = column.row_values, column.row_present
             else:
-                values, present, codes = column.values, column.present, column.codes
+                values, present = column.values[column.codes], column.present[column.codes]
             ok = present & ~np.isnan(values)
             if not ok.any():
                 raise SchemaError(f"column {spec.name!r}: no parseable values")
             # Quantiles between infinite cells are NaN, and no finite value
             # lies beyond an infinite one: both are dropped.
             with np.errstate(invalid="ignore"):
-                qs = np.quantile(values[ok] if codes is None else values[codes[ok[codes]]],
-                                 [i / bins for i in range(1, bins)])
+                qs = np.quantile(values[ok], [i / bins for i in range(1, bins)])
             inner = np.unique(qs[np.isfinite(qs)])
             raw = np.searchsorted(inner, values[ok], side="left")
             # Skewed data can leave quantile bins empty; merge those away so
@@ -659,8 +646,8 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
             rank = np.cumsum(occupied) - 1
             edges = np.concatenate(([-np.inf], inner[np.flatnonzero(occupied)[:-1]], [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
-            lut = np.full(len(values), rank[-1] + 1, dtype=np.int32)
-            lut[ok] = rank[raw]
+            codes = np.full(len(values), rank[-1] + 1, dtype=np.int32)
+            codes[ok] = rank[raw]
         else:
             index = {label: k for k, label in enumerate(spec.categories)}
             try:
@@ -672,17 +659,21 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
                                   "not in schema") from None
             out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
                              has_missing=not column.present.all())
-            codes = column.codes
+            codes = lut[column.codes]
         if out.cardinality < 2:
             what = "constant numeric" if out.kind == "numeric" else "single-category"
             warnings.warn(f"dropping {what} column {spec.name!r}")
             continue
         kept_specs.append(out)
-        kept_codes.append(lut if codes is None else lut[codes])
+        kept_codes.append(codes)
     if not kept_specs:
         raise SchemaError("no usable columns after encoding")
     dataset = CategoricalDataset(kept_specs, np.column_stack(kept_codes))
     dataset.validate()
+    if dataset.total_categories > MAX_CATEGORIES:
+        widest = max(kept_specs, key=lambda spec: spec.cardinality)
+        raise SchemaError(f"{dataset.total_categories} categories, more than {MAX_CATEGORIES}; "
+                          f"column {widest.name!r} has {widest.cardinality}")
     return dataset
 
 
@@ -696,7 +687,8 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
     whitespace first, as ``load_csv`` returns them.  Columns that end up
     with fewer than two categories are dropped with a warning, since they
     carry no signal and would make the category-mass matrix singular.
-    A row that does not hold one cell per schema column raises SchemaError.
+    A row that does not hold one cell per schema column raises SchemaError,
+    as do more than ``MAX_CATEGORIES`` categories in all.
     """
     return _discretize(schema, _encode(_width(rows, len(schema)), [rows]), bins)
 

@@ -113,6 +113,21 @@ class TestCluster:
         assert "SchemaError" in capsys.readouterr().err
 
 
+def test_a_delimiter_that_splits_nothing_exits_4_before_the_burt_job(tmp_path, capsys,
+                                                                        monkeypatch):
+    # Read with ";", each line of a comma table is one label: J = 20,000.
+    ids = [10_000_000 + (7919 * k) % 90_000_000 for k in range(20_000)]
+    path = datasets.write_csv(tmp_path / "ids.csv", [[str(i), "abc"[i % 3]] for i in ids],
+                              header=["id", "g"])
+    assert run("mca-info", "--input", str(path), "--out-dir", str(tmp_path / "ok")) == 0
+    monkeypatch.setattr(mca, "accumulate_burt", None)  # never reached
+    code = run("mca-info", "--input", str(path), "--delimiter", ";",
+               "--out-dir", str(tmp_path / "o"))
+    assert code == 4
+    assert capsys.readouterr().err == ("SchemaError: 20000 categories, more than 2048; "
+                                       "column 'id,g' has 20000\n")
+
+
 class TestSweep:
     def test_blobs_consensus_three(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "out"

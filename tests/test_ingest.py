@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import random
 
 import numpy as np
@@ -227,6 +228,20 @@ class TestDictionaryEncoding:
         assert ds.codes[:5, 0].tolist() == [0, 0, 0, 1, 2]
         assert num.kind == "numeric" and not num.has_missing
 
+    @pytest.mark.parametrize("total", [ingest.MAX_CATEGORIES, ingest.MAX_CATEGORIES + 1])
+    def test_categories_are_bounded(self, total):
+        # J is the wide column's labels and missing category plus the narrow
+        # column's two labels; the error names the widest column.
+        rows = [[f"L{k}", "ab"[k % 2]] for k in range(total - 3)] + [["?", "a"]]
+        schema = ingest.infer_schema(["wide", "narrow"], rows)
+        if total == ingest.MAX_CATEGORIES:
+            assert ingest.discretize(rows, schema).total_categories == total
+            return
+        with pytest.raises(SchemaError, match=f"^{total} categories, more than "
+                                              f"{ingest.MAX_CATEGORIES}; column 'wide' has "
+                                              f"{total - 2}$"):
+            ingest.discretize(rows, schema)
+
     def test_label_outside_schema_rejected(self):
         schema = [ingest.ColumnSpec("c0", "categorical", categories=["a", "b"])]
         with pytest.raises(SchemaError, match="'zz' not in schema"):
@@ -310,10 +325,12 @@ class TestOnePassEncoding:
         got_names, columns = ingest.read_table(str(datasets.write_csv(tmp_path / "t.csv", rows,
                                                                       header=names)))
         assert got_names == names
-        for j, column in enumerate(columns):
+        for j, table_column in enumerate(columns):
+            column = encoded(table_column)
             index = {}
             codes = [index.setdefault(row[j].strip(), len(index)) for row in rows]
             labels = list(index)
+            assert_same_rows(table_column, column)
             assert column.labels == labels
             assert column.codes.tolist() == codes
             assert column.present.tolist() == [lab not in ingest.MISSING_TOKENS for lab in labels]
@@ -360,10 +377,32 @@ def csv_module_table(path, has_header=True, delimiter=","):
     return names, ingest._encode(len(names), blocks)
 
 
+def encoded(column):
+    """The EncodedColumn of a column: a RealColumn's is the replay of its bytes."""
+    return ingest._replay(column.text) if isinstance(column, ingest.RealColumn) else column
+
+
+def rows_of(column):
+    """(present, values) of a column's rows."""
+    if isinstance(column, ingest.RealColumn):
+        return column.row_present, column.row_values
+    return column.present[column.codes], column.values[column.codes]
+
+
+def assert_same_rows(a, b):
+    """Per row, the same present flags and the same float bits, NaNs included."""
+    (present_a, values_a), (present_b, values_b) = rows_of(a), rows_of(b)
+    assert present_a.dtype == present_b.dtype and present_a.tolist() == present_b.tolist()
+    assert values_a.dtype == values_b.dtype
+    assert values_a.view(np.uint64).tolist() == values_b.view(np.uint64).tolist()
+
+
 def assert_same_table(got, want):
     assert got[0] == want[0]
     assert len(got[1]) == len(want[1])
-    for a, b in zip(got[1], want[1]):
+    for column_a, column_b in zip(got[1], want[1]):
+        assert_same_rows(column_a, column_b)
+        a, b = encoded(column_a), encoded(column_b)
         assert a.labels == b.labels
         assert a.codes.dtype == b.codes.dtype and a.codes.tolist() == b.codes.tolist()
         assert a.present.tolist() == b.present.tolist()
@@ -620,7 +659,7 @@ class TestRealColumns:
         table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
         column = table[1][0]
         assert isinstance(column, ingest.RealColumn) == (len(labels) == values > ingest.MAX_CARD)
-        assert column.labels == labels + ["?"]
+        assert encoded(column).labels == labels + ["?"]
         spec = ingest.encode_table(*table).schema[0]
         assert spec.kind == kind
         if kind == "categorical":
@@ -636,7 +675,7 @@ class TestRealColumns:
         table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
         column = table[1][0]
         assert isinstance(column, ingest.RealColumn)
-        assert {"?", "NAN", "-nan", "inf", "1_0", "1.5"} <= set(column.labels)
+        assert {"?", "NAN", "-nan", "inf", "1_0", "1.5"} <= set(encoded(column).labels)
         assert column.row_present.tolist() == [cell != " ? " for cell in cells]
 
     @pytest.mark.parametrize("block_rows", [3, ingest.BLOCK_ROWS])
@@ -675,15 +714,71 @@ class TestRealColumns:
         path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
         calls = []
         positions = ingest._positions
-        monkeypatch.setattr(ingest, "_positions", lambda *args: calls.append(1) or positions(*args))
+
+        def spy(index, cells, n, count):
+            cells = list(cells)
+            calls.append(cells)
+            return positions(index, cells, n, count)
+        monkeypatch.setattr(ingest, "_positions", spy)
         table = ingest.read_table(path)
         dataset = ingest.encode_table(*table)
-        assert not calls
+        # Only the categorical columns' distinct keys, in first-row order.
+        assert calls == [list(dict.fromkeys(row[j] for row in rows)) for j in range(3)]
         kinds = [type(column).__name__ for column in table[1]]
         assert kinds == ["EncodedColumn"] * 3 + ["RealColumn"] * 2
         assert [spec.kind for spec in dataset.schema] == ["categorical"] * 3 + ["numeric"] * 2
         monkeypatch.setattr(ingest, "_positions", positions)
         assert_same_dataset(dataset, ingest.encode_csv(quoted_copy(path)))
+
+
+# sha256 of schema_dump, then the codes' dtype and bytes, of each table of
+# TABLES: encode_csv, which equals the prefix of 5,000 rows (more than any
+# table holds), and encode_table on the prefixes of 5, 12 and 13 rows.
+GOLDEN = {
+    "balance-scale": {
+        "csv": "7a680859bf3bc31abad449f68b70be10c328f774d841571e6737f1b9e6906e97",
+        5: "b441c7782d63f7c96d930395ad12a5f0a03b70b60b0e85199d91df679bd0ff9d",
+        12: "5a462e1e30ff3d965c93c4e5d12dbcf41fb3ee4cfad9e51cc22c9c38929afa6d",
+        13: "35b74f1167d674c3592f1c79a3390d49667aa0578865af177a90461070433f32"},
+    "decorated": {
+        "csv": "5a69815b6692ebbc7475a1a07d0d48431dd781f30713ef96772e9ef25935a767",
+        5: "989eeda4f8d736b539f603ff5c8c4e7fba8f97b853f7f69e268624a1020bf610",
+        12: "6bb52075c1329b2449617069f030de4ae573cef979a506be193d27683c3b2764",
+        13: "fddd27db648f73700c767433cc2b137baec8f457757a263ff69594c45e804290"},
+    "mammographic": {
+        "csv": "d6aaf07a83cd65e56ab7fb10a09b26abe371e09a1d3e975037cc89084f103436",
+        5: "8a92f2f0a99ea4ef918ec54371b48436c29d1ce67d869782083e12ed953afbe7",
+        12: "4dab2640fe9fe21949ce2d0300b7720d3d68bb4be76fdf24e2c14651a43d892e",
+        13: "ce61159e1389c3002196eaa80545f3046666f6fe28b66b3446dd0682aa60194d"},
+    "recipe": {
+        "csv": "88053468c3f2ee6e1548b39a2ee77cc28e311ceaa5f1edb34b07d7448cefe988",
+        5: "893c60c3034875b5833bf7fc734fa41d8565ab1db977bdfeb4e13e662cd26d51",
+        12: "3b85ecfad316aa919fd1f28420941bfb9faac262b9a0f6560713f7643a0d882c",
+        13: "cd6cc8f989d39fd4044d25bbbc6d95ca56911e3052fde39fb025d93797e7bedf"},
+}
+
+
+def digest(dataset):
+    return hashlib.sha256(ingest.schema_dump(dataset).encode() + str(dataset.codes.dtype).encode()
+                          + dataset.codes.tobytes()).hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:dropping")
+@pytest.mark.parametrize("reader", ["tokenizer", "csv-module"])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_golden_digests(tmp_path, monkeypatch, table, reader):
+    # A change that moves these bytes on purpose updates GOLDEN and says why.
+    names, rows = TABLES[table]
+    path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
+    assert ingest._read_unquoted(path, True, ",") is not None
+    if reader == "csv-module":
+        monkeypatch.setattr(ingest, "_read_unquoted", lambda *args: None)
+    got = {"csv": digest(ingest.encode_csv(path))}
+    names, columns = ingest.read_table(path)
+    for size in (5, 12, 13, 5000):
+        got[size] = digest(ingest.encode_table(names, [column.prefix(size) for column in columns]))
+    assert got.pop(5000) == got["csv"]
+    assert got == GOLDEN[table]
 
 
 # Labels float() reads in unusual ways: signed NaN, infinity, negative zero,

@@ -4,6 +4,9 @@ Codes are first-appearance indices of each column's labels, so renaming
 every categorical label one-to-one changes no code, and with it no
 byte-stable output.  Scaling every real by 4, a power of two, scales each
 quantile exactly, so it moves every bin edge and no real across one.
+Appending a categorical table to itself doubles every category count
+and the category masses with them, so the Burt-based fit, the centroids
+and each row's memberships stay, and only the fuzzy objective J_m doubles.
 The changed tables are read both by ingest's byte tokenizer and, from a
 copy with every cell quoted, by the csv module; narrow names go through
 the tokenizer's key lookup, wide ones (9-16 bytes) through its per-cell
@@ -131,3 +134,37 @@ def test_scaling_the_reals_keeps_every_output(tmp_path, monkeypatch, block_rows)
         out = tmp_path / name
         assert outputs(path, out) == want, name
         assert (out / "2" / "schema.txt").read_text() == ingest.schema_dump(dataset)
+
+
+def doubled_jm(original, doubled):
+    """``original``'s CSV lines with each ``jm`` field doubled, and ``doubled``'s.
+    Comment lines ("# consensus_c=...") are kept as they are."""
+    lines = original.decode().splitlines()
+    at = lines[0].split(",").index("jm")
+
+    def twice(line):
+        if line.startswith("#"):
+            return line
+        fields = line.split(",")
+        fields[at] = f"{2 * float(fields[at]):.17g}"
+        return ",".join(fields)
+    return [lines[0], *map(twice, lines[1:])], doubled.decode().splitlines()
+
+
+@pytest.mark.parametrize("block_rows", [ingest.BLOCK_ROWS, 7])
+def test_every_row_twice_keeps_every_output_but_jm(tmp_path, monkeypatch, block_rows):
+    names, rows, _ = clustered_table()
+    want = outputs(write(tmp_path / "t.csv", names, rows, csv.QUOTE_MINIMAL), tmp_path / "want")
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    plain = write(tmp_path / "twice.csv", names, rows + rows, csv.QUOTE_MINIMAL)
+    quoted = write(tmp_path / "twice-quoted.csv", names, rows + rows, csv.QUOTE_ALL)
+    assert ingest._read_unquoted(plain, True, ",") is not None
+    assert ingest._read_unquoted(quoted, True, ",") is None
+    for name, path in {"plain": plain, "quoted": quoted}.items():
+        got = outputs(path, tmp_path / name)
+        assert got["memberships.csv"] == 2 * want["memberships.csv"], name
+        for file in ("centroids.csv", "axes.csv", "loadings.csv"):
+            assert got[file] == want[file], (name, file)
+        for file in ("trace.csv", "validity.csv"):
+            expected, actual = doubled_jm(want[file], got[file])
+            assert actual == expected, (name, file)
