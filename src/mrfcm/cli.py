@@ -53,11 +53,11 @@ def _encode_and_fit(args):
 
 
 def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> int:
+    config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
+                       max_iters=args.max_iters, seed=args.seed)
     dataset, store, model, burt_metrics = _encode_and_fit(args)
     metrics_sink = [burt_metrics]
     spec = JobSpec(args.mappers, args.reducers, "fcm")
-    config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
-                       max_iters=args.max_iters, seed=args.seed)
     result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink)
     _write_matrix(memberships_csv, result.distinct_u, result.inverse)
     _write_matrix(centroids_csv, result.v)
@@ -73,10 +73,10 @@ def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> in
 
 
 def cmd_sweep(args, validity_csv, validity_plot_dat) -> int:
-    _, store, model, _ = _encode_and_fit(args)
-    spec = JobSpec(args.mappers, args.reducers, "sweep")
     config = FcmConfig(c=2, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
+    _, store, model, _ = _encode_and_fit(args)
+    spec = JobSpec(args.mappers, args.reducers, "sweep")
     report = validity.sweep(store, model, args.c_min, args.c_max, config, spec)
     validity.write_validity_csv(report, validity_csv)
     validity.write_plot_data(report, validity_plot_dat)
@@ -85,6 +85,8 @@ def cmd_sweep(args, validity_csv, validity_plot_dat) -> int:
 
 
 def cmd_bench(args, bench_csv) -> int:
+    config = FcmConfig(c=args.c, m=args.m, max_iters=args.fixed_iters,
+                       seed=args.seed, fixed_iterations=True)
     # First-appearance codes make each size's prefix of the table exact.
     names, columns = ingest.read_table(args.input, has_header=args.header,
                                        delimiter=args.delimiter)
@@ -98,8 +100,6 @@ def cmd_bench(args, bench_csv) -> int:
             for mappers, reducers in args.bench_deployments:
                 store = ingest.partition(dataset, mappers)
                 spec = JobSpec(mappers, reducers, f"bench_{size}")
-                config = FcmConfig(c=args.c, m=args.m, max_iters=args.fixed_iters,
-                                   seed=args.seed, fixed_iterations=True)
                 started = time.perf_counter()
                 margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, spec)
                 model = mca.fit_mca(margins, burt, mca_dims=args.mca_dims)

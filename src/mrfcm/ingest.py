@@ -9,17 +9,19 @@ A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
 (its distinct stripped cells, or labels, in first-appearance order plus
 one int code per cell) or, if it holds many distinct reals, kept as one
 float per row.  A file the csv module would split at every delimiter byte
-is tokenized from its bytes with numpy; there a column is narrow keys
-(cells of at most 8 bytes, each one uint64), then, from its first wider
-cell or once it holds more than BLOCK_ROWS keys, its cells' bytes.  At
-end of file it is a RealColumn if every present cell is a real and more
-than MAX_CARD of them differ; otherwise its bytes, or its distinct keys
-written as bytes, are replayed into the dictionary, one label decoder for
-both.  Quoted or otherwise irregular files, and every input error
-message, go through the csv module.  Only distinct labels are classified
-and parsed, by ``float`` mapped in C; every numeric column is binned from
-its per-row floats.  ``load_csv``, ``infer_schema`` and ``discretize``
-are entry points over the same encoder for rows held in memory.
+is tokenized from its bytes with numpy; there a column keeps one integer
+key per row while its cells fit 8 bytes (narrow), and its cells' bytes from
+its first wider cell on (wide).  At end of file one sort finds a narrow
+column's distinct keys: more than BLOCK_ROWS turn it wide, otherwise they
+are written as bytes and replayed into the dictionary.  Only a wide column
+can be a RealColumn, if every present cell is a real and more than
+MAX_CARD of them differ; otherwise its bytes are replayed too, one label
+decoder for all.  So a narrow column of at most BLOCK_ROWS distinct reals
+stays a dictionary column.  Quoted or irregular files, and every input
+error message, go through the csv module.  Only distinct labels are
+classified and parsed, by ``float`` mapped in C; every numeric column is
+binned from its per-row floats.  ``load_csv``, ``infer_schema`` and
+``discretize`` encode rows held in memory the same way.
 """
 from __future__ import annotations
 
@@ -330,6 +332,9 @@ def _encode(width, blocks) -> list[EncodedColumn]:
 
 # Masks that keep the first k bytes of a little-endian 8-byte word, k = 0..8.
 _BYTE_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# The key type of a block of cells of at most k bytes, k = 0..8: the
+# narrowest that holds them, but not uint8, which numpy sorts slowly.
+_KEY_TYPES = (np.uint16,) * 3 + (np.uint32,) * 2 + (np.uint64,) * 4
 
 
 def _cells(buf, delimiter):
@@ -360,38 +365,10 @@ def _cells(buf, delimiter):
     return starts.reshape(-1, counts[0]), lengths.reshape(-1, counts[0])
 
 
-def _narrow_positions(keys, words, at, size, n, dtype):
-    """(first rows of one column's cells in a block, the column's keys after it).
-
-    Each cell is keyed by its ``size`` bytes from ``words``.  ``keys`` pairs
-    the column's known keys, sorted, with their first rows; one searchsorted
-    looks the block up in them, and only the cells not found go through
-    np.unique.
-    """
-    block = words[at] & _BYTE_MASKS[size]
-    positions = np.empty(len(block), dtype=dtype)
-    miss = np.arange(len(block))
-    seen, rows = keys
-    if len(seen):
-        found = np.searchsorted(seen, block)
-        np.minimum(found, len(seen) - 1, out=found)
-        hit = seen[found] == block
-        if hit.all():
-            return rows.take(found, out=positions), keys
-        positions[hit] = rows[found[hit]]
-        miss = miss[~hit]
-    unique, first, inverse = np.unique(block[miss], return_index=True, return_inverse=True)
-    first = miss[first] + n
-    positions[miss] = first[inverse]
-    seen, rows = np.concatenate((seen, unique)), np.concatenate((rows, first))
-    order = np.argsort(seen)
-    return positions, (seen[order], rows[order])
-
-
 def _key_bytes(keys):
-    """Narrow cells as ``_wide_text`` bytes, from their uint64 keys.  Each
-    key, as 8 little-endian bytes, is its cell padded with NUL bytes, which
-    no cell holds: an LF goes in after the cell and the NUL bytes are dropped.
+    """Narrow cells as ``_wide_text`` bytes, from their keys.  Each key, as 8
+    little-endian bytes, is its cell padded with NUL bytes, which no cell
+    holds: an LF goes in after the cell and the NUL bytes are dropped.
     """
     cells = np.zeros((len(keys), 9), dtype=np.uint8)
     cells[:, :8] = keys.astype("<u8").view(np.uint8).reshape(-1, 8)
@@ -399,27 +376,27 @@ def _key_bytes(keys):
     return cells[cells != 0].tobytes()
 
 
-def _key_column(keys, parts, n) -> EncodedColumn:
-    """A narrow column's EncodedColumn from its keys, sorted with their first
-    rows, and ``parts``: the keys in first-row order are replayed as bytes,
-    so keys that strip to one label share its code, and each row takes its
-    key's code by one gather."""
-    seen, rows = keys
-    order = np.argsort(rows)
-    column = _replay([_key_bytes(seen[order])])
-    dense = np.empty(n, dtype=column.codes.dtype)
-    dense[rows[order]] = column.codes
-    return replace(column, codes=dense[np.concatenate(parts)])
-
-
-def _key_text(keys, parts):
-    """A narrow column's rows so far as ``_wide_text`` bytes, rebuilt from
-    its keys, sorted with their first rows, and ``parts``."""
-    seen, rows = keys
-    first = np.concatenate(parts)
-    by_row = np.empty(len(first), dtype=np.uint64)
-    by_row[rows] = seen
-    return _key_bytes(by_row[first])
+def _key_column(blocks) -> RealColumn | EncodedColumn:
+    """A narrow column from its keys, block by block.  One sort finds the
+    distinct keys.  With more than BLOCK_ROWS of them, the column turns
+    wide: its rows' bytes are typed by ``_wide_column``.  Otherwise the
+    distinct keys, in first-row order, are replayed as bytes, so keys that
+    strip to one label share its code, and each row takes its key's code by
+    one gather."""
+    keys = np.concatenate(blocks)
+    blocks.clear()
+    distinct = np.sort(keys)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    if len(distinct) > BLOCK_ROWS:
+        text = [_key_bytes(keys[i:i + BLOCK_ROWS]) for i in range(0, len(keys), BLOCK_ROWS)]
+        del keys, distinct  # freed before the bytes are typed
+        return _wide_column(text)
+    inverse = np.searchsorted(distinct, keys)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    order = np.argsort(first)
+    column = _replay([_key_bytes(distinct[order])])
+    return replace(column, codes=column.codes[np.argsort(order)][inverse])
 
 
 def _wide_text(lined, at, size):
@@ -477,14 +454,14 @@ def _read_unquoted(path, has_header, delimiter):
     of those nor LF, UTF-8 text, rows of one width, cells within
     ``csv.field_size_limit()`` and at least one data row.  A column is
     narrow keys, then bytes.  While its cells in a block all fit 8 bytes,
-    each is one uint64 key (no NUL byte means zero padding is unambiguous)
-    and only keys new to the column are decoded (``_narrow_positions``).
-    At its first wider cell, or once it holds more than BLOCK_ROWS keys, it
-    turns wide for good, in whatever block that happens: its narrow rows so
-    far become its first bytes block (``_key_text``), and each later block
-    appends its cells' bytes (``_wide_text``).  Its type is decided once,
-    at end of file: by ``_key_column`` while narrow, else ``_wide_column``;
-    both decode labels through ``_replay``.
+    each is one key, in the narrowest of uint16, uint32 and uint64 that
+    holds the block's widest cell (no NUL byte means zero padding is
+    unambiguous).  At its first wider cell it turns wide for good: each
+    block of keys so far becomes a bytes block (``_key_bytes``), and each
+    later block appends its cells' bytes (``_wide_text``).  Its type is
+    decided once, at end of file: by ``_key_column`` while narrow, which
+    hands more than BLOCK_ROWS distinct keys to ``_wide_column``, else by
+    ``_wide_column``; both decode labels through ``_replay``.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -522,38 +499,36 @@ def _tokenize(fh, has_header, delimiter):
                 starts, lengths = starts[1:], lengths[1:]
             else:
                 names = [f"col{j}" for j in range(width)]
-            keys = [(np.empty(0, np.uint64), np.empty(0, np.intp))] * width
-            parts = [[] for _ in range(width)]  # first rows while narrow, then bytes
+            narrow = [True] * width
+            parts = [[] for _ in range(width)]  # keys while narrow, then bytes
         elif starts.shape[1] != width:
             return None
         rows = len(starts)
         if not rows:
             continue
-        dtype = np.int32 if n + rows < 2 ** 31 else np.intp
         words = lined = None
         for j in range(width):
             at, size = starts[:, j], lengths[:, j]
-            if keys[j] is not None and (size.max() > 8 or len(keys[j][0]) > BLOCK_ROWS):
-                parts[j] = [_key_text(keys[j], parts[j])] if parts[j] else []
-                keys[j] = None  # wide from here on
-            if keys[j] is None:
+            widest = size.max()
+            if narrow[j] and widest > 8:
+                parts[j] = list(map(_key_bytes, parts[j]))
+                narrow[j] = False  # wide from here on
+            if narrow[j]:
+                if words is None:  # the 8 bytes from each position, little-endian
+                    words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
+                parts[j].append((words[at] & _BYTE_MASKS[size]).astype(_KEY_TYPES[widest]))
+            else:
                 if lined is None:  # every cell followed by LF
                     lined = buf.copy()
                     lined[starts + lengths] = 10
                 parts[j].append(_wide_text(lined, at, size))
-            else:
-                if words is None:  # the 8 bytes from each position, little-endian
-                    words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
-                part, keys[j] = _narrow_positions(keys[j], words, at, size, n, dtype)
-                parts[j].append(part)
         n += rows
     if not n:
         return None
     columns = []
     for j in range(width):
-        columns.append(_wide_column(parts[j]) if keys[j] is None
-                       else _key_column(keys[j], parts[j], n))
-        keys[j] = parts[j] = None  # frees the column's keys and bytes
+        columns.append(_key_column(parts[j]) if narrow[j] else _wide_column(parts[j]))
+        parts[j] = None  # frees the column's bytes
     return names, columns
 
 
@@ -634,19 +609,20 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
             ok = present & ~np.isnan(values)
             if not ok.any():
                 raise SchemaError(f"column {spec.name!r}: no parseable values")
+            values = values[ok]
             # Quantiles between infinite cells are NaN, and no finite value
             # lies beyond an infinite one: both are dropped.
             with np.errstate(invalid="ignore"):
-                qs = np.quantile(values[ok], [i / bins for i in range(1, bins)])
+                qs = np.quantile(values, [i / bins for i in range(1, bins)])
             inner = np.unique(qs[np.isfinite(qs)])
-            raw = np.searchsorted(inner, values[ok], side="left")
+            raw = np.searchsorted(inner, values, side="left")
             # Skewed data can leave quantile bins empty; merge those away so
             # every category has nonzero mass downstream.
             occupied = np.bincount(raw) > 0
             rank = np.cumsum(occupied) - 1
             edges = np.concatenate(([-np.inf], inner[np.flatnonzero(occupied)[:-1]], [np.inf]))
             out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
-            codes = np.full(len(values), rank[-1] + 1, dtype=np.int32)
+            codes = np.full(len(ok), rank[-1] + 1, dtype=np.int32)
             codes[ok] = rank[raw]
         else:
             index = {label: k for k, label in enumerate(spec.categories)}

@@ -104,6 +104,20 @@ class TestCluster:
         assert code == 5
         assert "need 9 distinct points" in capsys.readouterr().err
 
+    def test_numeric_column_of_nan_spellings_exits_4(self, tmp_path, capsys):
+        # Fourteen spellings of NaN, none a missing token: every present
+        # cell is a real and more than MAX_CARD labels differ, so the column
+        # is numeric, but no cell has a value to bin.
+        spellings = [sign + "".join(c.upper() if k >> i & 1 else c for i, c in enumerate("nan"))
+                     for sign in ("+", "-") for k in range(8)][:14]
+        assert not set(spellings) & ingest.MISSING_TOKENS and len(set(spellings)) == 14
+        path = datasets.write_csv(tmp_path / "nan.csv",
+                                  [[cell, "ab"[k % 2]] for k, cell in enumerate(spellings * 3)],
+                                  header=["x", "g"])
+        code = run("mca-info", "--input", str(path), "--out-dir", str(tmp_path / "o"))
+        assert code == 4
+        assert capsys.readouterr().err == "SchemaError: column 'x': no parseable values\n"
+
     def test_all_missing_column_exits_4(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         datasets.write_csv(path, [["?", "x"], ["?", "y"], ["?", "x"]], header=["p", "q"])
@@ -151,6 +165,18 @@ class TestSweep:
         code = run("sweep", "--input", blob_csv, "--c-min", "5", "--c-max", "3",
                    "--out-dir", str(tmp_path / "o"))
         assert code == 2
+
+    def test_every_candidate_failing_exits_5(self, tmp_path, capsys):
+        # Two distinct records: no c from 3 to 5 finds c distinct points.
+        path = datasets.write_csv(tmp_path / "two.csv", [["a", "x"], ["b", "y"]] * 6,
+                                  header=["p", "q"])
+        out = tmp_path / "o"
+        code = run("sweep", "--input", str(path), "--c-min", "3", "--c-max", "5",
+                   "--out-dir", str(out))
+        assert code == 5
+        assert capsys.readouterr().err == ("NumericError: every cluster count in the "
+                                           "sweep failed\n")
+        assert not any(out.iterdir())
 
 
 class TestBench:
@@ -267,6 +293,21 @@ def test_non_finite_fcm_parameter_exits_5(mm_csv, tmp_path, capsys, command, ext
     assert code == 5
     assert "NumericError" in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("cluster", ["--c", "1"], "cluster count must be >= 2, got 1"),
+    ("sweep", ["--m", "0.5"], "fuzziness exponent must be finite and > 1, got 0.5"),
+    ("bench", ["--bench-sizes", "200", "--c", "1"], "cluster count must be >= 2, got 1"),
+])
+def test_bad_clustering_flag_exits_5_before_the_input_is_read(tmp_path, capsys, monkeypatch,
+                                                              command, flags, message):
+    monkeypatch.setattr(ingest, "read_table", None)  # never reached
+    # The input does not exist either, which would exit 3: the flag wins.
+    code = run(command, "--input", str(tmp_path / "absent.csv"), *flags,
+               "--out-dir", str(tmp_path / "o"))
+    assert code == 5
+    assert capsys.readouterr().err == f"NumericError: {message}\n"
 
 
 COMMAND_ARGS = {"cluster": ["--c", "2"], "sweep": ["--c-max", "3"],

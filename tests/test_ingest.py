@@ -93,6 +93,10 @@ class TestInferSchema:
         with pytest.raises(SchemaError, match="missing"):
             ingest.infer_schema(["c0", "c1"], rows)
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(SchemaError, match="^empty table$"):
+            ingest.infer_schema(["c0", "c1"], [])
+
     def test_first_appearance_order(self):
         rows = [["z"], ["a"], ["z"], ["m"]]
         schema = ingest.infer_schema(["c0"], rows)
@@ -416,6 +420,37 @@ def write_bytes(tmp_path, data, name="data.csv"):
     return str(path)
 
 
+def spy_on_typing(monkeypatch):
+    """A list of (step, rows per block, key types) for each call of the two
+    steps that type a tokenizer column at end of file: ``_key_column`` on a
+    narrow column's keys, ``_wide_column`` on a wide column's bytes."""
+    calls = []
+    for name in ("_key_column", "_wide_column"):
+        def spy(blocks, step=getattr(ingest, name), name=name):
+            calls.append((name, [len(b) if isinstance(b, np.ndarray) else b.count(b"\n")
+                                 for b in blocks],
+                          [b.dtype.name for b in blocks if isinstance(b, np.ndarray)]))
+            return step(blocks)
+        monkeypatch.setattr(ingest, name, spy)
+    return calls
+
+
+def late_wide_rows():
+    """The late-widening table of CI: 20,000 rows whose column c holds 2-byte
+    labels and meets a 12-byte label in its last row, so in its last block,
+    beside a column of five labels."""
+    draws = np.random.default_rng(9).integers(0, [2, 3, 5], (20_000, 3)).tolist()
+    rows = [[f"{a}{b}", "abcde"[g]] for a, b, g in draws]
+    rows[-1][0] = "twelve bytes"
+    return ["c", "g"], rows
+
+
+def ci_ids_rows():
+    """The ids table of CI: 20,000 distinct 8-digit ids beside three labels."""
+    ids = np.random.default_rng(5).choice(90_000_000, 20_000, replace=False) + 10_000_000
+    return ["id", "g"], [[str(i), "abc"[i % 3]] for i in ids.tolist()]
+
+
 # Cells of the random files: missing tokens, padding, non-ASCII text, a
 # mark and characters that str.strip() removes, and cells of 8 and 9 bytes.
 RANDOM_CELLS = ["a", "b", "7", "3.25", "-0.5", "?", "", "NA", "nan", " x ", "x", "é", "\ufeff",
@@ -540,27 +575,30 @@ class TestByteTokenizer:
         assert_same_table(table, csv_module_table(marked, has_header))
         assert table[1][0].labels[-1] == "\ufeff2"
 
-    @pytest.mark.parametrize("block_rows, cells, labels, codes, narrow_calls", [
-        # Column c is narrow for the first block only; its later wide cells
-        # repeat, padded or not, labels first seen as narrow keys.
+    @pytest.mark.parametrize("block_rows, cells, labels, codes, steps", [
+        # Column c is narrow for the first block only and wide from the
+        # second, whose "abcdefghij" is over 8 bytes: _wide_column types it
+        # from its keys' bytes, then two blocks of bytes.  Its later wide
+        # cells repeat, padded or not, labels first seen as narrow keys.
         (7, [" a", "b", "a ", "?", "b", "a", "12345678", "abcdefghij", " a ",
              "b       ", "?", "abcdefghij", "c", " 12345678 "],
          ["a", "b", "?", "12345678", "abcdefghij", "c"],
-         [0, 1, 0, 2, 1, 0, 3, 4, 0, 1, 2, 4, 5, 3], 1 + 3),
-        # Every cell of c fits 8 bytes, but after two blocks (the header and
-        # five rows) its lookup holds five keys, more than BLOCK_ROWS, so c
-        # is wide from the third block on.
+         [0, 1, 0, 2, 1, 0, 3, 4, 0, 1, 2, 4, 5, 3],
+         [("_wide_column", [6, 7, 1]), ("_key_column", [6, 7, 1])]),
+        # Every cell of c fits 8 bytes, but it holds six distinct keys, more
+        # than BLOCK_ROWS: _key_column hands its rows, as bytes in blocks of
+        # BLOCK_ROWS rows, to _wide_column.  k's three keys stay narrow.
         (3, ["a", "b", "?", "12345678", "xy", " a ", "b", " ? ", "12345678", "xy ", "zz",
              "a", " b", "zz", "?"],
          ["a", "b", "?", "12345678", "xy", "zz"],
-         [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 5, 2], 2 + 6),
+         [0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 5, 2],
+         [("_key_column", [2, 3, 3, 3, 3, 1]), ("_wide_column", [3, 3, 3, 3, 3]),
+          ("_key_column", [2, 3, 3, 3, 3, 1])]),
     ], ids=["long-cell", "lookup-outgrown"])
     def test_column_that_widens_after_the_first_block(self, tmp_path, monkeypatch, block_rows,
-                                                      cells, labels, codes, narrow_calls):
+                                                      cells, labels, codes, steps):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
-        narrow, calls = ingest._narrow_positions, []
-        monkeypatch.setattr(ingest, "_narrow_positions",
-                            lambda *args: calls.append(1) or narrow(*args))
+        calls = spy_on_typing(monkeypatch)
         lines = ["c,k"] + [f"{cell},{k % 3}" for k, cell in enumerate(cells)]
         path = write_bytes(tmp_path, ("\r\n".join(lines) + "\r\n").encode("utf-8"))
         table = ingest._read_unquoted(path, True, ",")
@@ -568,23 +606,62 @@ class TestByteTokenizer:
         column = table[1][0]
         assert column.labels == labels
         assert column.codes.tolist() == codes
-        assert len(calls) == narrow_calls  # c's narrow blocks, then every block of k
+        assert [(name, rows) for name, rows, _ in calls] == steps
 
-    def test_a_narrow_lookup_holds_at_most_block_rows_keys(self, tmp_path, monkeypatch):
-        # Distinct 8-digit ids outgrow the lookup in the second block.
+    def test_many_distinct_narrow_ids_turn_wide_at_end_of_file(self, tmp_path, monkeypatch):
         ids = [10_000_000 + (7919 * i) % 90_000_000 for i in range(3 * ingest.BLOCK_ROWS)]
         lines = ["id,k"] + [f"{cell},{cell % 5}" for cell in ids]
         path = write_bytes(tmp_path, ("\n".join(lines) + "\n").encode("utf-8"))
-        narrow = ingest._narrow_positions
-
-        def spy(keys, *args):
-            assert isinstance(keys, tuple) and len(keys) == 2
-            assert all(isinstance(part, np.ndarray) for part in keys)
-            assert len(keys[0]) <= ingest.BLOCK_ROWS
-            return narrow(keys, *args)
-        monkeypatch.setattr(ingest, "_narrow_positions", spy)
+        calls = spy_on_typing(monkeypatch)
         table = ingest._read_unquoted(path, True, ",")
         assert_same_table(table, csv_module_table(path))
+        column = table[1][0]
+        assert isinstance(column, ingest.RealColumn)
+        assert column.row_values.tolist() == ids
+        rows = [block.count(b"\n") for block in column.text]
+        assert sum(rows) == len(ids) and max(rows) <= ingest.BLOCK_ROWS
+        assert [name for name, _, _ in calls] == ["_key_column", "_wide_column", "_key_column"]
+
+    @pytest.mark.parametrize("block_rows", [16, ingest.BLOCK_ROWS])
+    def test_narrow_keys_widen_with_their_cells(self, tmp_path, monkeypatch, block_rows):
+        # The widest cell of block b (the header is the first block's first
+        # line) holds b + 1 bytes: "b" padded to that width, eight keys that
+        # all strip to "b", beside "a".
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        cells = [["a", "b", f"{'b':>{1 + (k + 1) // block_rows}}"][k % 3]
+                 for k in range(8 * block_rows - 1)]
+        path = write_lines(tmp_path, real_lines(cells))
+        calls = spy_on_typing(monkeypatch)
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
+        assert table[1][0].labels == ["a", "b"]
+        assert table[1][0].codes.tolist() == [min(k % 3, 1) for k in range(len(cells))]
+        assert [name for name, _, _ in calls] == ["_key_column"] * 2
+        assert calls[0][2] == ["uint16"] * 2 + ["uint32"] * 2 + ["uint64"] * 4
+        assert calls[1][2] == ["uint16"] * 8
+
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    def test_a_long_label_in_the_last_block(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        names, rows = late_wide_rows()
+        path = str(datasets.write_csv(tmp_path / "late.csv", rows, header=names))
+        calls, wide_text = spy_on_typing(monkeypatch), ingest._wide_text
+        wide_blocks = []
+        monkeypatch.setattr(ingest, "_wide_text",
+                            lambda *args: wide_blocks.append(1) or wide_text(*args))
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
+        column = table[1][0]
+        assert isinstance(column, ingest.EncodedColumn)
+        assert column.labels[-1] == "twelve bytes" == column.labels[column.codes[-1]]
+        assert np.count_nonzero(column.codes == column.codes[-1]) == 1
+        # c turned wide at its last block, the only one gathered as bytes;
+        # its keys so far became one bytes block each.
+        assert len(wide_blocks) == 1
+        name, rows_per_block, _ = calls[0]
+        assert name == "_wide_column" and len(calls) == 2
+        assert sum(rows_per_block) == len(rows)
+        assert rows_per_block == calls[1][1] and max(rows_per_block) <= block_rows
 
     def test_narrow_keys_that_strip_alike_share_a_label(self, tmp_path):
         path = write_bytes(tmp_path, b"c\n b\n a\na \n a \nb\n\t\n?\n")
@@ -687,8 +764,8 @@ class TestRealColumns:
         monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
         rows = 4 * block_rows + 20
         if case == "ids":
-            # Distinct 8-digit ids outgrow the lookup at the third block;
-            # " ? " and "?" are narrow, the padded ids from the fourth wide.
+            # Distinct 8-digit ids, " ? " and "?" are narrow keys until the
+            # first padded id, in the fourth block or later, turns it wide.
             cells = [str(10_000_000 + (7919 * k) % 90_000_000) for k in range(rows)]
             for k in range(rows):
                 if k % 11 == 5:
@@ -779,6 +856,38 @@ def test_golden_digests(tmp_path, monkeypatch, table, reader):
         got[size] = digest(ingest.encode_table(names, [column.prefix(size) for column in columns]))
     assert got.pop(5000) == got["csv"]
     assert got == GOLDEN[table]
+
+
+# Digests, as in GOLDEN, of the tokenizer's encoding of the ids and
+# late-widening tables of CI: encode_csv, then encode_table on the prefixes
+# of 5, 13 and 9,000 rows.  Taken at e9c6147, where a narrow column was
+# looked up block by block; block size moves none of them.
+NARROW_GOLDEN = {
+    "ids": {
+        "csv": "e28a05dc23e5c8e6b5e7cfb7f80d33b80fe16d28e9fdc1492237e3fa32a3910f",
+        5: "71c20a744b219bf942f499effdba75e940a40dc307ed91b791c7af5e7677c6f1",
+        13: "174b160e7b3896a6d5c3c2bfd198eddf1d44e16eb9b87a9f5b94b13a04d7d2bd",
+        9000: "c1bdd9b3f3b66aedcfa057d6f84e376d80d58145067aa8ce130fb05a46254cd0"},
+    "late-wide": {
+        "csv": "b8eefb4ab6457665689abc9d9ef3f8ba0596001eeaa75fd421b3c5246af30ac3",
+        5: "6bc7c87083c894fd82cf98734577153dd147d36834055b30804261f402c9610a",
+        13: "07dc6f68a0d7886143682c16f432a3999bc2a1fe329f75588706eff2f67f6e54",
+        9000: "4ad94bbd96d4190e005be76e02beb01a8b76d33f762678ef9e1b09ee04ebe0d2"},
+}
+
+
+@pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+@pytest.mark.parametrize("table", sorted(NARROW_GOLDEN))
+def test_golden_digests_of_narrow_columns(tmp_path, monkeypatch, table, block_rows):
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    names, rows = {"ids": ci_ids_rows, "late-wide": late_wide_rows}[table]()
+    path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
+    assert ingest._read_unquoted(path, True, ",") is not None
+    got = {"csv": digest(ingest.encode_csv(path))}
+    names, columns = ingest.read_table(path)
+    for size in (5, 13, 9000):
+        got[size] = digest(ingest.encode_table(names, [column.prefix(size) for column in columns]))
+    assert got == NARROW_GOLDEN[table]
 
 
 # Labels float() reads in unusual ways: signed NaN, infinity, negative zero,

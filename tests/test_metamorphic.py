@@ -9,8 +9,8 @@ and the category masses with them, so the Burt-based fit, the centroids
 and each row's memberships stay, and only the fuzzy objective J_m doubles.
 The changed tables are read both by ingest's byte tokenizer and, from a
 copy with every cell quoted, by the csv module; narrow names go through
-the tokenizer's key lookup, wide ones (9-16 bytes) through its per-cell
-path, and wide reals through its per-row floats.
+the tokenizer's per-row keys, wide ones (9-16 bytes) through its per-cell
+bytes, and wide reals through its per-row floats.
 """
 import csv
 
