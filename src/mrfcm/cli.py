@@ -18,7 +18,7 @@ import time
 
 from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
-from .errors import DataIOError, MrfcmError
+from .errors import DataIOError, MrfcmError, NumericError
 from .fcm import FcmConfig, run_fcm
 
 
@@ -75,6 +75,8 @@ def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> in
 def cmd_sweep(args, validity_csv, validity_plot_dat) -> int:
     config = FcmConfig(c=2, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
+    if args.c_min < 2:  # c_max > n/2 needs n; validity.sweep checks it after reading
+        raise NumericError(f"need 2 <= c_min <= c_max, got [{args.c_min}, {args.c_max}]")
     _, store, model, _ = _encode_and_fit(args)
     spec = JobSpec(args.mappers, args.reducers, "sweep")
     report = validity.sweep(store, model, args.c_min, args.c_max, config, spec)

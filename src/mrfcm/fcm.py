@@ -12,20 +12,23 @@ expands them to every row only on request.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
-same order under any deployment.  Each map computes the block's squared
-distances to the broadcast centroids once (``sq_dist``, the one distance
-routine of the package) and its memberships by one formula scaled to
-each point's nearest centroid, both cluster-major as (c, b) arrays: the
-reductions over the few clusters run along rows as long as the block.
-The sums over coordinates and over clusters replay numpy's pairwise rule
-plane by plane (``_plane_sum``), so they give a (b, c) layout's bits at
-every c in an order the code writes down.  The sums over points run on
-(b, c) rows; the centroid numerators ``rows.T @ coords`` depend on the
-BLAS build.  Each map emits under one key the block's membership rows
-and the weighted partial sums of the prototype update (numerators,
-denominators and the objective); the reduce stacks the former and adds
-the latter in block order (``concat_reduce``, ``sum_reduce``);
-``fcm_iteration`` divides.
+same order under any deployment.  The maps read their points from one
+C-ordered (d, k) copy of the distinct points, made once per run and
+broadcast with the centroids.  Each map computes the block's squared
+distances to the centroids once (``sq_dist``, the one distance routine
+of the package) and its memberships by one formula scaled to each
+point's nearest centroid, both cluster-major as (c, b) arrays: the
+subtraction and the reductions over the few clusters run along rows as
+long as the block.  The sums over coordinates and over clusters replay
+numpy's pairwise rule plane by plane (``_plane_sum``), so they give a
+(b, c) layout's bits at every c in an order the code writes down.  The
+denominators add the block's (b, c) rows of u**m one after another
+(``_point_sums``); only the centroid numerators ``rows.T @ coords``
+depend on the BLAS build.  Each map emits under one key the block's
+membership rows and the weighted partial sums of the prototype update
+(numerators, denominators and the objective); the reduce stacks the
+former and adds the latter in block order (``concat_reduce``,
+``sum_reduce``); ``fcm_iteration`` divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -163,28 +166,45 @@ def _membership_block(points, centroids, m):
     squared distances d: Bezdek's update, scaled per point so that the nearest
     centroid's ratio is exactly 1, which keeps the power finite and every column
     sum positive, even near m = 1.  A point within SINGULARITY_DISTANCE of some
-    centroids splits its membership equally among them.  Min, any and sum run
-    over axis 0; the sum adds a copy of the ratios in ``_plane_sum``'s order,
-    which gives a (b, c) layout's row sums bit for bit at every c.
+    centroids splits its membership equally among them; only the columns of
+    such points get a coincidence mask.  Min and sum run over axis 0; the sum
+    adds a copy of the ratios in ``_plane_sum``'s order, which gives a (b, c)
+    layout's row sums bit for bit at every c.
     """
     dist_sq = sq_dist(points, centroids)
-    coincident = dist_sq < SINGULARITY_DISTANCE ** 2
-    hit = coincident.any(axis=0)
+    nearest = dist_sq.min(axis=0)
+    hit = nearest < SINGULARITY_DISTANCE ** 2
     # Only a coincident point can divide by a zero distance; it is overwritten.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (dist_sq.min(axis=0) / dist_sq) ** (1.0 / (m - 1.0))
+        ratios = (nearest / dist_sq) ** (1.0 / (m - 1.0))
     if hit.any():
         # Split full membership equally among coincident centroids.
-        ratios[:, hit] = coincident[:, hit]
+        ratios[:, hit] = dist_sq[:, hit] < SINGULARITY_DISTANCE ** 2
     return ratios / _plane_sum(ratios.copy()), dist_sq
 
 
+def _point_sums(rows):
+    """Column sums of a C-ordered (b, c) array, its rows added in sequence.
+
+    einsum adds row after row along the c columns.  A single column would
+    collapse to a 1-D reduction with several running sums, so it is
+    accumulated by cumsum, which adds in sequence too.
+    """
+    return np.einsum("bc->c", rows) if rows.shape[1] > 1 else np.cumsum(rows, axis=0)[-1]
+
+
 def _iteration_map(pid, coords, ctx):
-    centroids, m, weights, offsets = ctx
-    u, dist_sq = _membership_block(coords, centroids, m)
-    um = u ** m * weights[offsets[pid]:offsets[pid + 1]]
+    """The block's membership rows and weighted partial sums.  Its points
+    are read from the broadcast (d, k) copy ``columns``, so ``sq_dist``
+    subtracts along contiguous rows.  The denominators add the (b, c) rows
+    of u**m in sequence; the numerators, a gemm on the block's (b, d) rows
+    ``coords``, alone depend on the BLAS kernel."""
+    centroids, m, weights, columns, offsets = ctx
+    lo, hi = offsets[pid], offsets[pid + 1]
+    u, dist_sq = _membership_block(columns[:, lo:hi].T, centroids, m)
+    um = u ** m * weights[lo:hi]
     rows = np.ascontiguousarray(um.T)  # sums over points add in (b, c) order
-    yield "iteration", (u.T, rows.T @ coords, rows.sum(axis=0), (rows * dist_sq.T).sum())
+    yield "iteration", (u.T, rows.T @ coords, _point_sums(rows), (rows * dist_sq.T).sum())
 
 
 def _iteration_reduce(key, values):
@@ -204,9 +224,18 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     J_m(u, centroids), accumulated from the distances the map tasks
     already hold.  Clusters whose weight vanishes are re-seeded at the
     distinct points u claims least, so sweeps over generous c never abort.
+    The maps read their points from a C-ordered (d, n) copy of
+    ``store.data``, made here for this one pass; the denominators add the
+    rows of u**m in sequence, and only the numerators depend on BLAS.
     """
     weights = np.ones(store.n) if weights is None else np.asarray(weights, dtype=float)
-    context = (np.asarray(centroids, float), m, weights, store.offsets)
+    return _iterate(store, np.ascontiguousarray(store.data.T), centroids, spec, m, weights)
+
+
+def _iterate(store, columns, centroids, spec, m, weights):
+    """fcm_iteration's pass over ``store``, whose rows ``columns`` holds
+    as a C-ordered (d, n) copy."""
+    context = (np.asarray(centroids, float), m, weights, columns, store.offsets)
     results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce)
     u, numer, denom, jm = results[0][1]
     u = np.ascontiguousarray(u)  # the maps emit transposed views; return rows
@@ -322,10 +351,11 @@ def _cluster(store, weights, seeds, config, spec, metrics_sink=None):
     seeded among the rows ``seeds`` (see ``_coordinates``)."""
     centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
     result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
+    columns = np.ascontiguousarray(store.data.T)  # one (d, k) copy for every iteration
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
-        u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, m=config.m,
-                                                   weights=weights)
+        u, centroids, obj, metrics = _iterate(store, columns, centroids, spec, config.m,
+                                              weights)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         result.objective_trace.append(obj)

@@ -298,6 +298,7 @@ def test_non_finite_fcm_parameter_exits_5(mm_csv, tmp_path, capsys, command, ext
 @pytest.mark.parametrize("command, flags, message", [
     ("cluster", ["--c", "1"], "cluster count must be >= 2, got 1"),
     ("sweep", ["--m", "0.5"], "fuzziness exponent must be finite and > 1, got 0.5"),
+    ("sweep", ["--c-min", "1", "--c-max", "3"], "need 2 <= c_min <= c_max, got [1, 3]"),
     ("bench", ["--bench-sizes", "200", "--c", "1"], "cluster count must be >= 2, got 1"),
 ])
 def test_bad_clustering_flag_exits_5_before_the_input_is_read(tmp_path, capsys, monkeypatch,

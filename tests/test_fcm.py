@@ -247,6 +247,34 @@ class TestIterationDeterminism:
                     patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
                     assert outputs(mappers, w) == baseline
 
+    def test_run_fcm_equals_repeated_public_iterations(self, monkeypatch):
+        # 9,000 distinct points in first-appearance order, each repeated 1-5
+        # times: run_fcm clusters them in three blocks, weighted by count.
+        rng = np.random.default_rng(15)
+        distinct = rng.normal(size=(9000, 3))
+        counts = rng.integers(1, 6, size=9000)
+        rows = np.repeat(distinct, counts, axis=0)
+        blocks = ingest.partition(distinct, -(-len(distinct) // fcm.POINT_BLOCK_ROWS))
+        assert blocks.num_partitions == 3
+        config = FcmConfig(c=4, seed=2, max_iters=4, fixed_iterations=True)
+
+        centroids = init_centroids(distinct, config.c, config.seed)
+        expected = []
+        for _ in range(config.max_iters):
+            u, centroids, obj, _ = fcm_iteration(blocks, centroids, spec_for(1), m=config.m,
+                                                 weights=counts)
+            expected.append(obj)
+
+        for mappers in (1, 16):
+            for inline_rows in (engine.INLINE_ROWS_PER_TASK, 0):
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
+                    result = run_fcm(ingest.partition(rows, mappers), None, config,
+                                     spec_for(mappers))
+                assert result.distinct_u.tobytes() == u.tobytes(), (mappers, inline_rows)
+                assert result.v.tobytes() == centroids.tobytes(), (mappers, inline_rows)
+                assert result.objective_trace == expected, (mappers, inline_rows)
+
 
 def row_major_kernel(points, centroids, m, weights):
     """The fused map written out on (b, c) arrays, one row per point:
@@ -281,7 +309,9 @@ class TestClusterMajorKernel:
                 u = expected[0]
                 for layout in (u, np.asfortranarray(u)):
                     assert objective(layout, centroids, points, m) == ((u ** m) * dist).sum()
-                (key, got), = fcm._iteration_map(0, points, (centroids, m, weights, [0, b]))
+                columns = np.ascontiguousarray(points.T)
+                (key, got), = fcm._iteration_map(0, points,
+                                                 (centroids, m, weights, columns, [0, b]))
                 assert key == "iteration"
                 yield (d, b), got, expected
 
@@ -311,6 +341,20 @@ class TestSummationOrder:
             v = rng.normal(size=(c, d))
             expected = ((p[:, None] - v[None]) ** 2).sum(axis=2)
             assert np.array_equal(fcm.sq_dist(p, v), expected.T), c
+
+    @pytest.mark.parametrize("b", [1, 7, 4096])
+    @pytest.mark.parametrize("c", [1, 2, 3, 6, 8, 9, 17])
+    def test_point_sums_add_rows_in_sequence(self, c, b):
+        # The map's denominators must add the points' rows one after another.
+        # Spread magnitudes make any other order show in the last bits.
+        rng = np.random.default_rng(100 * c + b)
+        for _ in range(3):
+            rows = rng.random((b, c)) * 10.0 ** rng.integers(-6, 7, size=(b, c))
+            rows[rng.random((b, c)) < 0.2] = 0.0
+            acc = rows[0].copy()
+            for r in rows[1:]:
+                acc += r
+            assert np.array_equal(fcm._point_sums(rows), acc)
 
     def test_plane_sum_equals_each_column_summed_contiguously(self):
         rng = np.random.default_rng(5)
