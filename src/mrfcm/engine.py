@@ -3,13 +3,14 @@
 Jobs run over a PartitionedStore with an immutable broadcast context.
 Each partition is one map call and each key one reduce call.  The map
 calls queue onto a pool of at most ``num_mappers`` threads, capped by the
-core count, so deployments with many more mappers than cores behave like
-their cluster counterparts.  A job whose mappers average fewer than
-``INLINE_ROWS_PER_TASK`` rows maps in the calling thread instead: blocks
-that small cost a pool more CPU than it saves in wall time.  The reduce
-calls always run in the calling thread, in ascending key order; every job
-of the pipeline emits one key, so a reduce pool would never run two calls
-at once, and ``num_reducers`` only labels the job in its metrics.
+cores the process may run on (``available_cores``), so deployments with
+many more mappers than cores behave like their cluster counterparts.  A
+job whose mappers average fewer than ``INLINE_ROWS_PER_TASK`` rows maps
+in the calling thread instead: blocks that small cost a pool more CPU
+than it saves in wall time.  The reduce calls always run in the calling
+thread, in ascending key order; every job of the pipeline emits one key,
+so a reduce pool would never run two calls at once, and
+``num_reducers`` only labels the job in its metrics.
 
 The shuffle walks map output in ascending partition order, so every
 key's values arrive ordered by (origin partition, emission order) with
@@ -141,6 +142,13 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+def available_cores() -> int:
+    """CPUs this process may run on: its affinity mask (which ``taskset``
+    narrows) where the platform has one, else the machine's count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable) -> list:
     """Every partition's map output as a list, in partition order.  The
     calls run in the calling thread when the mappers average fewer than
@@ -154,7 +162,7 @@ def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable
 
     pids = range(store.num_partitions)
     mappers = min(spec.num_mappers, store.num_partitions)
-    workers = min(mappers, os.cpu_count() or 1)
+    workers = min(mappers, available_cores())
     if workers <= 1 or store.n < INLINE_ROWS_PER_TASK * mappers:
         return [run_map(pid) for pid in pids]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -12,9 +12,9 @@ expands them to every row only on request.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
-same order under any deployment.  The maps read their points from one
-C-ordered (d, k) copy of the distinct points, made once per run and
-broadcast with the centroids.  Each map computes the block's squared
+same order under any deployment.  The distinct points are stored once,
+column-major, so each block's (b, d) view is the transpose of contiguous
+(d, b) coordinate rows.  Each map computes the block's squared
 distances to the centroids once (``sq_dist``, the one distance routine
 of the package) and its memberships by one formula scaled to each
 point's nearest centroid, both cluster-major as (c, b) arrays: the
@@ -194,15 +194,14 @@ def _point_sums(rows):
 
 
 def _iteration_map(pid, coords, ctx):
-    """The block's membership rows and weighted partial sums.  Its points
-    are read from the broadcast (d, k) copy ``columns``, so ``sq_dist``
-    subtracts along contiguous rows.  The denominators add the (b, c) rows
-    of u**m in sequence; the numerators, a gemm on the block's (b, d) rows
-    ``coords``, alone depend on the BLAS kernel."""
-    centroids, m, weights, columns, offsets = ctx
-    lo, hi = offsets[pid], offsets[pid + 1]
-    u, dist_sq = _membership_block(columns[:, lo:hi].T, centroids, m)
-    um = u ** m * weights[lo:hi]
+    """The block's membership rows and weighted partial sums.  ``coords``
+    is the block's (b, d) view of a column-major store, so its transpose
+    holds the contiguous (d, b) rows along which ``sq_dist`` subtracts.
+    The denominators add the (b, c) rows of u**m in sequence; the
+    numerators, a gemm on ``coords``, alone depend on the BLAS kernel."""
+    centroids, m, weights, offsets = ctx
+    u, dist_sq = _membership_block(coords, centroids, m)
+    um = u ** m * weights[offsets[pid]:offsets[pid + 1]]
     rows = np.ascontiguousarray(um.T)  # sums over points add in (b, c) order
     yield "iteration", (u.T, rows.T @ coords, _point_sums(rows), (rows * dist_sq.T).sum())
 
@@ -224,18 +223,12 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     J_m(u, centroids), accumulated from the distances the map tasks
     already hold.  Clusters whose weight vanishes are re-seeded at the
     distinct points u claims least, so sweeps over generous c never abort.
-    The maps read their points from a C-ordered (d, n) copy of
-    ``store.data``, made here for this one pass; the denominators add the
-    rows of u**m in sequence, and only the numerators depend on BLAS.
+    The maps read their points from ``store`` as it is: a column-major
+    store, as ``run_fcm`` makes, gives them contiguous coordinate rows, and
+    any layout gives the same bits.
     """
     weights = np.ones(store.n) if weights is None else np.asarray(weights, dtype=float)
-    return _iterate(store, np.ascontiguousarray(store.data.T), centroids, spec, m, weights)
-
-
-def _iterate(store, columns, centroids, spec, m, weights):
-    """fcm_iteration's pass over ``store``, whose rows ``columns`` holds
-    as a C-ordered (d, n) copy."""
-    context = (np.asarray(centroids, float), m, weights, columns, store.offsets)
+    context = (np.asarray(centroids, float), m, weights, store.offsets)
     results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce)
     u, numer, denom, jm = results[0][1]
     u = np.ascontiguousarray(u)  # the maps emit transposed views; return rows
@@ -295,21 +288,19 @@ def _coordinates(store, model):
     projected; float rows are deduplicated by value.  Two records can
     project to one point, so the seeds come from a second dedup on the
     points, found here once for every candidate of a sweep.  The k points
-    go into ceil(k / POINT_BLOCK_ROWS) contiguous blocks, whatever
-    partitions ``store`` had.  Points in first-appearance order give
-    init_centroids the same picks as every row would.
+    go into ceil(k / POINT_BLOCK_ROWS) blocks of a column-major store,
+    whatever partitions ``store`` had.  Points in first-appearance order
+    give init_centroids the same picks as every row would.
     """
     data = np.asarray(store.data, dtype=float) if model is None else store.data
     first, weights, inverse = _distinct_rows(data)
     points = data[first] if model is None else model.transform(data[first])
     seeds, _, _ = _distinct_rows(points)
-    points = partition(points, -(-len(first) // POINT_BLOCK_ROWS))
+    points = partition(np.asfortranarray(points), -(-len(first) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
-    # ptp runs along the rows of a (d, k) copy: on the narrow (k, d) array
-    # numpy's axis-0 max and min take several times as long.
     with np.errstate(over="ignore", invalid="ignore"):
-        extent = np.ptp(points.data.T.copy(), axis=1)
+        extent = np.ptp(points.data, axis=0)
         if not np.isfinite(np.square(extent).sum() * weights.sum()):
             raise NumericError("input holds non-finite values, or squared distances overflow")
     return points, weights, seeds, inverse
@@ -351,11 +342,9 @@ def _cluster(store, weights, seeds, config, spec, metrics_sink=None):
     seeded among the rows ``seeds`` (see ``_coordinates``)."""
     centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
     result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
-    columns = np.ascontiguousarray(store.data.T)  # one (d, k) copy for every iteration
     u_prev = None
     for iteration in range(1, config.max_iters + 1):
-        u, centroids, obj, metrics = _iterate(store, columns, centroids, spec, config.m,
-                                              weights)
+        u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, config.m, weights)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         result.objective_trace.append(obj)

@@ -594,8 +594,8 @@ def infer_schema(names, rows):
 
 
 def _discretize(schema, columns, bins) -> CategoricalDataset:
-    if bins < 2:
-        raise SchemaError(f"bins must be >= 2, got {bins}")
+    if not 2 <= bins <= MAX_CATEGORIES:
+        raise SchemaError(f"bins must be in [2, {MAX_CATEGORIES}], got {bins}")
     kept_specs = []
     kept_codes = []
     for spec, column in zip(schema, columns):
@@ -686,7 +686,8 @@ def partition(data, num_partitions: int) -> PartitionedStore:
     row count (with a warning) so no partition is ever empty.
 
     ``data`` may be a CategoricalDataset or any 2-D array (float rows are
-    used when clustering already-projected coordinates directly).
+    used when clustering already-projected coordinates directly); the
+    store's copy keeps its memory layout, row- or column-major.
     """
     array = data.codes if isinstance(data, CategoricalDataset) else np.asarray(data)
     if array.ndim != 2:
@@ -700,7 +701,7 @@ def partition(data, num_partitions: int) -> PartitionedStore:
     sizes = np.full(num_partitions, n // num_partitions, dtype=np.int64)
     sizes[: n % num_partitions] += 1
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return PartitionedStore(array.copy(), offsets)
+    return PartitionedStore(array.copy(order="K"), offsets)
 
 
 def replicate_to_size(dataset: CategoricalDataset, target_n: int, seed: int) -> CategoricalDataset:

@@ -4,13 +4,12 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Tolerances are fixed here and nowhere else.
 """
 import math
-import os
 import time
 
 import numpy as np
 import pytest
 
-from mrfcm import datasets, ingest, mca, validity
+from mrfcm import datasets, engine, ingest, mca, validity
 from mrfcm.cli import main as cli_main
 from mrfcm.engine import JobSpec
 from mrfcm.fcm import FcmConfig, run_fcm
@@ -212,7 +211,7 @@ def test_criterion_7_scalability_shape(scaling_dataset):
     growth = t_full / t_half
     assert growth <= GROWTH_CAP, f"t(2n)/t(n) = {growth:.2f} exceeds {GROWTH_CAP}"
 
-    cores = os.cpu_count() or 1
+    cores = engine.available_cores()
     if cores >= 4:
         # JobSpec(1, 1) runs the same partitions one call at a time.
         t_serial = _timed_run(scaling_dataset, 200_000, 1, 1, partitions=cores)

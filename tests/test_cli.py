@@ -126,6 +126,20 @@ class TestCluster:
         assert code == 4
         assert "SchemaError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bins", [1, 2049, 1_000_000_000])
+    def test_bins_outside_the_category_bound_exit_4(self, mm_csv, tmp_path, capsys, bins):
+        # One numeric column can emit up to `bins` categories, and J is
+        # bounded by MAX_CATEGORIES; a billion once built its quantile
+        # levels as a list before failing.
+        code = run("cluster", "--input", mm_csv, "--c", "2", "--bins", str(bins),
+                   "--out-dir", str(tmp_path / "o"))
+        assert code == 4
+        assert capsys.readouterr().err == f"SchemaError: bins must be in [2, 2048], got {bins}\n"
+
+    def test_bins_at_the_category_bound_is_accepted(self, mm_csv, tmp_path):
+        assert run("mca-info", "--input", mm_csv, "--bins", str(ingest.MAX_CATEGORIES),
+                   "--out-dir", str(tmp_path / "o")) == 0
+
 
 def test_a_delimiter_that_splits_nothing_exits_4_before_the_burt_job(tmp_path, capsys,
                                                                         monkeypatch):

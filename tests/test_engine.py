@@ -182,7 +182,7 @@ class TestPooledPath:
 
     @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2), (150, 8)])
     def test_map_concurrency_is_capped(self, pooled, monkeypatch, mappers, cores):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(engine, "available_cores", lambda: cores)
         lock = threading.Lock()
         running = peak = 0
         threads = set()
@@ -204,7 +204,7 @@ class TestPooledPath:
         assert peak <= min(mappers, cores)
 
     def test_single_mapper_runs_in_calling_thread(self, pooled, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine, "available_cores", lambda: 8)
         threads = set()
 
         def record(pid, block, broadcast):
@@ -215,7 +215,7 @@ class TestPooledPath:
         assert threads == {threading.current_thread()}
 
     def test_reduce_calls_run_in_calling_thread_in_key_order(self, pooled, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine, "available_cores", lambda: 8)
         calls = []
 
         def record(key, values):
@@ -232,7 +232,7 @@ class TestPooledPath:
     @pytest.mark.parametrize("fail", [False, True])
     def test_maps_run_on_one_blas_thread(self, pooled, monkeypatch, fail):
         get, set_ = real_blas_calls()
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine, "available_cores", lambda: 8)
         seen = []
 
         def record(pid, block, broadcast):
@@ -255,7 +255,7 @@ class TestPooledPath:
         assert after == 2
 
     def test_no_threads_leak_across_jobs(self, pooled, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "available_cores", lambda: 2)
         store = token_store(list(range(64)), 8)
         spec = JobSpec(8, 2, "reuse")
         expected, _ = run_job(spec, store, None, count_map, sum_reduce)
@@ -264,6 +264,34 @@ class TestPooledPath:
             results, _ = run_job(spec, store, None, count_map, sum_reduce)
             assert results == expected
         assert threading.active_count() <= before
+
+
+class TestAvailableCores:
+    def test_affinity_mask_bounds_the_count(self, monkeypatch):
+        # As under `taskset -c 0` on a machine of 8 CPUs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert engine.available_cores() == 1
+
+    def test_pooled_map_runs_on_one_thread_per_allowed_core(self, pooled, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = set()
+
+        def record(pid, block, broadcast):
+            threads.add(threading.current_thread())
+            time.sleep(0.01)
+            yield pid, 1
+
+        run_job(JobSpec(8, 1, "affinity"), token_store(range(64), 16), None, record,
+                sum_reduce)
+        assert 1 <= len(threads) <= 2 and threading.current_thread() not in threads
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert engine.available_cores() == expected
 
 
 def real_blas_calls():
@@ -322,7 +350,7 @@ class TestOneBlasThread:
         def gram(pid, block, broadcast):
             yield 0, block.T @ block
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine, "available_cores", lambda: 8)
         store = ingest.partition(np.random.default_rng(5).normal(size=(40000, 50)), 16)
         spec = JobSpec(4, 2, "gram")
         (expected,), _ = run_job(spec, store, None, gram, add_arrays)

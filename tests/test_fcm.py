@@ -228,24 +228,30 @@ class TestWeightedIteration:
 
 class TestIterationDeterminism:
     def test_bitwise_equal_across_mappers_inline_and_pooled(self, monkeypatch):
+        # The same points in a C-ordered and in a column-major store, whose
+        # blocks the numerator gemm reads as strided views.
         rng = np.random.default_rng(14)
-        store = ingest.partition(rng.normal(size=(3000, 3)), 16)
+        points = rng.normal(size=(3000, 3))
+        stores = [ingest.partition(layout, 16)
+                  for layout in (points, np.asfortranarray(points))]
+        assert [store.data.flags.f_contiguous for store in stores] == [False, True]
         centroids = rng.normal(size=(4, 3))
 
         weights = rng.integers(1, 21, size=3000).astype(float)
 
-        def outputs(mappers, weights):
+        def outputs(store, mappers, weights):
             u, v, obj, _ = fcm_iteration(store, centroids, spec_for(mappers), m=2.0,
                                          weights=weights)
             return u.tobytes(), v.tobytes(), obj
 
         for w in (None, weights):
-            baseline = outputs(1, w)
-            for mappers in (1, 4, 16):
-                assert outputs(mappers, w) == baseline
-                with monkeypatch.context() as patch:
-                    patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
-                    assert outputs(mappers, w) == baseline
+            baseline = outputs(stores[0], 1, w)
+            for store in stores:
+                for mappers in (1, 4, 16):
+                    assert outputs(store, mappers, w) == baseline
+                    with monkeypatch.context() as patch:
+                        patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                        assert outputs(store, mappers, w) == baseline
 
     def test_run_fcm_equals_repeated_public_iterations(self, monkeypatch):
         # 9,000 distinct points in first-appearance order, each repeated 1-5
@@ -309,11 +315,12 @@ class TestClusterMajorKernel:
                 u = expected[0]
                 for layout in (u, np.asfortranarray(u)):
                     assert objective(layout, centroids, points, m) == ((u ** m) * dist).sum()
-                columns = np.ascontiguousarray(points.T)
-                (key, got), = fcm._iteration_map(0, points,
-                                                 (centroids, m, weights, columns, [0, b]))
-                assert key == "iteration"
-                yield (d, b), got, expected
+                # The block of a C-ordered store, then as the maps see a
+                # column-major store of more points: a strided view.
+                for block in (points, np.asfortranarray(np.concatenate([points, points]))[:b]):
+                    (key, got), = fcm._iteration_map(0, block, (centroids, m, weights, [0, b]))
+                    assert key == "iteration"
+                    yield (d, b), got, expected
 
     @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("c", [2, 3, 6])

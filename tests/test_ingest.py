@@ -947,6 +947,13 @@ class TestPartition:
             assert np.array_equal(back, data)
             assert min(np.diff(store.offsets)) >= 1
 
+    def test_copy_keeps_the_memory_layout(self):
+        data = np.random.default_rng(4).normal(size=(9, 3))
+        for layout, flag in ((data, "C_CONTIGUOUS"), (np.asfortranarray(data), "F_CONTIGUOUS")):
+            store = ingest.partition(layout, 3)
+            assert store.data.flags[flag] and not np.shares_memory(store.data, layout)
+            assert np.array_equal(store.data, data)
+
     def test_blocks_are_read_only(self):
         store = ingest.partition(np.arange(4).reshape(2, 2), 2)
         with pytest.raises(ValueError):
