@@ -249,6 +249,7 @@ def main(argv=None) -> int:
         for path in paths:  # no file of an earlier run survives a failed one
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
+        ingest.check_bins(args.bins)  # every subcommand bins; check before reading
         return args.fn(args, *paths)
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

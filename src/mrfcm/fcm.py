@@ -19,16 +19,16 @@ distances to the centroids once (``sq_dist``, the one distance routine
 of the package) and its memberships by one formula scaled to each
 point's nearest centroid, both cluster-major as (c, b) arrays: the
 subtraction and the reductions over the few clusters run along rows as
-long as the block.  The sums over coordinates and over clusters replay
-numpy's pairwise rule plane by plane (``_plane_sum``), so they give a
-(b, c) layout's bits at every c in an order the code writes down.  The
-denominators add the block's (b, c) rows of u**m one after another
-(``_point_sums``); only the centroid numerators ``rows.T @ coords``
-depend on the BLAS build.  Each map emits under one key the block's
-membership rows and the weighted partial sums of the prototype update
-(numerators, denominators and the objective); the reduce stacks the
-former and adds the latter in block order (``concat_reduce``,
-``sum_reduce``); ``fcm_iteration`` divides.
+long as the block.  The sums over coordinates and over clusters add
+plane after plane (``_fold``), and the denominators' sums over points
+row after row (``_point_sums``): each in sequence, in an order the code
+writes down.  The objective is numpy's sum of the whole (b, c) array;
+only the centroid numerators ``rows.T @ coords`` depend on the BLAS
+build.  Each map emits under one key the block's membership rows and
+the weighted partial sums of the prototype update (numerators,
+denominators and the objective); the reduce stacks the former and adds
+the latter in block order (``concat_reduce``, ``sum_reduce``);
+``fcm_iteration`` divides.
 
 The driver repeats the job from a seeded random initialization until the
 membership matrix stops moving.
@@ -122,41 +122,20 @@ def membership_row(x, centroids, m: float) -> np.ndarray:
 def sq_dist(points, centroids):
     """(c, b) squared Euclidean distances from each centroid to each point.
 
-    The sum over the d coordinates adds (c, b) planes of a C-ordered
-    (d, c, b) difference in ``_plane_sum``'s order.
+    The squared (d, c, b) difference, a temporary, is folded over its d
+    coordinate planes in place, into plane 0 (``_fold``).
     """
     diff = np.subtract(points.T[:, None, :], centroids.T[:, :, None], order="C")
-    return _plane_sum(np.square(diff, out=diff))
+    np.square(diff, out=diff)
+    return _fold(diff, diff[0])
 
 
-def _plane_sum(a):
-    """Sum of a C-ordered array over axis 0, added plane by plane in place.
-
-    The order is numpy's pairwise rule for summing a contiguous axis of
-    len(a) terms: below 8 terms, in sequence; up to 128, into 8 running
-    planes combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the remainder in
-    sequence; above 128, the two halves split at a multiple of 8.  So each
-    element has the bits of numpy's sum of its column laid out contiguously,
-    save that numpy's sum starts from 0.0 and so gives 0.0 where this gives
-    -0.0.  The result is a view of ``a``, whose contents are overwritten.
-    """
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _plane_sum(a[:half])
-        total += _plane_sum(a[half:])
-        return total
-    rest = 1 if n < 8 else n - n % 8
-    if n >= 8:
-        acc = a[:8]
-        for k in range(8, rest, 8):
-            acc += a[k:k + 8]
-        acc[::2] += acc[1::2]
-        acc[::4] += acc[2::4]
-        acc[0] += acc[4]
-    for k in range(rest, n):
-        a[0] += a[k]
-    return a[0]
+def _fold(planes, total):
+    """Add planes[1:] to ``total`` in place, one after another.  Started from
+    planes[0] or its copy, this is the one order of every sum over axis 0."""
+    for plane in planes[1:]:
+        total += plane
+    return total
 
 
 def _membership_block(points, centroids, m):
@@ -168,8 +147,7 @@ def _membership_block(points, centroids, m):
     sum positive, even near m = 1.  A point within SINGULARITY_DISTANCE of some
     centroids splits its membership equally among them; only the columns of
     such points get a coincidence mask.  Min and sum run over axis 0; the sum
-    adds a copy of the ratios in ``_plane_sum``'s order, which gives a (b, c)
-    layout's row sums bit for bit at every c.
+    folds the (c, b) ratios in sequence into a fresh (b,) array (``_fold``).
     """
     dist_sq = sq_dist(points, centroids)
     nearest = dist_sq.min(axis=0)
@@ -180,7 +158,8 @@ def _membership_block(points, centroids, m):
     if hit.any():
         # Split full membership equally among coincident centroids.
         ratios[:, hit] = dist_sq[:, hit] < SINGULARITY_DISTANCE ** 2
-    return ratios / _plane_sum(ratios.copy()), dist_sq
+    ratios /= _fold(ratios, ratios[0].copy())
+    return ratios, dist_sq
 
 
 def _point_sums(rows):

@@ -593,9 +593,14 @@ def infer_schema(names, rows):
     return _schema(names, _encode(_width(rows, len(names)), [rows]))
 
 
-def _discretize(schema, columns, bins) -> CategoricalDataset:
+def check_bins(bins):
+    """Raise SchemaError unless ``bins`` lies in [2, MAX_CATEGORIES], the bound on J."""
     if not 2 <= bins <= MAX_CATEGORIES:
         raise SchemaError(f"bins must be in [2, {MAX_CATEGORIES}], got {bins}")
+
+
+def _discretize(schema, columns, bins) -> CategoricalDataset:
+    check_bins(bins)
     kept_specs = []
     kept_codes = []
     for spec, column in zip(schema, columns):

@@ -329,6 +329,16 @@ COMMAND_ARGS = {"cluster": ["--c", "2"], "sweep": ["--c-max", "3"],
                 "bench": ["--bench-sizes", "200"], "mca-info": []}
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_bad_bins_exits_4_before_the_input_is_read(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(ingest, "read_table", None)  # never reached
+    # The input does not exist either, which would exit 3: the flag wins.
+    code = run(command, "--input", str(tmp_path / "absent.csv"), *COMMAND_ARGS[command],
+               "--bins", "1", "--out-dir", str(tmp_path / "o"))
+    assert code == 4
+    assert capsys.readouterr().err == "SchemaError: bins must be in [2, 2048], got 1\n"
+
+
 def assert_usage_error(argv, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
         run(*argv)
@@ -459,10 +469,12 @@ def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, blo
                    "--out-dir", str(out)) == 0
         return {name: (out / name).read_bytes() for name in names}
 
-    clusters = [outputs("cluster", ["--c", "3"],
-                        ["memberships.csv", "centroids.csv", "trace.csv"], deployment)
-                for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
-    assert all(other == clusters[0] for other in clusters[1:])
+    # At c = 9 the sums over clusters have more than 8 terms.
+    for c in ("3", "9"):
+        clusters = [outputs("cluster", ["--c", c],
+                            ["memberships.csv", "centroids.csv", "trace.csv"], deployment)
+                    for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
+        assert all(other == clusters[0] for other in clusters[1:]), c
     sweeps = [outputs("sweep", ["--c-min", "2", "--c-max", "5"],
                       ["validity.csv", "validity_plot.dat"], deployment)
               for deployment in [(1, 1), (2, 1), (16, 1), (7, 3)]]

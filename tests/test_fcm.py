@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -282,18 +283,24 @@ class TestIterationDeterminism:
                 assert result.objective_trace == expected, (mappers, inline_rows)
 
 
+def in_order(terms):
+    """The sum of ``terms`` over its first axis, one term after another."""
+    return functools.reduce(np.add, terms)
+
+
 def row_major_kernel(points, centroids, m, weights):
     """The fused map written out on (b, c) arrays, one row per point:
-    (squared distances, (u, numerators, denominators, objective))."""
-    dist = ((points[:, None] - centroids[None]) ** 2).sum(axis=2)
+    (squared distances, (u, numerators, denominators, objective)).  The
+    sums over coordinates, clusters and points are explicit in-order loops."""
+    dist = in_order(np.moveaxis((points[:, None] - centroids[None]) ** 2, 2, 0))
     coincident = dist < fcm.SINGULARITY_DISTANCE ** 2
     hit = coincident.any(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = (dist.min(axis=1, keepdims=True) / dist) ** (1.0 / (m - 1.0))
     ratios[hit] = coincident[hit]
-    u = ratios / ratios.sum(axis=1, keepdims=True)
+    u = ratios / in_order(ratios.T)[:, None]
     um = u ** m * weights[:, None]
-    return dist, (u, um.T @ points, um.sum(axis=0), (um * dist).sum())
+    return dist, (u, um.T @ points, in_order(um), (um * dist).sum())
 
 
 class TestClusterMajorKernel:
@@ -332,22 +339,41 @@ class TestClusterMajorKernel:
     @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("c", [8, 9, 17])
     def test_bitwise_equal_from_eight_clusters(self, c, m):
-        # The sum over clusters takes numpy's pairwise order from 8 terms on.
+        # From 8 terms on, any pairwise order would give other bits.
         self.test_bitwise_equal_below_eight_clusters(c, m)
 
 
 class TestSummationOrder:
-    """The plane sums against numpy's sum over a contiguous axis."""
+    """The kernel's sums against explicit loops that add one term after another."""
 
     @pytest.mark.parametrize("b", [1, 7, 4096])
-    @pytest.mark.parametrize("d", [1, 7, 8, 9, 15, 16, 127, 128, 129, 136, 200, 257])
-    def test_sq_dist_adds_each_pair_as_a_contiguous_row(self, d, b):
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 200, 257])
+    def test_sq_dist_adds_coordinates_in_sequence(self, d, b):
+        # Spread magnitudes make any other order show in the last bits.
         rng = np.random.default_rng(1000 * d + b)
         for c in (1, 3, 9):
             p = rng.normal(size=(b, d)) * 10.0 ** rng.integers(-3, 4, size=d)
             v = rng.normal(size=(c, d))
-            expected = ((p[:, None] - v[None]) ** 2).sum(axis=2)
-            assert np.array_equal(fcm.sq_dist(p, v), expected.T), c
+            expected = in_order([(v[:, k, None] - p[None, :, k]) ** 2 for k in range(d)])
+            assert np.array_equal(fcm.sq_dist(p, v), expected), c
+
+    @pytest.mark.parametrize("b", [1, 7, 4096])
+    @pytest.mark.parametrize("c", [1, 7, 8, 9, 17, 129, 257])
+    def test_memberships_add_clusters_in_sequence(self, c, b):
+        # Each point's ratios are divided by their sum over the c clusters,
+        # added one after another.  Centroid 0 sits on point 0, whose
+        # ratios become the coincidence mask.
+        rng = np.random.default_rng(10 * c + b)
+        p = rng.normal(size=(b, 3)) * 10.0 ** rng.integers(-2, 3, size=(b, 1))
+        v = rng.normal(size=(c, 3)) * 10.0 ** rng.integers(-2, 3, size=(c, 1))
+        v[0] = p[0]
+        dist = fcm.sq_dist(p, v)
+        m = 1.6
+        ratios = (dist.min(axis=0) / np.maximum(dist, 1e-300)) ** (1.0 / (m - 1.0))
+        ratios[:, 0] = dist[:, 0] < fcm.SINGULARITY_DISTANCE ** 2
+        u, got_dist = fcm._membership_block(p, v, m)
+        assert np.array_equal(got_dist, dist)
+        assert np.array_equal(u, ratios / in_order(ratios))
 
     @pytest.mark.parametrize("b", [1, 7, 4096])
     @pytest.mark.parametrize("c", [1, 2, 3, 6, 8, 9, 17])
@@ -362,13 +388,6 @@ class TestSummationOrder:
             for r in rows[1:]:
                 acc += r
             assert np.array_equal(fcm._point_sums(rows), acc)
-
-    def test_plane_sum_equals_each_column_summed_contiguously(self):
-        rng = np.random.default_rng(5)
-        for rows in range(1, 301):
-            a = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
-            expected = np.ascontiguousarray(a.T).sum(axis=1)
-            assert np.array_equal(fcm._plane_sum(a.copy()), expected), rows
 
 
 class TestObjective:
