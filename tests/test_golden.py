@@ -11,6 +11,7 @@ names it.  A change that moves output bytes on purpose records them again:
 writes the running key's digests into ``golden.json``.  Run it once per
 core, with OPENBLAS_CORETYPE set to force one.
 """
+import csv
 import ctypes
 import hashlib
 import json
@@ -34,6 +35,10 @@ RUNS = {
     "mca-info": ([], ["schema.txt", "axes.csv", "loadings.csv"]),
 }
 DEPLOYMENTS = [(1, 1), (16, 8)]
+# The subcommands run on each table.  wide-quoted, read by the csv module,
+# must give the digests of wide, read by ingest's byte tokenizer.
+COMMANDS = {"mm": list(RUNS), "mixed": list(RUNS), "wide": ["cluster"],
+            "wide-quoted": ["cluster"]}
 
 
 def openblas_core():
@@ -54,8 +59,14 @@ def running_key():
 
 
 def write_tables(directory):
-    """mm.csv, and a mixed table: six categorical columns with planted
-    clusters beside two real columns of Gaussian blobs.  Both keep 8 axes."""
+    """mm.csv; a mixed table: six categorical columns with planted clusters
+    beside two real columns of Gaussian blobs, both keeping 8 axes; and
+    wide.csv, with its copy of every cell quoted.
+
+    wide.csv's 10,000 rows span two ingest blocks.  Its real columns both
+    become RealColumns: x0's 9-digit cells are wider than 8 bytes from the
+    first row, and x1's 8-byte cells hold more than BLOCK_ROWS distinct
+    keys at end of file."""
     mm = datasets.write_csv(directory / "mm.csv", datasets.mammographic_mass_rows(),
                             header=datasets.MAMMOGRAPHIC_HEADER)
     categorical = datasets.clustered_categorical_rows(2000, 6, seed=11)
@@ -63,7 +74,15 @@ def write_tables(directory):
     mixed = datasets.write_csv(directory / "mixed.csv",
                                [a + b for a, b in zip(categorical, reals)],
                                header=[f"q{j}" for j in range(6)] + ["x0", "x1"])
-    return {"mm": mm, "mixed": mixed}
+    categorical = datasets.clustered_categorical_rows(10000, 3, seed=21)
+    coords = datasets.gaussian_blob_coords(10000, [[0, 0], [4, 1], [1, 5]], 1.0, seed=22)
+    rows = [a + [f"{x:.9g}", f"{y:.5f}"] for a, (x, y) in zip(categorical, coords.tolist())]
+    header = ["q0", "q1", "q2", "x0", "x1"]
+    wide = datasets.write_csv(directory / "wide.csv", rows, header=header)
+    quoted = directory / "wide-quoted.csv"
+    with open(quoted, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header, *rows])
+    return {"mm": mm, "mixed": mixed, "wide": wide, "wide-quoted": quoted}
 
 
 def digests(directory):
@@ -71,7 +90,8 @@ def digests(directory):
     bytes checked equal to the first's."""
     found = {}
     for table, path in write_tables(directory).items():
-        for command, (flags, names) in RUNS.items():
+        for command in COMMANDS[table]:
+            flags, names = RUNS[command]
             for mappers, reducers in DEPLOYMENTS:
                 out = directory / f"{table}-{command}-{mappers}x{reducers}"
                 assert main([command, "--input", str(path), *flags,
@@ -92,6 +112,8 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     got = digests(tmp_path)
     capsys.readouterr()
     assert got == recorded
+    for name in RUNS["cluster"][1]:
+        assert got[f"wide-quoted/cluster/{name}"] == got[f"wide/cluster/{name}"]
 
 
 if __name__ == "__main__":
