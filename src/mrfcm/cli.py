@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+import numpy as np
 
 from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
@@ -22,17 +23,122 @@ from .errors import DataIOError, MrfcmError, NumericError
 from .fcm import FcmConfig, run_fcm
 
 
+def _digit_groups():
+    """The four ASCII digits of g = 0..9999 as little-endian uint32 words:
+    at 10000 + g all four, at g the same with its trailing zeros NUL."""
+    powers = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    full = (np.arange(10000, dtype=np.uint16)[:, None] // powers % 10 + 48).astype(np.uint8)
+    kept = np.logical_or.accumulate(full[:, ::-1] != 48, axis=1)[:, ::-1]  # a nonzero at or after
+    return np.concatenate([full * kept, full]).view("<u4").ravel()
+
+
+def _field_prefixes():
+    """The first word of a field, at 40 * negative + 10 * leading zeros +
+    first digit: the little-endian bytes NUL (the separator's place), sign,
+    "0.", up to three zeros and the first significant digit, absent ones NUL."""
+    prefix = np.zeros((2, 4, 10, 8), dtype=np.uint8)
+    prefix[1, ..., 1] = ord("-")
+    prefix[..., 2:4] = (ord("0"), ord("."))
+    for zeros in range(4):
+        prefix[:, zeros, :, 4:4 + zeros] = ord("0")
+    prefix[..., 7] = ord("0") + np.arange(10)
+    return prefix.view("<u8").ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
+_FIELD_PREFIXES = _field_prefixes()
+# 5**p for p = 16 - X at X + 4, X = -4..-1 the decimal exponent, as 32-bit limbs.
+_POW5 = [5 ** p for p in range(20, 16, -1)]
+_POW5_LO = np.array([power % 2 ** 32 for power in _POW5], dtype=np.uint64)
+_POW5_HI = np.array([power >> 32 for power in _POW5], dtype=np.uint64)
+_U64 = np.uint64  # every scalar in uint64 arithmetic: an int64 operand promotes it to float64
+
+
+def _format_lines(rows):
+    """The lines that ``b"%.17g"`` and "," give a 2-D float64 array's rows,
+    each ending in LF.
+
+    A value x with |x| in [1e-4, 1) is formatted in numpy, exactly.  Its
+    decimal exponent X in [-4, -1] is counted by comparisons with the doubles
+    1e-3, 1e-2 and 1e-1, each above its power of ten with its lower neighbour
+    below it, so X is exact.  With x = M * 2**E and p = 16 - X, the 17
+    significant digits are N = M * 5**p / 2**s, s = -(E + p) in [36, 46],
+    rounded half to even: the product, below 2**100, is formed from 32-bit
+    limbs as a (high, low) uint64 pair and shifted right by s - 1, and the
+    bits shifted out break a tie.  N stays below 10**17: the doubles below
+    1e-3, 1e-2, 1e-1 and 1 lie more than 8 units of the 17th digit under
+    them.  Each value takes three uint64 words: a separator (LF before a
+    row's first value, "," before the others), sign, "0.", leading zeros
+    and first digit from ``_FIELD_PREFIXES``, then 16 digits as four groups
+    from ``_DIGIT_GROUPS``, trailing zeros NUL, which one ``translate``
+    deletes.  A row holding any other value (0, -0, |x| >= 1, |x| < 1e-4,
+    inf, nan) is formatted by bytes ``%`` instead.
+    """
+    r, c = rows.shape
+    values = rows.ravel()
+    x = np.abs(values)
+    fast = (x >= 1e-4) & (x < 1)
+    x[~fast] = 0.5  # formatted, then replaced by its row's % line
+    exponent = (x >= 1e-3).view(np.uint8) + (x >= 1e-2) + (x >= 1e-1)  # X + 4
+    bits = x.view(np.uint64)
+    m_lo = bits & _U64(2 ** 32 - 1)
+    m_hi = (bits >> _U64(32)) & _U64(2 ** 20 - 1)
+    m_hi |= _U64(2 ** 20)  # the implicit bit of M
+    f_lo, f_hi = _POW5_LO[exponent], _POW5_HI[exponent]
+    low = m_lo * f_lo
+    mid = m_lo * f_hi
+    mid += m_hi * f_lo
+    high = m_hi * f_hi
+    high += mid >> _U64(32)
+    mid <<= _U64(32)
+    low += mid
+    high += low < mid  # the carry
+    up = (bits >> _U64(52)) - _U64(990) - exponent  # 65 - s from E's biased field
+    n = (high << up) | (low >> (_U64(64) - up))  # 2 N + the round bit
+    n += ((low << up) != 0) | ((n >> _U64(1)) & _U64(1))  # a tie rounds to even
+    n >>= _U64(1)
+    hi9 = (n // _U64(10 ** 8)).astype(np.uint32)
+    lo8 = (n - hi9 * _U64(10 ** 8)).astype(np.uint32)
+    first = hi9 // 10 ** 8
+    hi8 = hi9 - first * 10 ** 8
+    groups = [hi8 // 10000, hi8 % 10000, lo8 // 10000, lo8 % 10000]
+    at = first.astype(np.intp)
+    at += 10 * (3 - exponent)
+    at += 40 * (values < 0)
+    prefix = _FIELD_PREFIXES[at].reshape(r, c)
+    prefix[:, 0] |= ord("\n")
+    prefix[:, 1:] |= ord(",")
+    words = np.empty((r * c, 3), dtype=np.uint64)
+    words[:, 0] = prefix.ravel()
+    digits = words[:, 1:].view(np.uint32)
+    later = [(groups[1] | lo8) != 0, lo8 != 0, groups[3] != 0, False]  # digits after the group
+    for j, (group, full) in enumerate(zip(groups, later)):
+        digits[:, j] = _DIGIT_GROUPS[group + 10000 * full]
+    lines = words.tobytes().translate(None, b"\0").splitlines(keepends=True)[1:]
+    lines[-1] += b"\n"
+    slow = np.flatnonzero(~fast.reshape(r, c).all(axis=1))
+    if slow.size:
+        line = b",".join([b"%.17g"] * c) + b"\n"
+        text = ((line * len(slow)) % tuple(rows[slow].ravel().tolist())).splitlines(keepends=True)
+        for i, formatted in zip(slow.tolist(), text):
+            lines[i] = formatted
+    return lines
+
+
 def _write_matrix(path, rows, inverse=None):
     """Write rows[inverse] (every row when None) as ``np.savetxt`` with
-    fmt="%.17g" and delimiter="," would.  One bytes ``%`` call formats each
-    row of ``rows`` once; the file is written in binary, ``ingest.BLOCK_ROWS``
-    gathered lines per write."""
-    line = b",".join([b"%.17g"] * rows.shape[1]) + b"\n"
-    lines = ((line * len(rows)) % tuple(rows.ravel().tolist())).splitlines(keepends=True)
-    order = range(len(lines)) if inverse is None else inverse.tolist()
+    fmt="%.17g" and delimiter="," would.  Each row of ``rows`` is formatted
+    once (``_format_lines``), ``ingest.BLOCK_ROWS`` rows at a time; the file
+    is written in binary, ``ingest.BLOCK_ROWS`` gathered lines per write."""
+    rows = np.asarray(rows, dtype=float)
+    lines = []
+    for start in range(0, len(rows), ingest.BLOCK_ROWS):
+        lines += _format_lines(rows[start:start + ingest.BLOCK_ROWS])
+    order = np.arange(len(lines)) if inverse is None else inverse
     with open(path, "wb") as fh:
         for start in range(0, len(order), ingest.BLOCK_ROWS):
-            fh.write(b"".join(map(lines.__getitem__, order[start:start + ingest.BLOCK_ROWS])))
+            chunk = order[start:start + ingest.BLOCK_ROWS].tolist()
+            fh.write(b"".join(map(lines.__getitem__, chunk)))
 
 
 def _write_metrics(path, metrics_list):

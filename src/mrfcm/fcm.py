@@ -4,9 +4,10 @@ Encoded records repeat, so clustering runs on the distinct records, each
 weighted by how often it occurs: identical points get identical
 memberships, and a point of weight w adds w copies of its terms to every
 sum.  A categorical store arrives with its MCA model; its distinct
-records are found on the codes and projected once, by one
-``MCAModel.transform`` call in the driver, before the first iteration.
-A float store is deduplicated on its coordinates.  The result keeps one
+records are found on the codes, by one sort of one key per row
+(``_distinct_rows``), and projected once, by one ``MCAModel.transform``
+call in the driver, before the first iteration.  A float store is
+deduplicated on its coordinates.  The result keeps one
 membership row per distinct record and the row -> record index, and
 expands them to every row only on request.
 
@@ -265,8 +266,9 @@ def _coordinates(store, model):
 
     Codes are deduplicated first, and only the distinct records are
     projected; float rows are deduplicated by value.  Two records can
-    project to one point, so the seeds come from a second dedup on the
-    points, found here once for every candidate of a sweep.  The k points
+    project to one point, so the seeds are found here, once for every
+    candidate of a sweep: every point when the first coordinate has no
+    repeat, otherwise by a second dedup on the points.  The k points
     go into ceil(k / POINT_BLOCK_ROWS) blocks of a column-major store,
     whatever partitions ``store`` had.  Points in first-appearance order
     give init_centroids the same picks as every row would.
@@ -274,7 +276,10 @@ def _coordinates(store, model):
     data = np.asarray(store.data, dtype=float) if model is None else store.data
     first, weights, inverse = _distinct_rows(data)
     points = data[first] if model is None else model.transform(data[first])
-    seeds, _, _ = _distinct_rows(points)
+    if np.unique(points[:, 0]).size == len(points):  # then no two points are equal
+        seeds = np.arange(len(points))
+    else:
+        seeds, _, _ = _distinct_rows(points)
     points = partition(np.asfortranarray(points), -(-len(first) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
@@ -287,13 +292,26 @@ def _coordinates(store, model):
 
 def _distinct_rows(array):
     """(first position, count, row -> distinct index) of a 2-D array's
-    distinct rows, in first-appearance order, found on ``_row_keys``."""
-    _, first, inverse, counts = np.unique(_row_keys(array), return_index=True,
-                                          return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], counts[order].astype(float), rank[inverse]
+    distinct rows, in first-appearance order, found on ``_row_keys``.
+
+    One unstable argsort groups equal keys; each group's first position is
+    the least of its rows, whatever order the sort left them in, and its
+    count the gap to the next group's start.
+    """
+    keys = _row_keys(array)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]  # void keys have no not_equal loop with out=
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    counts = np.diff(starts, append=len(keys))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(rank, counts)
+    return first[by_first], counts[by_first].astype(float), inverse
 
 
 def _row_keys(array):

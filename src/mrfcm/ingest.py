@@ -32,7 +32,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from itertools import compress
 from operator import itemgetter
 
 import numpy as np
@@ -50,6 +50,8 @@ MAX_CATEGORIES = 2048
 # Rows read before each encoding step: the text of at most this many rows
 # is held at once.
 BLOCK_ROWS = 8192
+# Bytes per read of the byte tokenizer, which cuts them into blocks of lines.
+_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -474,12 +476,31 @@ def _read_unquoted(path, has_header, delimiter):
         return None
 
 
+def _line_blocks(fh):
+    """The rest of an open binary file in blocks of BLOCK_ROWS lines, the
+    last block holding what is left.  The file is read in chunks of
+    _CHUNK_BYTES; a chunk's bytes after the last cut in it are carried into
+    the next block."""
+    parts, lines = [], 0  # the block so far, and its whole lines
+    while chunk := fh.read(_CHUNK_BYTES):
+        ends = np.flatnonzero(np.frombuffer(chunk, dtype=np.uint8) == 10)
+        start = 0
+        for cut in ends[BLOCK_ROWS - 1 - lines::BLOCK_ROWS].tolist():
+            parts.append(chunk[start:cut + 1])
+            yield b"".join(parts)
+            parts, start = [], cut + 1
+        lines = (lines + len(ends)) % BLOCK_ROWS
+        parts.append(chunk[start:])
+    if tail := b"".join(parts):
+        yield tail
+
+
 def _tokenize(fh, has_header, delimiter):
     """``_read_unquoted`` on an open binary file and a delimiter byte."""
     if fh.read(3) != codecs.BOM_UTF8:
         fh.seek(0)
     names, n, limit = None, 0, csv.field_size_limit()
-    while data := b"".join(islice(fh, BLOCK_ROWS)):
+    for data in _line_blocks(fh):
         if b'"' in data or b"\0" in data or data.endswith(b"\r"):
             return None
         if not data.endswith(b"\n"):

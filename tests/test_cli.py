@@ -1,4 +1,5 @@
 import io
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -139,6 +140,77 @@ class TestCluster:
     def test_bins_at_the_category_bound_is_accepted(self, mm_csv, tmp_path):
         assert run("mca-info", "--input", mm_csv, "--bins", str(ingest.MAX_CATEGORIES),
                    "--out-dir", str(tmp_path / "o")) == 0
+
+
+def exact_ties():
+    """Doubles t / 2**q, t odd, in [1e-4, 1): with q = 17 - X for the decimal
+    exponent X, each has q decimals, 18 of them significant and the last a 5,
+    so it lies halfway between two 17-digit values."""
+    ties = []
+    for exponent in range(-4, 0):
+        q = 17 - exponent
+        t = np.arange(int(10.0 ** exponent * 2 ** q) | 1, int(10.0 ** (exponent + 1) * 2 ** q), 2)
+        x = np.ldexp(t.astype(float), -q)
+        ties.append(x[(x >= 10.0 ** exponent) & (x < 10.0 ** (exponent + 1))])
+    return np.concatenate(ties)
+
+
+class TestMatrixWriter:
+    """``_write_matrix`` formats |x| in [1e-4, 1) in numpy and the rows of all
+    other values with ``%``: both give ``np.savetxt``'s bytes, whether the
+    rows are gathered by an inverse or not."""
+
+    @staticmethod
+    def assert_as_savetxt(tmp_path, values, width):
+        rows = np.concatenate([values, np.full(-len(values) % width, 0.5)]).reshape(-1, width)
+        inverse = np.random.default_rng(len(rows)).integers(0, len(rows),
+                                                             2 * ingest.BLOCK_ROWS + 5)
+        for gather in (None, inverse):
+            path = tmp_path / "m.csv"
+            cli._write_matrix(path, rows, gather)
+            want = io.BytesIO()
+            np.savetxt(want, rows if gather is None else rows[gather], fmt="%.17g",
+                       delimiter=",")
+            assert path.read_bytes() == want.getvalue()
+
+    def test_a_million_values_of_both_signs(self, tmp_path):
+        rng = np.random.default_rng(27)
+        values = np.concatenate([rng.uniform(1e-4, 1, 500_000),
+                                 10 ** rng.uniform(-4, 0, 500_000)])
+        self.assert_as_savetxt(tmp_path, values * rng.choice([-1.0, 1.0], values.size), 4)
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        edges = 10.0 ** -np.arange(1, 6)  # 1e-5 and those below 1e-4 take %
+        below, above, near = edges, edges, [edges]
+        for _ in range(3):  # up to 3 ulps on each side
+            below, above = np.nextafter(below, 0), np.nextafter(above, 1)
+            near += [below, above]
+        near = np.concatenate(near)
+        self.assert_as_savetxt(tmp_path, np.concatenate([near, -near]), 3)
+
+    def test_exact_ties_round_half_to_even(self, tmp_path):
+        ties = exact_ties()
+        assert len(ties) > 100_000
+        for x in ties[::997].tolist():
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        self.assert_as_savetxt(tmp_path, np.concatenate([ties, -ties]), 3)
+
+    def test_short_expansions_drop_their_trailing_zeros(self, tmp_path):
+        # t / 2**j has j decimals: from 1 to 17 digits, then zeros.
+        rng = np.random.default_rng(11)
+        j = rng.integers(1, 25, 200_000)
+        values = np.ldexp(rng.integers(0, 2 ** 24, j.size) % 2 ** j | 1, -j)
+        self.assert_as_savetxt(tmp_path, values[values >= 1e-4], 3)
+
+    def test_values_formatted_by_percent_beside_numpy_ones(self, tmp_path):
+        special = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   np.nextafter(2.2250738585072014e-308, 0), 9.9999e-5, np.inf, np.nan, 123.5]
+        rng = np.random.default_rng(3)
+        values = rng.uniform(1e-4, 1, 60 * len(special))
+        values[rng.choice(len(values), len(special), replace=False)] = special
+        self.assert_as_savetxt(tmp_path, values, 3)
+        self.assert_as_savetxt(tmp_path, np.array(special), 1)
 
 
 def test_a_delimiter_that_splits_nothing_exits_4_before_the_burt_job(tmp_path, capsys,

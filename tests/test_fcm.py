@@ -733,6 +733,42 @@ class TestDistinctRows:
         first, counts, inverse = fcm._distinct_rows(table)
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
 
+    @pytest.mark.parametrize("dtype", [np.int32, float], ids=["packed", "bytes"])
+    def test_first_positions_whatever_the_sort_order_of_ties(self, dtype):
+        # 30,000 rows of 7 distinct ones: the unstable argsort leaves each
+        # group's rows in some order, and each group's first is still its least.
+        rng = np.random.default_rng(7)
+        table = rng.integers(0, 3, (7, 4))[rng.integers(0, 7, 30_000)].astype(dtype)
+        first, counts, inverse = fcm._distinct_rows(table)
+        assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
+
+
+class StubModel:
+    """A projection model whose transform is a given function of the codes."""
+
+    def __init__(self, transform):
+        self.transform = transform
+
+
+class TestCoordinates:
+    """The seeds are the first positions of the distinct points, found on the
+    first coordinate alone when it has no repeat."""
+
+    @pytest.mark.parametrize("data, model, shortcut", [
+        (np.arange(12.0).reshape(6, 2)[[0, 1, 0, 2, 3, 4, 5, 1]], None, True),
+        (np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 2.0], [1.0, 2.0]]), None, False),
+        # Records (0, 0) and (0, 1) both project to (0, 0).
+        (np.array([[0, 0], [0, 1], [1, 0], [1, 1], [0, 1]]),
+         StubModel(lambda codes: np.column_stack([codes[:, 0], codes[:, 0] * codes[:, 1]]) * 1.0),
+         False),
+    ], ids=["first-coordinate-distinct", "first-coordinate-repeats", "records-collide"])
+    def test_seeds_are_the_distinct_points(self, data, model, shortcut):
+        points, _, seeds, _ = fcm._coordinates(ingest.partition(data, 2), model)
+        points = np.ascontiguousarray(points.data)
+        assert (np.unique(points[:, 0]).size == len(points)) is shortcut
+        assert seeds.tolist() == fcm._distinct_rows(points)[0].tolist()
+        assert len(seeds) == len(points) - (model is not None)
+
 
 class TestConfigValidation:
     def test_bad_cluster_count(self):

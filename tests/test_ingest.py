@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import random
 
 import numpy as np
@@ -506,6 +507,28 @@ class TestByteTokenizer:
                 taken += 1
                 assert_same_table(table, want)
         assert taken > 700 and declined > 400, (taken, declined)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+    def test_line_blocks_cut_every_block_rows_lines(self, monkeypatch, chunk):
+        # Each block holds the next BLOCK_ROWS lines as readlines splits them
+        # at LF, blank and CR-ended ones included, whatever the read size.
+        rng = random.Random(chunk)
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", chunk)
+        for _ in range(400):
+            data = random_file(rng)[0] * rng.choice([1, 3])
+            rows = rng.choice([1, 2, 3, 5, 8192])
+            monkeypatch.setattr(ingest, "BLOCK_ROWS", rows)
+            lines = io.BytesIO(data).readlines()
+            want = [b"".join(lines[i:i + rows]) for i in range(0, len(lines), rows)]
+            assert list(ingest._line_blocks(io.BytesIO(data))) == want, (data, rows)
+
+    def test_small_reads_give_the_same_table(self, tmp_path, monkeypatch):
+        # The table spans three blocks, its last one turning column c wide.
+        names, rows = late_wide_rows()
+        path = datasets.write_csv(tmp_path / "late.csv", rows, header=names)
+        table = ingest._read_unquoted(str(path), True, ",")
+        monkeypatch.setattr(ingest, "_CHUNK_BYTES", 97)
+        assert_same_table(ingest._read_unquoted(str(path), True, ","), table)
 
     @pytest.mark.parametrize("data, delimiter", [
         (b'a,b\n1,"x"\n', ","),
