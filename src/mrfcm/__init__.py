@@ -7,27 +7,43 @@ fuzzy c-means expressed as one map-reduce job per iteration, each
 distinct record weighted by how often it occurs; the memberships are
 then expanded back to every record.  A validity sweep scores candidate
 cluster counts with four indices and picks the consensus.
-"""
 
-from .engine import JobMetrics, JobSpec, run_job
-from .errors import DataIOError, EngineError, MrfcmError, NumericError, SchemaError
-from .fcm import (FcmConfig, FcmResult, fcm_iteration, init_centroids, membership_row,
-                  objective, run_fcm)
-from .ingest import (CategoricalDataset, ColumnSpec, PartitionedStore, discretize,
-                     encode_csv, infer_schema, load_csv, partition,
-                     replicate_to_size, schema_dump)
-from .mca import CategoryMargins, MCAModel, accumulate_burt, fit_mca
-from .validity import ValidityReport, ValidityRow, pc, pe, sc, sweep, xb
+Importing the package loads no submodule.  Each public name is imported
+from its module on first use (PEP 562), so a process that only runs
+engine jobs loads ``engine`` and ``errors``, and the ``mrfcm`` command can
+start OpenBLAS on one thread before anything imports numpy (see ``cli``).
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CategoricalDataset", "CategoryMargins", "ColumnSpec", "DataIOError",
-    "EngineError", "FcmConfig", "FcmResult", "JobMetrics", "JobSpec",
-    "MCAModel", "MrfcmError", "NumericError", "PartitionedStore",
-    "SchemaError", "ValidityReport", "ValidityRow",
-    "accumulate_burt", "discretize", "encode_csv", "fcm_iteration", "fit_mca",
-    "infer_schema", "init_centroids", "load_csv", "membership_row", "objective",
-    "partition", "pc", "pe", "replicate_to_size",
-    "run_fcm", "run_job", "sc", "schema_dump", "sweep", "xb",
-]
+# The module that defines each public name.
+_EXPORTS = {
+    "engine": ("JobMetrics", "JobSpec", "PartitionedStore", "partition", "run_job"),
+    "errors": ("DataIOError", "EngineError", "MrfcmError", "NumericError", "SchemaError"),
+    "fcm": ("FcmConfig", "FcmResult", "fcm_iteration", "init_centroids", "membership_row",
+            "objective", "run_fcm"),
+    "ingest": ("CategoricalDataset", "ColumnSpec", "discretize", "encode_csv", "infer_schema",
+               "load_csv", "replicate_to_size", "schema_dump"),
+    "mca": ("CategoryMargins", "MCAModel", "accumulate_burt", "fit_mca"),
+    "validity": ("ValidityReport", "ValidityRow", "pc", "pe", "sc", "sweep", "xb"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """A public name, imported from its module and kept in this namespace.
+    Any other name raises AttributeError, which lets ``from mrfcm import
+    cli`` fall back to importing the submodule."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

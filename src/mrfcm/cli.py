@@ -15,6 +15,13 @@ import os
 import sys
 import time
 
+# OpenBLAS sizes its thread pool when numpy loads it, and an idle worker
+# spins on another core; mrfcm's jobs and eigensolve use one BLAS thread
+# anyway (``engine._one_blas_thread``).  So the command starts OpenBLAS on
+# one thread, unless the caller chose a count or numpy is already loaded.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import ingest, mca, validity

@@ -1,15 +1,22 @@
-"""A small deterministic map-shuffle-reduce runtime.
+"""A small deterministic map-shuffle-reduce runtime and the store it reads.
 
-Jobs run over a PartitionedStore with an immutable broadcast context.
+Jobs run over a PartitionedStore, the contiguous row blocks that
+``partition`` cuts from a 2-D array or a dataset's codes, with an
+immutable broadcast context.  The store lives here, beside the code that
+consumes it, and this module imports no part of the package but its
+errors: a process that only runs jobs loads neither the CSV reader nor
+the clustering code.
+
 Each partition is one map call and each key one reduce call.  The map
 calls queue onto a pool of at most ``num_mappers`` threads, capped by the
 cores the process may run on (``available_cores``), so deployments with
 many more mappers than cores behave like their cluster counterparts.  A
 job whose mappers average fewer than ``INLINE_ROWS_PER_TASK`` rows maps
 in the calling thread instead: blocks that small cost a pool more CPU
-than it saves in wall time.  The reduce calls always run in the calling
-thread, in ascending key order; every job of the pipeline emits one key,
-so a reduce pool would never run two calls at once, and
+than it saves in wall time, and a process that runs only such jobs never
+imports ``concurrent.futures``.  The reduce calls always run in the
+calling thread, in ascending key order; every job of the pipeline emits
+one key, so a reduce pool would never run two calls at once, and
 ``num_reducers`` only labels the job in its metrics.
 
 The shuffle walks map output in ascending partition order, so every
@@ -32,20 +39,72 @@ import functools
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EngineError
-from .ingest import PartitionedStore
+from .errors import EngineError, SchemaError
 
 # Mean rows per mapper, n / min(num_mappers, partitions), below which a
 # job runs in the calling thread: on 2 cores, smaller blocks cost the pool
 # more CPU than it saves in wall time (measured per fcm iteration; see
 # CHANGES.md).
 INLINE_ROWS_PER_TASK = 4096
+
+
+@dataclass(frozen=True)
+class PartitionedStore:
+    """Immutable contiguous row blocks over a 2-D array.
+
+    Blocks are disjoint, ordered, and concatenate back to the original
+    row order, which is what lets the membership job reassemble its
+    output deterministically by partition index.
+    """
+
+    data: np.ndarray
+    offsets: np.ndarray  # (P + 1,) prefix offsets, offsets[-1] == n
+
+    def __post_init__(self):
+        self.data.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def num_partitions(self) -> int:
+        return len(self.offsets) - 1
+
+    def block(self, pid: int) -> np.ndarray:
+        return self.data[self.offsets[pid]:self.offsets[pid + 1]]
+
+
+def partition(data, num_partitions: int) -> PartitionedStore:
+    """Split rows into contiguous, order-preserving blocks.
+
+    Block sizes differ by at most one.  num_partitions is clamped to the
+    row count (with a warning) so no partition is ever empty.
+
+    ``data`` may be a dataset, whose ``codes`` are split (an
+    ``ingest.CategoricalDataset``), or any 2-D array (float rows are used
+    when clustering already-projected coordinates directly); the store's
+    copy keeps its memory layout, row- or column-major.
+    """
+    array = np.asarray(getattr(data, "codes", data))
+    if array.ndim != 2:
+        raise SchemaError("partition expects a 2-D row array")
+    n = array.shape[0]
+    if num_partitions < 1:
+        raise SchemaError(f"partition count must be >= 1, got {num_partitions}")
+    if num_partitions > n:
+        warnings.warn(f"partition count {num_partitions} exceeds row count {n}; clamping")
+        num_partitions = max(n, 1)
+    sizes = np.full(num_partitions, n // num_partitions, dtype=np.int64)
+    sizes[: n % num_partitions] += 1
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return PartitionedStore(array.copy(order="K"), offsets)
 
 
 @dataclass(frozen=True)
@@ -165,6 +224,8 @@ def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable
     workers = min(mappers, available_cores())
     if workers <= 1 or store.n < INLINE_ROWS_PER_TASK * mappers:
         return [run_map(pid) for pid in pids]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_map, pids))
 

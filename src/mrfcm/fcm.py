@@ -41,9 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, concat_reduce, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, concat_reduce, partition, run_job, sum_reduce
 from .errors import NumericError
-from .ingest import PartitionedStore, partition
 from .mca import MCAModel
 
 # Records closer to a centroid than this are treated as coincident with it.

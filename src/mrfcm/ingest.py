@@ -1,9 +1,11 @@
-"""Loading, schema inference, discretization, and partitioning of tabular data.
+"""Loading, schema inference and discretization of tabular data.
 
 The clustering core consumes purely categorical records, so mixed-type
-input is normalized here: numeric columns are quantile-binned, missing
-cells become an explicit per-column category, and the encoded rows are
-split into contiguous partitions that the map-reduce engine schedules.
+input is normalized here: numeric columns are quantile-binned and missing
+cells become an explicit per-column category.  ``partition`` splits the
+encoded rows into the contiguous blocks that the map-reduce engine
+schedules; it and ``PartitionedStore`` live in ``engine``, which consumes
+them, and are re-exported here.
 
 A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
 (its distinct stripped cells, or labels, in first-appearance order plus
@@ -37,6 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .engine import PartitionedStore, partition  # re-exported: callers split datasets here
 from .errors import DataIOError, SchemaError
 
 # Cell values treated as missing ("?" is the usual marker in UCI exports).
@@ -124,33 +127,6 @@ class CategoricalDataset:
             raise SchemaError("codes width does not match schema length")
         if np.any(self.codes < 0) or np.any(self.codes >= cards[None, :]):
             raise SchemaError("category code out of range for its column")
-
-
-@dataclass(frozen=True)
-class PartitionedStore:
-    """Immutable contiguous row blocks over a 2-D array.
-
-    Blocks are disjoint, ordered, and concatenate back to the original
-    row order, which is what lets the membership job reassemble its
-    output deterministically by partition index.
-    """
-
-    data: np.ndarray
-    offsets: np.ndarray  # (P + 1,) prefix offsets, offsets[-1] == n
-
-    def __post_init__(self):
-        self.data.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.offsets) - 1
-
-    def block(self, pid: int) -> np.ndarray:
-        return self.data[self.offsets[pid]:self.offsets[pid + 1]]
 
 
 def _read_csv(path, has_header, delimiter):
@@ -703,31 +679,6 @@ def encode_table(names, columns, bins: int = 4) -> CategoricalDataset:
 def encode_csv(path, has_header=True, delimiter=",", bins=4) -> CategoricalDataset:
     """load_csv + infer_schema + discretize, reading and encoding the file once."""
     return encode_table(*read_table(path, has_header=has_header, delimiter=delimiter), bins=bins)
-
-
-def partition(data, num_partitions: int) -> PartitionedStore:
-    """Split rows into contiguous, order-preserving blocks.
-
-    Block sizes differ by at most one.  num_partitions is clamped to the
-    row count (with a warning) so no partition is ever empty.
-
-    ``data`` may be a CategoricalDataset or any 2-D array (float rows are
-    used when clustering already-projected coordinates directly); the
-    store's copy keeps its memory layout, row- or column-major.
-    """
-    array = data.codes if isinstance(data, CategoricalDataset) else np.asarray(data)
-    if array.ndim != 2:
-        raise SchemaError("partition expects a 2-D row array")
-    n = array.shape[0]
-    if num_partitions < 1:
-        raise SchemaError(f"partition count must be >= 1, got {num_partitions}")
-    if num_partitions > n:
-        warnings.warn(f"partition count {num_partitions} exceeds row count {n}; clamping")
-        num_partitions = max(n, 1)
-    sizes = np.full(num_partitions, n // num_partitions, dtype=np.int64)
-    sizes[: n % num_partitions] += 1
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return PartitionedStore(array.copy(order="K"), offsets)
 
 
 def replicate_to_size(dataset: CategoricalDataset, target_n: int, seed: int) -> CategoricalDataset:

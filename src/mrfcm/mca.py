@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, _one_blas_thread, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, _one_blas_thread, run_job, sum_reduce
 from .errors import NumericError
-from .ingest import PartitionedStore
 
 # Retention guard above the 1/Q noise floor, so balanced designs whose
 # inertias equal 1/Q exactly (up to rounding) are not spuriously kept.

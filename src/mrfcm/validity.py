@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import JobSpec
+from .engine import JobSpec, PartitionedStore
 from .errors import NumericError
 from .fcm import FcmConfig, _cluster, _coordinates, objective, sq_dist
-from .ingest import PartitionedStore
 from .mca import MCAModel
 
 SEPARATION_EPS = 1e-12

@@ -1,12 +1,21 @@
-"""The package's public names.
+"""The package's public names, and what importing them loads.
 
 Adding or removing a public name is a deliberate change: edit these lists
 with it, and say so in CHANGES.md.
 """
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import mrfcm
-from mrfcm import mca
+from mrfcm import engine, ingest, mca
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
     "CategoricalDataset", "CategoryMargins", "ColumnSpec", "DataIOError",
@@ -33,3 +42,50 @@ def test_mca_functions_hold_no_projection_job():
                  if inspect.isfunction(value) and value.__module__ == mca.__name__
                  and not name.startswith("_")]
     assert functions == ["accumulate_burt", "fit_mca"]
+
+
+def test_dir_lists_every_public_name():
+    assert set(mrfcm.__all__) <= set(dir(mrfcm))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mrfcm.no_such_name
+
+
+def test_ingest_re_exports_the_engine_store():
+    assert ingest.partition is engine.partition
+    assert ingest.PartitionedStore is engine.PartitionedStore
+
+
+# The set-up script of perfbench/run.py: after numpy, one small engine job
+# through the package's names.
+ENGINE_JOB = """
+import numpy as np
+import mrfcm
+store = mrfcm.partition(np.arange(8.0).reshape(4, 2), 2)
+mrfcm.run_job(mrfcm.JobSpec(2, 2, "setup"), store, None,
+              lambda pid, block, ctx: [(pid, float(block.sum()))],
+              lambda key, values: sum(values))
+"""
+
+
+def loaded_after(script: str, names) -> list[str]:
+    """Those of ``names`` that a new interpreter has imported after ``script``."""
+    probe = (f"{script}\nimport json, sys\n"
+             f"print(json.dumps([n for n in {list(names)!r} if n in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_engine_job_loads_only_the_engine():
+    unused = ["mrfcm.ingest", "mrfcm.fcm", "mrfcm.mca", "mrfcm.validity", "mrfcm.cli",
+              "mrfcm.datasets", "csv", "concurrent.futures"]
+    assert loaded_after(ENGINE_JOB, unused) == []
+
+
+def test_package_import_loads_no_submodule():
+    modules = ["numpy", "mrfcm.engine", "mrfcm.errors", "mrfcm.ingest", "mrfcm.fcm",
+               "mrfcm.mca", "mrfcm.validity", "mrfcm.cli", "mrfcm.datasets"]
+    assert loaded_after("import mrfcm", modules) == []
