@@ -7,10 +7,12 @@ consumes it, and this module imports no part of the package but its
 errors: a process that only runs jobs loads neither the CSV reader nor
 the clustering code.
 
-Each partition is one map call and each key one reduce call.  The map
-calls queue onto a pool of at most ``num_mappers`` threads, capped by the
-cores the process may run on (``available_cores``), so deployments with
-many more mappers than cores behave like their cluster counterparts.  A
+Each partition is one map call and each key one reduce call;
+``sum_reduce``, which the Burt job and the fcm iterations share, adds a
+key's values in arrival order.  The map calls queue onto a pool of at
+most ``num_mappers`` threads, capped by the cores the process may run on
+(``available_cores``), so deployments with many more mappers than cores
+behave like their cluster counterparts.  A
 job whose mappers average fewer than ``INLINE_ROWS_PER_TASK`` rows maps
 in the calling thread instead: blocks that small cost a pool more CPU
 than it saves in wall time, and a process that runs only such jobs never
@@ -234,11 +236,6 @@ def sum_reduce(key, values):
     """Reducer: the values added in arrival order.  Starting at the first
     value, not 0, keeps a -0.0 sum bit for bit."""
     return sum(values[1:], values[0])
-
-
-def concat_reduce(key, values):
-    """Reducer: the row blocks stacked in arrival order."""
-    return np.concatenate(values, axis=0)
 
 
 def run_job(spec: JobSpec, store: PartitionedStore, broadcast,

@@ -25,14 +25,18 @@ plane after plane (``_fold``), and the denominators' sums over points
 row after row (``_point_sums``): each in sequence, in an order the code
 writes down.  The objective is numpy's sum of the whole (b, c) array;
 only the centroid numerators ``rows.T @ coords`` depend on the BLAS
-build.  Each map emits under one key the block's membership rows and
-the weighted partial sums of the prototype update (numerators,
-denominators and the objective); the reduce stacks the former and adds
-the latter in block order (``concat_reduce``, ``sum_reduce``);
-``fcm_iteration`` divides.
+build.  Each map emits under one key the block's (c, b) memberships,
+their largest absolute change from the previous iteration's block,
+which the driver passes back in the job's context, and the weighted
+partial sums of the prototype update (numerators, denominators and the
+objective); the reduce keeps the blocks in partition order, takes the
+largest change over them, and adds the sums in block order
+(``sum_reduce``); ``fcm_iteration`` divides.
 
 The driver repeats the job from a seeded random initialization until the
-membership matrix stops moving.
+largest membership change, Bezdek's test, falls below epsilon.  The
+memberships stay in their (c, b) blocks from one iteration to the next
+and are stacked into (k, c) rows once, after the last.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, concat_reduce, partition, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, partition, run_job, sum_reduce
 from .errors import NumericError
 from .mca import MCAModel
 
@@ -173,21 +177,52 @@ def _point_sums(rows):
 
 
 def _iteration_map(pid, coords, ctx):
-    """The block's membership rows and weighted partial sums.  ``coords``
+    """The block's (c, b) memberships, their largest change since the
+    previous iteration, and the block's weighted partial sums.  ``coords``
     is the block's (b, d) view of a column-major store, so its transpose
     holds the contiguous (d, b) rows along which ``sq_dist`` subtracts.
-    The denominators add the (b, c) rows of u**m in sequence; the
-    numerators, a gemm on ``coords``, alone depend on the BLAS kernel."""
-    centroids, m, weights, offsets = ctx
+    u**m is written straight into the (b, c) rows whose sums over points
+    add in sequence; the numerators, a gemm on ``coords``, alone depend
+    on the BLAS kernel."""
+    centroids, m, weights, offsets, u_prev = ctx
     u, dist_sq = _membership_block(coords, centroids, m)
-    um = u ** m * weights[offsets[pid]:offsets[pid + 1]]
-    rows = np.ascontiguousarray(um.T)  # sums over points add in (b, c) order
-    yield "iteration", (u.T, rows.T @ coords, _point_sums(rows), (rows * dist_sq.T).sum())
+    rows = np.square(u.T, order="C") if m == 2.0 else np.power(u.T, m, order="C")
+    rows *= weights[offsets[pid]:offsets[pid + 1], None]
+    delta = np.inf if u_prev is None else np.abs(u - u_prev[pid]).max()
+    yield "iteration", (u, delta, rows.T @ coords, _point_sums(rows), (rows * dist_sq.T).sum())
 
 
 def _iteration_reduce(key, values):
-    u, *partials = zip(*values)
-    return (concat_reduce(key, u), *(sum_reduce(key, part) for part in partials))
+    """The blocks in partition order, their largest change (``np.max``
+    keeps a NaN), and the partial sums added in block order."""
+    blocks, deltas, *partials = zip(*values)
+    return (list(blocks), np.max(deltas), *(sum_reduce(key, part) for part in partials))
+
+
+def _iteration_job(store, centroids, spec, m, weights, u_prev=None):
+    """fcm_iteration's job: (blocks, delta, new_centroids, objective,
+    metrics), where ``blocks`` holds each partition's (c, b) memberships
+    and ``delta`` their largest change from ``u_prev``'s (inf for None)."""
+    context = (np.asarray(centroids, float), m, weights, store.offsets, u_prev)
+    results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce)
+    blocks, delta, numer, denom, jm = results[0][1]
+    new_centroids = np.empty_like(numer)
+    starved = denom < EMPTY_CLUSTER_EPS
+    ok = ~starved
+    new_centroids[ok] = numer[ok] / denom[ok, None]
+    if starved.any():
+        # Distinct points: two dead clusters re-seeded at one point would
+        # coincide, and coincident centroids never separate again.
+        claim = np.concatenate([block.max(axis=0) for block in blocks])  # u.max(axis=1)
+        claimed = store.data[np.argsort(claim, kind="stable")]
+        first, _, _ = _distinct_rows(claimed)
+        new_centroids[starved] = claimed[first[:int(starved.sum())]]
+    return blocks, float(delta), new_centroids, float(jm), metrics
+
+
+def _stack(blocks, n):
+    """The (n, c) C-ordered membership rows of the (c, b) blocks."""
+    return np.concatenate([block.T for block in blocks], out=np.empty((n, len(blocks[0]))))
 
 
 def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 2.0,
@@ -198,7 +233,8 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     scales the row's u**m in the centroid sums and the objective, as if
     the row occurred that many times, but not its membership row.
 
-    Returns (u, new_centroids, objective, metrics).  The objective is
+    Returns (u, new_centroids, objective, metrics), u as C-ordered (n, c)
+    rows stacked from the maps' (c, b) blocks.  The objective is
     J_m(u, centroids), accumulated from the distances the map tasks
     already hold.  Clusters whose weight vanishes are re-seeded at the
     distinct points u claims least, so sweeps over generous c never abort.
@@ -207,21 +243,8 @@ def fcm_iteration(store: PartitionedStore, centroids, spec: JobSpec, m: float = 
     any layout gives the same bits.
     """
     weights = np.ones(store.n) if weights is None else np.asarray(weights, dtype=float)
-    context = (np.asarray(centroids, float), m, weights, store.offsets)
-    results, metrics = run_job(spec, store, context, _iteration_map, _iteration_reduce)
-    u, numer, denom, jm = results[0][1]
-    u = np.ascontiguousarray(u)  # the maps emit transposed views; return rows
-    new_centroids = np.empty_like(numer)
-    starved = denom < EMPTY_CLUSTER_EPS
-    ok = ~starved
-    new_centroids[ok] = numer[ok] / denom[ok, None]
-    if starved.any():
-        # Distinct points: two dead clusters re-seeded at one point would
-        # coincide, and coincident centroids never separate again.
-        claimed = store.data[np.argsort(u.max(axis=1), kind="stable")]
-        first, _, _ = _distinct_rows(claimed)
-        new_centroids[starved] = claimed[first[:int(starved.sum())]]
-    return u, new_centroids, float(jm), metrics
+    blocks, _, new_centroids, jm, metrics = _iteration_job(store, centroids, spec, m, weights)
+    return _stack(blocks, store.n), new_centroids, jm, metrics
 
 
 def objective(u, centroids, data, m: float = 2.0, weights=None) -> float:
@@ -335,20 +358,22 @@ def _row_keys(array):
 
 def _cluster(store, weights, seeds, config, spec, metrics_sink=None):
     """The driver loop of run_fcm over a store of distinct float points,
-    seeded among the rows ``seeds`` (see ``_coordinates``)."""
+    seeded among the rows ``seeds`` (see ``_coordinates``).  Each job's
+    (c, b) membership blocks go into the next job's context, whose maps
+    measure their own change; the (k, c) rows are stacked once, at the end."""
     centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
     result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
-    u_prev = None
+    blocks = None
     for iteration in range(1, config.max_iters + 1):
-        u, centroids, obj, metrics = fcm_iteration(store, centroids, spec, config.m, weights)
+        blocks, delta, centroids, obj, metrics = _iteration_job(
+            store, centroids, spec, config.m, weights, blocks)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
         result.objective_trace.append(obj)
-        delta = float(np.abs(u - u_prev).max()) if u_prev is not None else float("inf")
         result.max_delta_trace.append(delta)
-        result.distinct_u, result.v, result.iters_run = u, centroids, iteration
+        result.v, result.iters_run = centroids, iteration
         if delta < config.epsilon and not config.fixed_iterations:
             result.converged = True
             break
-        u_prev = u
+    result.distinct_u = _stack(blocks, store.n)
     return result

@@ -62,9 +62,11 @@ def xb(u, centroids, data, weights=None) -> float:
     u = np.asarray(u, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     sep = _pairwise_min_sep_sq(centroids)
-    if sep < SEPARATION_EPS:
-        return math.inf
-    return objective(u, centroids, data, 2.0, weights) / (_weights(u, weights).sum() * sep)
+    return _xb(objective(u, centroids, data, 2.0, weights), _weights(u, weights).sum(), sep)
+
+
+def _xb(scatter, total, sep):
+    return math.inf if sep < SEPARATION_EPS else scatter / (total * sep)
 
 
 def sc(u, centroids, data, m: float = 2.0, weights=None) -> float:
@@ -78,12 +80,14 @@ def sc(u, centroids, data, m: float = 2.0, weights=None) -> float:
     u = np.asarray(u, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
     sep = _pairwise_min_sep_sq(centroids)
+    return _sc(objective(u, centroids, data, m, weights), _weights(u, weights).sum(), sep)
+
+
+def _sc(scatter, total, sep):
     if sep < SEPARATION_EPS:
         return 0.0
-    compact = objective(u, centroids, data, m, weights) / _weights(u, weights).sum()
-    if compact <= 0.0:
-        return math.inf
-    return sep / compact
+    compact = scatter / total
+    return math.inf if compact <= 0.0 else sep / compact
 
 
 @dataclass
@@ -143,19 +147,25 @@ def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: in
     # The distinct points do not depend on c: find and project them once,
     # then cluster and score every candidate on them, weighted by count.
     points, weights, seeds, _ = _coordinates(store, model)
+    total = weights.sum()
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
             result = _cluster(points, weights, seeds, run_cfg, spec)
-            u = result.distinct_u
+            u, v = result.distinct_u, result.v
+            # xb and sc share the separation, and at m = 2 the scatter too.
+            sep = _pairwise_min_sep_sq(v)
+            scatter = objective(u, v, points.data, 2.0, weights)
+            scatter_m = scatter if config.m == 2.0 else objective(u, v, points.data, config.m,
+                                                                   weights)
             row = ValidityRow(
                 c=c,
                 pc=pc(u, weights),
                 pe=pe(u, weights),
-                xb=xb(u, result.v, points.data, weights),
-                sc=sc(u, result.v, points.data, m=config.m, weights=weights),
+                xb=_xb(scatter, total, sep),
+                sc=_sc(scatter_m, total, sep),
                 iters=result.iters_run,
                 jm=result.objective_trace[-1],
             )

@@ -266,13 +266,17 @@ class TestIterationDeterminism:
         config = FcmConfig(c=4, seed=2, max_iters=4, fixed_iterations=True)
 
         centroids = init_centroids(distinct, config.c, config.seed)
-        expected = []
+        expected, deltas, u = [], [], None
         for _ in range(config.max_iters):
+            u_prev = u
             u, centroids, obj, _ = fcm_iteration(blocks, centroids, spec_for(1), m=config.m,
                                                  weights=counts)
             expected.append(obj)
+            deltas.append(np.inf if u_prev is None else float(np.abs(u - u_prev).max()))
 
-        for mappers in (1, 16):
+        # Deployments 1x1, 4x2 and 16x8, inline and pooled: the maps' own
+        # changes reduce to the change of the stacked rows.
+        for mappers in (1, 4, 16):
             for inline_rows in (engine.INLINE_ROWS_PER_TASK, 0):
                 with monkeypatch.context() as patch:
                     patch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
@@ -281,6 +285,47 @@ class TestIterationDeterminism:
                 assert result.distinct_u.tobytes() == u.tobytes(), (mappers, inline_rows)
                 assert result.v.tobytes() == centroids.tobytes(), (mappers, inline_rows)
                 assert result.objective_trace == expected, (mappers, inline_rows)
+                assert result.max_delta_trace == deltas, (mappers, inline_rows)
+
+
+class TestMembershipBlocks:
+    """Memberships stay in their (c, b) blocks between iterations: each map
+    measures its block's change, and the rows are stacked only for output."""
+
+    @staticmethod
+    def two_jobs(store, spec):
+        rng = np.random.default_rng(31)
+        centroids = rng.normal(size=(4, store.data.shape[1]))
+        weights = rng.integers(1, 6, size=store.n).astype(float)
+        first, delta, centroids, _, _ = fcm._iteration_job(store, centroids, spec, 1.7, weights)
+        assert delta == np.inf
+        second, delta, _, _, _ = fcm._iteration_job(store, centroids, spec, 1.7, weights, first)
+        return first, second, delta
+
+    @pytest.mark.parametrize("p", [1, 3, 16])
+    def test_delta_is_largest_change_of_stacked_rows(self, p):
+        points = np.random.default_rng(30).normal(size=(3000, 3))
+        store = ingest.partition(np.asfortranarray(points), p)
+        first, second, delta = self.two_jobs(store, spec_for(p))
+        assert [block.shape[1] for block in second] == list(np.diff(store.offsets))
+        u_prev, u = fcm._stack(first, store.n), fcm._stack(second, store.n)
+        assert delta == np.abs(u - u_prev).max()
+
+    def test_reduce_keeps_a_nan_change(self):
+        # Python's max would drop the NaN when it is not the first value.
+        sums = (np.zeros((2, 1)), np.zeros(2), 0.0)
+        for deltas in ([np.nan, 1.0], [1.0, np.nan]):
+            values = [(np.zeros((2, 1)), delta, *sums) for delta in deltas]
+            assert np.isnan(fcm._iteration_reduce("iteration", values)[1])
+
+    def test_memberships_are_c_contiguous_rows(self):
+        rng = np.random.default_rng(32)
+        points = rng.normal(size=(5000, 2))
+        store = ingest.partition(points, 4)
+        u, _, _, _ = fcm_iteration(store, rng.normal(size=(3, 2)), spec_for(4))
+        assert u.flags.c_contiguous and u.shape == (5000, 3)
+        result = run_fcm(store, None, FcmConfig(c=3, seed=4, max_iters=3), spec_for(4))
+        assert result.distinct_u.flags.c_contiguous and result.distinct_u.shape == (5000, 3)
 
 
 def in_order(terms):
@@ -323,11 +368,14 @@ class TestClusterMajorKernel:
                 for layout in (u, np.asfortranarray(u)):
                     assert objective(layout, centroids, points, m) == ((u ** m) * dist).sum()
                 # The block of a C-ordered store, then as the maps see a
-                # column-major store of more points: a strided view.
+                # column-major store of more points: a strided view.  With
+                # no previous block, the change is inf.
                 for block in (points, np.asfortranarray(np.concatenate([points, points]))[:b]):
-                    (key, got), = fcm._iteration_map(0, block, (centroids, m, weights, [0, b]))
-                    assert key == "iteration"
-                    yield (d, b), got, expected
+                    context = (centroids, m, weights, [0, b], None)
+                    (key, (u_block, delta, *sums)), = fcm._iteration_map(0, block, context)
+                    assert key == "iteration" and delta == np.inf
+                    assert u_block.flags.c_contiguous and u_block.shape == (c, b)
+                    yield (d, b), (u_block.T, *sums), expected
 
     @pytest.mark.parametrize("m", [1.01, 1.5, 2.0, 5.0])
     @pytest.mark.parametrize("c", [2, 3, 6])

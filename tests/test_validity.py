@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mrfcm import datasets, ingest, validity
+from mrfcm import datasets, fcm, ingest, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 from mrfcm.fcm import FcmConfig, objective, run_fcm
@@ -186,6 +186,22 @@ class TestWeights:
             assert row.iters == result.iters_run and row.jm == result.objective_trace[-1]
             expected = [pc(u), pe(u), xb(u, v, data), sc(u, v, data, config.m)]
             assert [row.pc, row.pe, row.xb, row.sc] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    def test_sweep_scores_bitwise_equal_the_public_indices(self, m):
+        # The sweep computes the separation once per candidate, and at m = 2
+        # one scatter for both xb and sc; the public functions each their own.
+        rng = np.random.default_rng(9)
+        coords = rng.normal(size=(300, 2))[rng.integers(0, 300, size=600)]
+        store = ingest.partition(coords, 4)
+        config = FcmConfig(c=2, m=m, seed=3)
+        report = sweep(store, None, 2, 4, config, JobSpec(4, 2, "s"))
+        points, weights, seeds, _ = fcm._coordinates(store, None)
+        for row in report.rows:
+            run_cfg = FcmConfig(c=row.c, m=m, seed=3 + row.c)
+            result = fcm._cluster(points, weights, seeds, run_cfg, JobSpec(4, 2, "f"))
+            u, v, data = result.distinct_u, result.v, points.data
+            assert (row.xb, row.sc) == (xb(u, v, data, weights), sc(u, v, data, m, weights))
 
 
 class TestSweep:
