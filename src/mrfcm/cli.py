@@ -362,7 +362,9 @@ def main(argv=None) -> int:
         for path in paths:  # no file of an earlier run survives a failed one
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
-        ingest.check_bins(args.bins)  # every subcommand bins; check before reading
+        # Every subcommand bins and fits MCA; their flags are checked before reading.
+        ingest.check_bins(args.bins)
+        mca._check_mca_dims(args.mca_dims)
         return args.fn(args, *paths)
     except MrfcmError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 Jobs run over a PartitionedStore, the contiguous row blocks that
 ``partition`` cuts from a 2-D array or a dataset's codes, with an
 immutable broadcast context.  The store lives here, beside the code that
-consumes it, and this module imports no part of the package but its
-errors: a process that only runs jobs loads neither the CSV reader nor
-the clustering code.
+consumes it, as does the package's one dedup, ``first_appearance``, which
+the CSV reader and clustering share.  This module imports no part of the
+package but its errors: a process that only runs jobs loads neither.
 
 Each partition is one map call and each key one reduce call;
 ``sum_reduce``, which the Burt job and the fcm iterations share, adds a
@@ -230,6 +230,28 @@ def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_map, pids))
+
+
+def first_appearance(keys):
+    """(first position, count, position -> distinct index) of the distinct
+    values of a 1-D key array, in first-appearance order.  One argsort
+    groups equal keys: a radix sort (``kind="stable"``) for keys of at most
+    2 bytes, numpy's default sort otherwise.  Each group's first position is
+    the least of its positions, whatever order the sort left equal keys in,
+    and its count the gap to the next group's start."""
+    order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else None)
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]  # void keys have no not_equal loop with out=
+    starts = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, starts)
+    counts = np.diff(starts, append=len(keys))
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(rank, counts)
+    return first[by_first], counts[by_first], inverse
 
 
 def sum_reduce(key, values):

@@ -4,8 +4,8 @@ Encoded records repeat, so clustering runs on the distinct records, each
 weighted by how often it occurs: identical points get identical
 memberships, and a point of weight w adds w copies of its terms to every
 sum.  A categorical store arrives with its MCA model; its distinct
-records are found on the codes, by one sort of one key per row
-(``_distinct_rows``), and projected once, by one ``MCAModel.transform``
+records are found on the codes, by the package's one dedup on one key per
+row (``_distinct_rows``), and projected once, by one ``MCAModel.transform``
 call in the driver, before the first iteration.  A float store is
 deduplicated on its coordinates.  The result keeps one
 membership row per distinct record and the row -> record index, and
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, partition, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, first_appearance, partition, run_job, sum_reduce
 from .errors import NumericError
 from .mca import MCAModel
 
@@ -313,27 +313,10 @@ def _coordinates(store, model):
 
 
 def _distinct_rows(array):
-    """(first position, count, row -> distinct index) of a 2-D array's
-    distinct rows, in first-appearance order, found on ``_row_keys``.
-
-    One unstable argsort groups equal keys; each group's first position is
-    the least of its rows, whatever order the sort left them in, and its
-    count the gap to the next group's start.
-    """
-    keys = _row_keys(array)
-    order = np.argsort(keys)
-    ranked = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]  # void keys have no not_equal loop with out=
-    starts = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, starts)
-    counts = np.diff(starts, append=len(keys))
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    inverse = np.empty_like(order)
-    inverse[order] = np.repeat(rank, counts)
-    return first[by_first], counts[by_first].astype(float), inverse
+    """``first_appearance`` of a 2-D array's rows, found on ``_row_keys``,
+    with float counts."""
+    first, counts, inverse = first_appearance(_row_keys(array))
+    return first, counts.astype(float), inverse
 
 
 def _row_keys(array):

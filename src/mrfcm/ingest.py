@@ -11,19 +11,20 @@ A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
 (its distinct stripped cells, or labels, in first-appearance order plus
 one int code per cell) or, if it holds many distinct reals, kept as one
 float per row.  A file the csv module would split at every delimiter byte
-is tokenized from its bytes with numpy; there a column keeps one integer
-key per row while its cells fit 8 bytes (narrow), and its cells' bytes from
-its first wider cell on (wide).  At end of file one sort finds a narrow
-column's distinct keys: more than BLOCK_ROWS turn it wide, otherwise they
-are written as bytes and replayed into the dictionary.  Only a wide column
-can be a RealColumn, if every present cell is a real and more than
-MAX_CARD of them differ; otherwise its bytes are replayed too, one label
-decoder for all.  So a narrow column of at most BLOCK_ROWS distinct reals
-stays a dictionary column.  Quoted or irregular files, and every input
-error message, go through the csv module.  Only distinct labels are
-classified and parsed, by ``float`` mapped in C; every numeric column is
-binned from its per-row floats.  ``load_csv``, ``infer_schema`` and
-``discretize`` encode rows held in memory the same way.
+is tokenized from its bytes with numpy; there a column's block holds one
+integer key per row if its cells fit 8 bytes, else its cells' bytes.  At
+end of file the package's one dedup (``engine.first_appearance``) finds
+the distinct keys of a column of keys alone: more than BLOCK_ROWS make it
+wide, otherwise they are written as bytes and replayed into the
+dictionary.  Any other column is wide, its keys written as bytes.  Only a
+wide column can be a RealColumn, if every present cell is a real and more
+than MAX_CARD of them differ; otherwise its bytes are replayed too, one
+label decoder for all.  So a column of keys alone, with at most BLOCK_ROWS
+distinct reals, stays a dictionary column.  Quoted or irregular files, and
+every input error message, go through the csv module.  Only distinct
+labels are classified and parsed, by ``float`` mapped in C; every numeric
+column is binned from its per-row floats.  ``load_csv``, ``infer_schema``
+and ``discretize`` encode rows held in memory the same way.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from operator import itemgetter
 import numpy as np
 
 from .engine import PartitionedStore, partition  # re-exported: callers split datasets here
+from .engine import first_appearance
 from .errors import DataIOError, SchemaError
 
 # Cell values treated as missing ("?" is the usual marker in UCI exports).
@@ -355,26 +357,21 @@ def _key_bytes(keys):
 
 
 def _key_column(blocks) -> RealColumn | EncodedColumn:
-    """A narrow column from its keys, block by block.  One sort finds the
-    distinct keys.  With more than BLOCK_ROWS of them, the column turns
-    wide: its rows' bytes are typed by ``_wide_column``.  Otherwise the
-    distinct keys, in first-row order, are replayed as bytes, so keys that
-    strip to one label share its code, and each row takes its key's code by
-    one gather."""
+    """A column whose blocks are all keys.  One dedup (``first_appearance``)
+    finds the distinct keys.  With more than BLOCK_ROWS of them, the rows,
+    as bytes in blocks of BLOCK_ROWS, are typed by ``_wide_column``.
+    Otherwise the distinct keys, in first-row order, are replayed as bytes,
+    so keys that strip to one label share its code, and each row takes its
+    key's code by one gather."""
     keys = np.concatenate(blocks)
     blocks.clear()
-    distinct = np.sort(keys)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    if len(distinct) > BLOCK_ROWS:
+    first, _, inverse = first_appearance(keys)
+    if len(first) > BLOCK_ROWS:
         text = [_key_bytes(keys[i:i + BLOCK_ROWS]) for i in range(0, len(keys), BLOCK_ROWS)]
-        del keys, distinct  # freed before the bytes are typed
+        del keys, first, inverse  # freed before the bytes are typed
         return _wide_column(text)
-    inverse = np.searchsorted(distinct, keys)
-    first = np.full(len(distinct), len(keys))
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    order = np.argsort(first)
-    column = _replay([_key_bytes(distinct[order])])
-    return replace(column, codes=column.codes[np.argsort(order)][inverse])
+    column = _replay([_key_bytes(keys[first])])
+    return replace(column, codes=column.codes[inverse])
 
 
 def _wide_text(lined, at, size):
@@ -430,16 +427,14 @@ def _read_unquoted(path, has_header, delimiter):
     Taken only where csv would split every line at each delimiter byte: no
     quote, NUL or lone CR byte in the file, an ASCII delimiter that is none
     of those nor LF, UTF-8 text, rows of one width, cells within
-    ``csv.field_size_limit()`` and at least one data row.  A column is
-    narrow keys, then bytes.  While its cells in a block all fit 8 bytes,
-    each is one key, in the narrowest of uint16, uint32 and uint64 that
-    holds the block's widest cell (no NUL byte means zero padding is
-    unambiguous).  At its first wider cell it turns wide for good: each
-    block of keys so far becomes a bytes block (``_key_bytes``), and each
-    later block appends its cells' bytes (``_wide_text``).  Its type is
-    decided once, at end of file: by ``_key_column`` while narrow, which
-    hands more than BLOCK_ROWS distinct keys to ``_wide_column``, else by
-    ``_wide_column``; both decode labels through ``_replay``.
+    ``csv.field_size_limit()`` and at least one data row.  Each block of a
+    column is typed on its own: one key per cell if its cells all fit 8
+    bytes, in the narrowest of uint16, uint32 and uint64 that holds the
+    widest (no NUL byte means zero padding is unambiguous), else its cells'
+    bytes (``_wide_text``).  A column is typed once, at end of file: by
+    ``_key_column`` if all its blocks are keys, else by ``_wide_column``,
+    its key blocks written as bytes (``_key_bytes``); both decode labels
+    through ``_replay``.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -496,8 +491,7 @@ def _tokenize(fh, has_header, delimiter):
                 starts, lengths = starts[1:], lengths[1:]
             else:
                 names = [f"col{j}" for j in range(width)]
-            narrow = [True] * width
-            parts = [[] for _ in range(width)]  # keys while narrow, then bytes
+            parts = [[] for _ in range(width)]  # per block, keys or bytes
         elif starts.shape[1] != width:
             return None
         rows = len(starts)
@@ -507,10 +501,7 @@ def _tokenize(fh, has_header, delimiter):
         for j in range(width):
             at, size = starts[:, j], lengths[:, j]
             widest = size.max()
-            if narrow[j] and widest > 8:
-                parts[j] = list(map(_key_bytes, parts[j]))
-                narrow[j] = False  # wide from here on
-            if narrow[j]:
+            if widest <= 8:
                 if words is None:  # the 8 bytes from each position, little-endian
                     words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
                 parts[j].append((words[at] & _BYTE_MASKS[size]).astype(_KEY_TYPES[widest]))
@@ -524,8 +515,11 @@ def _tokenize(fh, has_header, delimiter):
         return None
     columns = []
     for j in range(width):
-        columns.append(_key_column(parts[j]) if narrow[j] else _wide_column(parts[j]))
-        parts[j] = None  # frees the column's bytes
+        blocks, parts[j] = parts[j], None  # freed once the column is typed
+        if all(isinstance(block, np.ndarray) for block in blocks):
+            columns.append(_key_column(blocks))
+        else:
+            columns.append(_wide_column([b if isinstance(b, bytes) else _key_bytes(b) for b in blocks]))
     return names, columns
 
 

@@ -130,6 +130,12 @@ def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None
     return margins, burt, metrics
 
 
+def _check_mca_dims(mca_dims):
+    """Raise NumericError unless ``mca_dims``, the cap on retained axes, is >= 1."""
+    if mca_dims < 1:
+        raise NumericError(f"mca_dims must be >= 1, got {mca_dims}")
+
+
 def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MCAModel:
     """Solve the standardized eigenproblem and retain informative axes.
 
@@ -142,8 +148,7 @@ def fit_mca(margins: CategoryMargins, burt: np.ndarray, mca_dims: int = 8) -> MC
     afterwards: at J of 30 and more a threaded ``eigh`` leaves a worker
     spinning on another core for longer than the solve takes.
     """
-    if mca_dims < 1:
-        raise NumericError(f"mca_dims must be >= 1, got {mca_dims}")
+    _check_mca_dims(mca_dims)
     counts = margins.counts.astype(float)
     if np.any(counts <= 0):
         raise NumericError("zero-mass category present; encoding must drop empty categories")

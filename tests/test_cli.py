@@ -411,6 +411,16 @@ def test_bad_bins_exits_4_before_the_input_is_read(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == "SchemaError: bins must be in [2, 2048], got 1\n"
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_bad_mca_dims_exits_5_before_the_input_is_read(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(ingest, "read_table", None)  # never reached
+    # The input does not exist either, which would exit 3: the flag wins.
+    code = run(command, "--input", str(tmp_path / "absent.csv"), *COMMAND_ARGS[command],
+               "--mca-dims", "0", "--out-dir", str(tmp_path / "o"))
+    assert code == 5
+    assert capsys.readouterr().err == "NumericError: mca_dims must be >= 1, got 0\n"
+
+
 def assert_usage_error(argv, capsys, flag):
     with pytest.raises(SystemExit) as exit_info:
         run(*argv)

@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from mrfcm import engine, ingest
+from mrfcm import engine, fcm, ingest
 from mrfcm.engine import JobSpec, run_job
 from mrfcm.errors import EngineError
+from test_fcm import distinct_by_tuples
 
 
 def token_store(tokens, p):
@@ -363,3 +364,49 @@ class TestJobSpec:
     def test_zero_mappers_rejected(self):
         with pytest.raises(EngineError):
             JobSpec(0, 1, "x")
+
+
+def assert_first_appearance(keys, want):
+    first, counts, inverse = engine.first_appearance(keys)
+    assert (first.tolist(), counts.tolist(), inverse.tolist()) == want
+
+
+class TestFirstAppearance:
+    """The package's one dedup, against a dict of first appearances
+    (``distinct_by_tuples`` of one-column rows)."""
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64, np.int64])
+    @pytest.mark.parametrize("n, top", [(30_000, 7), (30_000, 5_000), (20_000, 1), (1, 2)],
+                             ids=["low-cardinality", "high-cardinality", "all-equal", "one-key"])
+    def test_random_keys(self, dtype, n, top):
+        keys = np.random.default_rng(top).integers(0, top, n).astype(dtype)
+        keys *= np.iinfo(dtype).max // max(top - 1, 1)  # keys spread over the whole type
+        assert_first_appearance(keys, distinct_by_tuples(keys[:, None]))
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64, np.int64])
+    def test_all_distinct(self, dtype):
+        keys = np.random.default_rng(3).permutation(20_000).astype(dtype)
+        assert_first_appearance(keys, (list(range(20_000)), [1] * 20_000, list(range(20_000))))
+
+    def test_void_keys_of_float_rows(self):
+        # fcm's byte keys of float rows, where -0.0 and 0.0 are one value.
+        rng = np.random.default_rng(11)
+        rows = np.array([[0.5, -0.0], [0.5, 0.0], [-0.0, -0.0], [0.0, 0.0], [1.0, 2.5]])
+        rows = rows[rng.integers(0, len(rows), 5_000)]
+        keys = fcm._row_keys(rows)
+        assert keys.dtype.kind == "V"
+        assert_first_appearance(keys, distinct_by_tuples(rows))
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint64])
+    def test_whatever_order_the_sort_leaves_equal_keys_in(self, monkeypatch, dtype):
+        # An argsort that puts equal keys last position first gives the same
+        # result as numpy's, whatever numpy's own sort does with ties.
+        keys = np.random.default_rng(5).integers(0, 9, 10_000).astype(dtype)
+        want = distinct_by_tuples(keys[:, None])
+        argsort = np.argsort
+
+        def ties_reversed(a, kind=None):
+            return len(a) - 1 - argsort(a[::-1], kind="stable")
+
+        monkeypatch.setattr(np, "argsort", ties_reversed)
+        assert_first_appearance(keys, want)

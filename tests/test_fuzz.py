@@ -7,10 +7,16 @@ Every run must end in a documented exit code (0 success, 2 usage, 3 I/O,
 end it in 2.  A run that succeeds must write membership rows that sum to 1
 with no NaN, and must rerun byte for byte; a seeded share of them reruns
 with ingest's byte tokenizer declining the input, so that the csv module
-reads it, and must give the same bytes.  Case ``i`` is drawn from
-``random.Random(i)``, so a failing id names the input that reproduces it.
+reads it, and must give the same bytes.  Another seeded share of the
+successful ``cluster`` runs on unmutated bytes in the default format
+reruns on a copy whose categorical labels are renamed one-to-one, narrow
+or wide, read in blocks of a random row count: first-appearance codes
+make its memberships, centroids and trace the same bytes.  Case ``i`` is
+drawn from ``random.Random(i)``, so a failing id names the input that
+reproduces it.
 """
 import argparse
+import csv
 import random
 
 import numpy as np
@@ -19,10 +25,15 @@ import pytest
 from mrfcm import ingest
 from mrfcm.cli import build_parser, main
 from mrfcm.ingest import MISSING_TOKENS
+from test_metamorphic import RENAMES, relabel
 
-CASES = 160
+CASES = 800
 # Share of the successful cases rerun with the csv module reading the input.
 CSV_MODULE_SHARE = 0.5
+# Share of the eligible successful cluster cases rerun on relabelled input.
+RELABEL_SHARE = 0.5
+# The byte-stable outputs of cluster, which relabelling must keep.
+RELABEL_OUTPUTS = ["memberships.csv", "centroids.csv", "trace.csv"]
 EXIT_CODES = {0, 2, 3, 4, 5}
 # The files each subcommand writes, as the CLI declares them.
 OUTPUTS = {command: subparser.get_default("outputs")
@@ -175,22 +186,26 @@ BYTE_MUTATIONS = [with_bom, not_utf8, nul_byte, line_ends, truncated]
 
 
 def write_input(rng, path):
+    """Write one case's input; True if a byte mutation was applied."""
     header, rows = base_table(rng)
     picked = rng.sample(TABLE_MUTATIONS, rng.choice([0, 1, 1, 2, 3]))
     for mutate in sorted(picked, key=TABLE_MUTATIONS.index):
         mutate(rng, header, rows)
     lines = [header] + ([] if rng.random() < 0.03 else rows)
     data = "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
-    for mutate in rng.sample(BYTE_MUTATIONS, rng.choice([0, 0, 1, 2])):
+    byte_mutations = rng.sample(BYTE_MUTATIONS, rng.choice([0, 0, 1, 2]))
+    for mutate in byte_mutations:
         data = mutate(rng, data)
     path.write_bytes(data)
+    return bool(byte_mutations)
 
 
 def draw_argv(rng, tmp_path):
-    """(argv without --out-dir, out_dir, command, whether a flag is foreign) of one case."""
+    """(argv without --out-dir, out_dir, command, whether a flag is foreign,
+    whether the input's bytes were mutated) of one case."""
     command = rng.choice(sorted(OUTPUTS))
     source = tmp_path / "input.csv"
-    write_input(rng, source)
+    bytes_mutated = write_input(rng, source)
     if rng.random() < 0.03:
         source = rng.choice([tmp_path, tmp_path / "absent.csv"])
     choices = COMMAND_FLAGS[command]
@@ -218,7 +233,7 @@ def draw_argv(rng, tmp_path):
         (out / rng.choice(OUTPUTS[command])).mkdir(parents=True)
     elif obstacle < 0.09:
         out.write_text("not a directory")
-    return argv, out, command, foreign
+    return argv, out, command, foreign, bytes_mutated
 
 
 def run_cli(argv, capsys):
@@ -233,6 +248,19 @@ def run_cli(argv, capsys):
     return code, err
 
 
+def relabelled_copy(rng, source, path):
+    """Write a copy of the CSV at ``source`` with every categorical label
+    renamed by one of test_metamorphic's renames, narrow or wide, padding
+    and missing cells kept."""
+    kinds = [spec.kind for spec in ingest.infer_schema(*ingest.load_csv(source))]
+    categorical = {j for j, kind in enumerate(kinds) if kind == "categorical"}
+    with open(source, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rename = RENAMES[rng.choice(["narrow", "wide"])]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *relabel(rows, categorical, rename)])
+
+
 def stable_bytes(path):
     """File contents, without bench.csv's last column (seconds)."""
     if path.name != "bench.csv":
@@ -243,7 +271,7 @@ def stable_bytes(path):
 @pytest.mark.parametrize("case", range(CASES))
 def test_cli_ends_in_a_documented_exit_code(case, tmp_path, capsys, monkeypatch):
     rng = random.Random(case)
-    argv, out, command, foreign = draw_argv(rng, tmp_path)
+    argv, out, command, foreign, bytes_mutated = draw_argv(rng, tmp_path)
     code, err = run_cli([*argv, "--out-dir", str(out)], capsys)
     assert code in ({2} if foreign else EXIT_CODES), (argv, code, err)
     if code != 0:
@@ -255,7 +283,20 @@ def test_cli_ends_in_a_documented_exit_code(case, tmp_path, capsys, monkeypatch)
         assert np.abs(u.sum(axis=1) - 1.0).max() <= 1e-12
     reruns = [tmp_path / "again"]
     assert run_cli([*argv, "--out-dir", str(reruns[0])], capsys)[0] == 0
-    if rng.random() < CSV_MODULE_SHARE:
+    csv_module = rng.random() < CSV_MODULE_SHARE
+    default_format = not {"--delimiter", "--no-header"} & set(argv)
+    if (command == "cluster" and not bytes_mutated and default_format
+            and rng.random() < RELABEL_SHARE):
+        copy, relabelled = tmp_path / "relabelled.csv", tmp_path / "relabelled"
+        relabelled_copy(rng, argv[2], copy)
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "BLOCK_ROWS", rng.choice([2, 3, 7, ingest.BLOCK_ROWS]))
+            code, err = run_cli([*argv[:2], str(copy), *argv[3:], "--out-dir", str(relabelled)],
+                                capsys)
+        assert code == 0, (argv, err)
+        for name in RELABEL_OUTPUTS:
+            assert (out / name).read_bytes() == (relabelled / name).read_bytes(), name
+    if csv_module:
         monkeypatch.setattr(ingest, "_read_unquoted", lambda *args: None)
         reruns.append(tmp_path / "csv-module")
         assert run_cli([*argv, "--out-dir", str(reruns[1])], capsys)[0] == 0

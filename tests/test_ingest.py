@@ -692,6 +692,41 @@ class TestByteTokenizer:
         assert column.labels == ["b", "a", "", "?"]
         assert column.codes.tolist() == [0, 1, 1, 1, 0, 2, 3]
 
+    def test_key_dedup_of_5000_distinct_ids_over_blocks(self, tmp_path, monkeypatch):
+        # 5,000 distinct 4-byte ids, at most BLOCK_ROWS, in 4 blocks of
+        # uint32 keys: one dedup gives the dictionary the csv module builds.
+        rng = np.random.default_rng(4)
+        ids = rng.choice(np.arange(1000, 10_000), 5_000, replace=False)[
+            rng.permutation(4 * ingest.BLOCK_ROWS - 1) % 5_000]
+        path = write_lines(tmp_path, real_lines(ids.tolist()))
+        calls = spy_on_typing(monkeypatch)
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
+        column = table[1][0]
+        assert isinstance(column, ingest.EncodedColumn) and len(column.labels) == 5_000
+        assert calls[0] == ("_key_column", [ingest.BLOCK_ROWS - 1] + [ingest.BLOCK_ROWS] * 3,
+                            ["uint32"] * 4)
+
+    def test_key_dedup_after_a_long_cell_in_the_first_block(self, tmp_path, monkeypatch):
+        # Column c meets a 9-byte cell in its first block only: that block
+        # alone is gathered as bytes, the later ones are keys that become
+        # bytes at end of file.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+        cells = ["a", "123456789", " a", "?", "b ", "12345678", "a", "?", "b", " 12",
+                 "12", "a"]
+        lines = ["c,k"] + [f"{cell},{k % 2}" for k, cell in enumerate(cells)]
+        path = write_bytes(tmp_path, ("\n".join(lines) + "\n").encode("utf-8"))
+        calls, wide_text = spy_on_typing(monkeypatch), ingest._wide_text
+        wide_blocks = []
+        monkeypatch.setattr(ingest, "_wide_text",
+                            lambda *args: wide_blocks.append(1) or wide_text(*args))
+        table = ingest._read_unquoted(path, True, ",")
+        assert_same_table(table, csv_module_table(path))
+        assert table[1][0].labels == ["a", "123456789", "?", "b", "12345678", "12"]
+        assert len(wide_blocks) == 1
+        assert [(name, rows) for name, rows, _ in calls] == [("_wide_column", [3, 4, 4, 1]),
+                                                             ("_key_column", [3, 4, 4, 1])]
+
 
 def quoted_copy(path):
     """A copy of the CSV at ``path`` with every cell quoted, which only the
