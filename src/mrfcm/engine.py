@@ -109,6 +109,14 @@ def partition(data, num_partitions: int) -> PartitionedStore:
     return PartitionedStore(array.copy(order="K"), offsets)
 
 
+def row_weights(store: PartitionedStore, weights) -> np.ndarray:
+    """``weights`` as float64, checked to hold one value per row of ``store``."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (store.n,):
+        raise SchemaError(f"{weights.size} weights for {store.n} rows")
+    return weights
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """Deployment shape of one job: how many mappers and reducers."""

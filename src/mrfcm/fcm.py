@@ -3,13 +3,15 @@
 Encoded records repeat, so clustering runs on the distinct records, each
 weighted by how often it occurs: identical points get identical
 memberships, and a point of weight w adds w copies of its terms to every
-sum.  A categorical store arrives with its MCA model; its distinct
-records are found on the codes, by the package's one dedup on one key per
-row (``_distinct_rows``), and projected once, by one ``MCAModel.transform``
-call in the driver, before the first iteration.  A float store is
-deduplicated on its coordinates.  The result keeps one
-membership row per distinct record and the row -> record index, and
-expands them to every row only on request.
+sum.  A categorical store arrives with its MCA model.  The commands pass
+a store of the distinct records with their counts as ``weights``, found
+once per run, right after encoding, by ``_distinct_rows``: the package's
+one dedup on one key per row.  A store given without weights is
+deduplicated here, on its codes, or on its coordinates when it holds
+floats.  The distinct records are projected once, by one
+``MCAModel.transform`` call in the driver, before the first iteration.
+The result keeps one membership row per distinct record and the row ->
+record index, and expands them to every row only on request.
 
 Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
 distinct points, one map call per block, so every sum is taken in the
@@ -45,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, first_appearance, partition, run_job, sum_reduce
+from .engine import (JobSpec, PartitionedStore, first_appearance, partition, row_weights,
+                     run_job, sum_reduce)
 from .errors import NumericError
 from .mca import MCAModel
 
@@ -157,8 +160,11 @@ def _membership_block(points, centroids, m):
     nearest = dist_sq.min(axis=0)
     hit = nearest < SINGULARITY_DISTANCE ** 2
     # Only a coincident point can divide by a zero distance; it is overwritten.
+    exponent = 1.0 / (m - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (nearest / dist_sq) ** (1.0 / (m - 1.0))
+        ratios = nearest / dist_sq
+        if exponent != 1.0:  # at m = 2 the power would only copy
+            ratios **= exponent
     if hit.any():
         # Split full membership equally among coincident centroids.
         ratios[:, hit] = dist_sq[:, hit] < SINGULARITY_DISTANCE ** 2
@@ -183,13 +189,16 @@ def _iteration_map(pid, coords, ctx):
     holds the contiguous (d, b) rows along which ``sq_dist`` subtracts.
     u**m is written straight into the (b, c) rows whose sums over points
     add in sequence; the numerators, a gemm on ``coords``, alone depend
-    on the BLAS kernel."""
+    on the BLAS kernel.  Once both sums have read them, the rows take the
+    objective's products in place."""
     centroids, m, weights, offsets, u_prev = ctx
     u, dist_sq = _membership_block(coords, centroids, m)
     rows = np.square(u.T, order="C") if m == 2.0 else np.power(u.T, m, order="C")
     rows *= weights[offsets[pid]:offsets[pid + 1], None]
     delta = np.inf if u_prev is None else np.abs(u - u_prev[pid]).max()
-    yield "iteration", (u, delta, rows.T @ coords, _point_sums(rows), (rows * dist_sq.T).sum())
+    numer, denom = rows.T @ coords, _point_sums(rows)
+    rows *= dist_sq.T
+    yield "iteration", (u, delta, numer, denom, rows.sum())
 
 
 def _iteration_reduce(key, values):
@@ -259,7 +268,7 @@ def objective(u, centroids, data, m: float = 2.0, weights=None) -> float:
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
-            spec: JobSpec, metrics_sink=None) -> FcmResult:
+            spec: JobSpec, metrics_sink=None, weights=None) -> FcmResult:
     """Repeat the fused iteration job until convergence.
 
     Convergence fires when the largest absolute membership change between
@@ -273,21 +282,28 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     distinct records, weighted by multiplicity; the result keeps their
     memberships and the row -> record index, and its ``u`` has one row
     per row of ``store``.
+
+    ``weights`` says that the rows of ``store`` are already distinct
+    records and gives how often each occurs; they are clustered as they
+    are, and ``inverse`` is None.  Without it, the rows are deduplicated
+    here.
     """
-    points, weights, seeds, inverse = _coordinates(store, model)
+    points, weights, seeds, inverse = _coordinates(store, model, weights)
     result = _cluster(points, weights, seeds, config, spec, metrics_sink)
     result.inverse = inverse
     return result
 
 
-def _coordinates(store, model):
+def _coordinates(store, model, weights=None):
     """(points, weights, seeds, inverse): the distinct records of ``store``
     as a float store in first-appearance order, how often each occurs, the
     first positions of the distinct point values, and the row -> point
     index, so that ``u[inverse]`` has one row per record.
 
-    Codes are deduplicated first, and only the distinct records are
-    projected; float rows are deduplicated by value.  Two records can
+    Given ``weights``, the rows of ``store`` are taken as the distinct
+    records, and ``inverse`` is None.  Otherwise codes are deduplicated
+    first, and only the distinct records are projected; float rows are
+    deduplicated by value.  Two records can
     project to one point, so the seeds are found here, once for every
     candidate of a sweep: every point when the first coordinate has no
     repeat, otherwise by a second dedup on the points.  The k points
@@ -296,13 +312,17 @@ def _coordinates(store, model):
     give init_centroids the same picks as every row would.
     """
     data = np.asarray(store.data, dtype=float) if model is None else store.data
-    first, weights, inverse = _distinct_rows(data)
-    points = data[first] if model is None else model.transform(data[first])
+    if weights is None:
+        first, weights, inverse = _distinct_rows(data)
+        data = data[first]
+    else:
+        weights, inverse = row_weights(store, weights), None
+    points = data if model is None else model.transform(data)
     if np.unique(points[:, 0]).size == len(points):  # then no two points are equal
         seeds = np.arange(len(points))
     else:
         seeds, _, _ = _distinct_rows(points)
-    points = partition(np.asfortranarray(points), -(-len(first) // POINT_BLOCK_ROWS))
+    points = partition(np.asfortranarray(points), -(-len(points) // POINT_BLOCK_ROWS))
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -323,18 +343,20 @@ def _row_keys(array):
     """One value per row of a 2-D array, equal only for equal rows.
 
     A table of nonnegative signed integers whose per-column (max + 1)
-    product fits int64 gets one mixed-radix int64 key per row.  Any other
-    row, float or from a code table wide enough to overflow that key, is
-    compared as one byte string.
+    product fits int64 gets one mixed-radix int64 key per row: the sum of
+    its codes times their place values, one einsum, which casts the codes
+    to int64 in buffered chunks rather than in one (n, Q) copy as matmul
+    does.  Any other row, float or from a code table wide enough to
+    overflow that key, is compared as one byte string.
     """
     if array.dtype.kind == "i" and array.size and array.min() >= 0:
         radices = [int(top) + 1 for top in array.max(axis=0)]
         if math.prod(radices) <= 2 ** 63:
-            keys = np.zeros(len(array), dtype=np.int64)
-            for column, radix in zip(array.T, radices):
-                keys *= radix
-                keys += column
-            return keys
+            # A column of radix 1 holds only zeros; its place value, which
+            # can be 2**63, is left out.
+            places = [math.prod(radices[j + 1:]) if radix > 1 else 0
+                      for j, radix in enumerate(radices)]
+            return np.einsum("ij,j->i", array, np.array(places, dtype=np.int64))
     array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
     return array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
 

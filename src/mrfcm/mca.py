@@ -22,6 +22,10 @@ record holding categories j_1..j_Q gets row principal coordinates
 so projections are pure gather-and-sum per record: bitwise identical no
 matter how rows are blocked into partitions, and the per-axis variance
 of the projected cloud equals that axis's eigenvalue.
+
+The Burt job may read distinct records weighted by their counts, as the
+commands do; its counts stay whole numbers, so it gives the rows' Burt
+matrix bit for bit under any BLAS kernel (``accumulate_burt``).
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, _one_blas_thread, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, _one_blas_thread, row_weights, run_job, sum_reduce
 from .errors import NumericError
 
 # Retention guard above the 1/Q noise floor, so balanced designs whose
@@ -42,7 +46,7 @@ class CategoryMargins:
     """Global category occurrence counts for an encoded dataset."""
 
     counts: np.ndarray  # (J,)
-    n: int
+    n: int  # rows, or the total weight of weighted records
     num_columns: int
     col_offsets: np.ndarray  # (Q + 1,) prefix offsets of columns into J
 
@@ -105,27 +109,44 @@ class MCAModel:
         return acc / num_cols - self._offsets
 
 
-def _burt_map(pid, block, col_offsets):
-    total = int(col_offsets[-1])
+def _burt_map(pid, block, ctx):
+    """The block's co-occurrence counts, its indicator rows scaled on one
+    side of the gemm by their weights.  Every product and partial sum is
+    an integer, exact in float64 below 2**53, so any BLAS kernel, blocking
+    or summation order gives the same bits."""
+    col_offsets, weights, offsets = ctx
     gids = block + col_offsets[:-1]
-    indicator = np.zeros((block.shape[0], total))
+    indicator = np.zeros((block.shape[0], int(col_offsets[-1])))
     indicator[np.arange(block.shape[0])[:, None], gids] = 1.0
-    yield "burt", indicator.T @ indicator
+    weighted = indicator.T
+    if weights is not None:
+        weighted = weighted * weights[offsets[pid]:offsets[pid + 1]]
+    yield "burt", weighted @ indicator
 
 
-def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None):
+def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None,
+                    weights=None):
     """Assemble global margins and the Burt matrix with one engine pass.
 
     Each map task emits its partition's partial co-occurrence counts; the
     reduce sums them in partition order.  Counts are integers, so the
     result is exact and independent of the partitioning.
+
+    ``weights`` gives each row's multiplicity, integers below 2**53: a row
+    of weight w counts as w identical rows, and ``margins.n`` is the total
+    weight.  The distinct records of a table, weighted by their counts,
+    give the Burt matrix and margins of the table, bit for bit.
     """
     spec = spec or JobSpec(store.num_partitions, 1, "burt")
     col_offsets = np.concatenate(([0], np.cumsum(cardinalities))).astype(np.int64)
-    results, metrics = run_job(spec, store, col_offsets, _burt_map, sum_reduce)
+    if weights is not None:
+        weights = row_weights(store, weights)
+    n = store.n if weights is None else int(weights.sum())
+    context = (col_offsets, weights, store.offsets)
+    results, metrics = run_job(spec, store, context, _burt_map, sum_reduce)
     burt = results[0][1]
     counts = np.diag(burt).copy()
-    margins = CategoryMargins(counts, store.n, len(cardinalities), col_offsets)
+    margins = CategoryMargins(counts, n, len(cardinalities), col_offsets)
     margins.validate()
     return margins, burt, metrics
 

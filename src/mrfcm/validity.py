@@ -131,22 +131,27 @@ def _vote(rows) -> tuple[dict, int]:
 
 
 def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: int,
-          config: FcmConfig, spec: JobSpec) -> ValidityReport:
+          config: FcmConfig, spec: JobSpec, weights=None) -> ValidityReport:
     """Cluster at every c in [c_min, c_max] and score the four indices.
 
     Each candidate gets a fresh initialization seeded with config.seed + c,
     so the whole sweep is reproducible while candidates stay independent.
     A candidate that fails (for instance, more clusters than distinct
     points) is recorded as a failed row and excluded from the vote.
+
+    ``weights``, as in ``fcm.run_fcm``, says that the rows of ``store`` are
+    distinct records and how often each occurs; n is then their total.
     """
     if not (2 <= c_min <= c_max):
         raise NumericError(f"need 2 <= c_min <= c_max, got [{c_min}, {c_max}]")
-    if c_max > store.n // 2:
-        raise NumericError(f"c_max {c_max} exceeds n/2 = {store.n // 2}")
+    n = store.n if weights is None else int(np.sum(weights))
+    if c_max > n // 2:
+        raise NumericError(f"c_max {c_max} exceeds n/2 = {n // 2}")
 
-    # The distinct points do not depend on c: find and project them once,
-    # then cluster and score every candidate on them, weighted by count.
-    points, weights, seeds, _ = _coordinates(store, model)
+    # The distinct points do not depend on c: find and project them once
+    # (unless given), then cluster and score every candidate on them,
+    # weighted by count.
+    points, weights, seeds, _ = _coordinates(store, model, weights)
     total = weights.sum()
 
     report = ValidityReport()

@@ -1,4 +1,5 @@
 import io
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -399,6 +400,22 @@ def test_bad_clustering_flag_exits_5_before_the_input_is_read(tmp_path, capsys, 
 
 COMMAND_ARGS = {"cluster": ["--c", "2"], "sweep": ["--c-max", "3"],
                 "bench": ["--bench-sizes", "200"], "mca-info": []}
+
+
+@pytest.mark.parametrize("rows", [40, 10])
+@pytest.mark.parametrize("command", ["cluster", "sweep", "mca-info"])
+def test_partition_clamp_warns_only_with_fewer_rows_than_mappers(tmp_path, command, rows):
+    """The rows hold 3 distinct records, the store's rows: --mappers 16 gets
+    3 partitions, silently at 40 rows, and with a warning naming the
+    store's 3 rows at 10 rows."""
+    records = [["a", "x"], ["b", "y"], ["c", "x"]]
+    path = datasets.write_csv(tmp_path / "three.csv", (records * rows)[:rows], header=["p", "q"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(command, "--input", str(path), *COMMAND_ARGS[command], "--mappers", "16",
+                   "--out-dir", str(tmp_path / "o")) == 0
+    expected = ["partition count 16 exceeds row count 3; clamping"] if rows < 16 else []
+    assert [str(warning.message) for warning in caught] == expected
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))

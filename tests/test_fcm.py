@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mrfcm import engine, fcm, ingest, mca, validity
+from mrfcm import datasets, engine, fcm, ingest, mca, validity
 from mrfcm.engine import JobSpec
-from mrfcm.errors import NumericError
+from mrfcm.errors import NumericError, SchemaError
 from mrfcm.fcm import (FcmConfig, fcm_iteration, init_centroids, membership_row, objective,
                        run_fcm)
 
@@ -789,6 +789,49 @@ class TestDistinctRows:
         table = rng.integers(0, 3, (7, 4))[rng.integers(0, 7, 30_000)].astype(dtype)
         first, counts, inverse = fcm._distinct_rows(table)
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
+
+
+class TestDistinctStore:
+    """run_fcm on a store of distinct records with their counts as weights
+    gives the row store's memberships, centroids and traces, bit for bit."""
+
+    @staticmethod
+    def rows_and_model(kind):
+        if kind == "floats":
+            rng = np.random.default_rng(21)
+            rows, _, _ = duplicate_heavy(rng, points=300)
+            return rows, None
+        reals = datasets.gaussian_blob_rows(2500, [[0, 0], [4, 1], [1, 5]], 1.0, seed=22)
+        rows = [a + b for a, b in zip(datasets.clustered_categorical_rows(2500, 3, seed=23), reals)]
+        names = ["q0", "q1", "q2", "x0", "x1"]
+        dataset = ingest.discretize(rows, ingest.infer_schema(names, rows))
+        model = mca.fit_mca(*mca.accumulate_burt(ingest.partition(dataset, 1),
+                                                 dataset.cardinalities)[:2])
+        return dataset.codes, model
+
+    @pytest.mark.parametrize("m", [2.0, 1.7])
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    @pytest.mark.parametrize("kind", ["codes", "floats"])
+    def test_same_bits_as_the_row_store(self, kind, p, m):
+        rows, model = self.rows_and_model(kind)
+        config = FcmConfig(c=3, m=m, epsilon=1e-7, max_iters=40, seed=4)
+        expanded = run_fcm(ingest.partition(rows, p), model, config, spec_for(p))
+        first, weights, inverse = fcm._distinct_rows(rows)
+        assert len(first) < len(rows)
+        result = run_fcm(ingest.partition(rows[first], p), model, config, spec_for(p),
+                         weights=weights)
+        assert result.inverse is None
+        assert result.u[inverse].tobytes() == expanded.u.tobytes()
+        assert result.v.tobytes() == expanded.v.tobytes()
+        for trace in ("objective_trace", "max_delta_trace"):
+            assert np.array(getattr(result, trace)).tobytes() == \
+                np.array(getattr(expanded, trace)).tobytes()
+        assert (result.iters_run, result.converged) == (expanded.iters_run, expanded.converged)
+
+    def test_weights_must_match_the_records(self):
+        store = ingest.partition(np.arange(8.0).reshape(4, 2), 2)
+        with pytest.raises(SchemaError, match="3 weights for 4 rows"):
+            run_fcm(store, None, FcmConfig(c=2), spec_for(2), weights=np.ones(3))
 
 
 class StubModel:

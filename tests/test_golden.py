@@ -38,7 +38,7 @@ DEPLOYMENTS = [(1, 1), (16, 8)]
 # The subcommands run on each table.  wide-quoted, read by the csv module,
 # must give the digests of wide, read by ingest's byte tokenizer.
 COMMANDS = {"mm": list(RUNS), "mixed": list(RUNS), "wide": ["cluster"],
-            "wide-quoted": ["cluster"]}
+            "wide-quoted": ["cluster"], "categorical": ["cluster", "mca-info"]}
 
 
 def openblas_core():
@@ -60,8 +60,10 @@ def running_key():
 
 def write_tables(directory):
     """mm.csv; a mixed table: six categorical columns with planted clusters
-    beside two real columns of Gaussian blobs, both keeping 8 axes; and
-    wide.csv, with its copy of every cell quoted.
+    beside two real columns of Gaussian blobs, both keeping 8 axes;
+    wide.csv, with its copy of every cell quoted; and a purely categorical
+    table of planted clusters, whose 3,000 rows repeat a few hundred
+    records.
 
     wide.csv's 10,000 rows span two ingest blocks.  Its real columns both
     become RealColumns: x0's 9-digit cells are wider than 8 bytes from the
@@ -82,7 +84,11 @@ def write_tables(directory):
     quoted = directory / "wide-quoted.csv"
     with open(quoted, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header, *rows])
-    return {"mm": mm, "mixed": mixed, "wide": wide, "wide-quoted": quoted}
+    categorical = datasets.write_csv(directory / "categorical.csv",
+                                     datasets.clustered_categorical_rows(3000, 5, seed=31),
+                                     header=[f"q{j}" for j in range(5)])
+    return {"mm": mm, "mixed": mixed, "wide": wide, "wide-quoted": quoted,
+            "categorical": categorical}
 
 
 def digests(directory):

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from mrfcm import datasets, engine, ingest, mca
-from mrfcm.errors import NumericError
+from mrfcm import datasets, engine, fcm, ingest, mca
+from mrfcm.errors import NumericError, SchemaError
 
 import reference
 
@@ -57,6 +57,43 @@ class TestAccumulateBurt:
         cross = burt[:2, 2:]
         assert cross.tolist() == [[50, 0], [0, 50]]
         assert burt.T.tolist() == burt.tolist()
+
+
+def encoded_table(kind, n=600):
+    """A dataset whose rows repeat records: planted categorical clusters,
+    beside two binned Gaussian-blob columns for "mixed"."""
+    rows = datasets.clustered_categorical_rows(n, 4, seed=6)
+    if kind == "mixed":
+        reals = datasets.gaussian_blob_rows(n, [[0, 0], [4, 1], [1, 5]], 1.0, seed=7)
+        rows = [a[:3] + b for a, b in zip(rows, reals)]
+    names = [f"c{j}" for j in range(len(rows[0]))]
+    return ingest.discretize(rows, ingest.infer_schema(names, rows))
+
+
+class TestWeightedBurt:
+    """The distinct records, weighted by their counts, give the rows' Burt
+    matrix and margins bit for bit, at any partition count."""
+
+    @pytest.mark.filterwarnings("ignore:partition count")  # P > k clamps the records' store
+    @pytest.mark.parametrize("p", [1, 4, 16, "k+3"])
+    @pytest.mark.parametrize("kind", ["mixed", "categorical"])
+    def test_weighted_records_give_the_rows_burt(self, kind, p):
+        dataset = encoded_table(kind)
+        first, weights, _ = fcm._distinct_rows(dataset.codes)
+        p = len(first) + 3 if p == "k+3" else p
+        assert len(first) < p <= dataset.n or p <= len(first) < dataset.n
+        rows = mca.accumulate_burt(ingest.partition(dataset, p), dataset.cardinalities)
+        records = mca.accumulate_burt(ingest.partition(dataset.codes[first], p),
+                                      dataset.cardinalities, weights=weights)
+        (margins, burt, _), (w_margins, w_burt, _) = rows, records
+        assert w_burt.tobytes() == burt.tobytes()
+        assert w_margins.counts.tobytes() == margins.counts.tobytes()
+        assert w_margins.n == margins.n == dataset.n
+
+    def test_weights_must_match_the_records(self):
+        store = ingest.partition(np.array([[0, 1], [1, 0]], dtype=np.int32), 1)
+        with pytest.raises(SchemaError, match="3 weights for 2 rows"):
+            mca.accumulate_burt(store, [2, 2], weights=[1.0, 2.0, 3.0])
 
 
 class TestFitMca:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -269,6 +270,48 @@ class TestSweep:
             sweep(store, None, 1, 4, FcmConfig(c=2, seed=0), JobSpec(2, 1, "s"))
         with pytest.raises(NumericError):
             sweep(store, None, 2, 30, FcmConfig(c=2, seed=0), JobSpec(2, 1, "s"))
+
+
+class TestDistinctStore:
+    """sweep on a store of distinct records with their counts as weights
+    gives the row store's report, bit for bit, and still bounds c_max by n."""
+
+    @staticmethod
+    def rows():
+        # 6 distinct points, each 3 to 12 times: candidates above c = 6 fail.
+        rng = np.random.default_rng(31)
+        distinct = rng.normal(size=(6, 2)) * 4.0
+        return rng.permutation(np.repeat(distinct, [3, 12, 5, 7, 9, 4], axis=0))
+
+    @pytest.mark.parametrize("m", [2.0, 1.5])
+    @pytest.mark.parametrize("p", [1, 4, 16])
+    def test_same_rows_as_the_row_store(self, p, m):
+        rows = self.rows()
+        config = FcmConfig(c=2, m=m, seed=3)
+        expanded = sweep(ingest.partition(rows, p), None, 2, 8, config, JobSpec(p, 1, "s"))
+        first, weights, _ = fcm._distinct_rows(rows)
+        report = sweep(ingest.partition(rows[first], min(p, len(first))), None, 2, 8, config,
+                       JobSpec(p, 1, "s"), weights)
+        assert [r.failed for r in report.rows] == [False] * 5 + [True] * 2
+        as_bytes = [np.array(dataclasses.astuple(r), dtype=float).tobytes()
+                    for r in report.rows]
+        assert as_bytes == [np.array(dataclasses.astuple(r), dtype=float).tobytes()
+                            for r in expanded.rows]
+        assert (report.best_per_index, report.consensus_c) == \
+            (expanded.best_per_index, expanded.consensus_c)
+
+    def test_c_max_is_bounded_by_the_row_count(self):
+        rows = self.rows()
+        first, weights, _ = fcm._distinct_rows(rows)
+        records = ingest.partition(rows[first], 2)
+        half = len(rows) // 2
+        report = sweep(records, None, 2, half, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"),
+                       weights)
+        assert report.rows[-1].c == half and report.rows[-1].failed
+        for store, w in [(records, weights), (ingest.partition(rows, 2), None)]:
+            with pytest.raises(NumericError) as caught:
+                sweep(store, None, 2, half + 1, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"), w)
+            assert str(caught.value) == f"c_max {half + 1} exceeds n/2 = {half}"
 
 
 class TestReportFiles:
