@@ -7,11 +7,11 @@ A failure to make or write any of them exits 3.  All numeric output
 files are written with full-precision decimal formatting, so a rerun
 with the same configuration and seed reproduces them byte for byte.
 
-``cluster``, ``sweep`` and ``mca-info`` deduplicate the encoded rows once,
-right after reading, and run the Burt job, the fit and fcm on the k
-distinct records weighted by their counts; ``memberships.csv`` expands
-them to every row through the row -> record index.  ``bench`` times the
-library on row stores.
+Every subcommand splits the encoded rows into partitions (--mappers, or
+each --bench-deployments mapper count) and hands the store to the
+library: the Burt job and fcm run on its k distinct records, found once
+per store and weighted by their counts, and ``memberships.csv`` expands
+them to every row through the row -> record index.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 from . import ingest, mca, validity
 from .engine import METRICS_HEADER, JobSpec
 from .errors import DataIOError, MrfcmError, NumericError
-from .fcm import FcmConfig, _distinct_rows, run_fcm
+from .fcm import FcmConfig, run_fcm
 
 
 def _digit_groups():
@@ -162,32 +162,26 @@ def _write_metrics(path, metrics_list):
 
 
 def _encode_and_fit(args):
-    """(dataset, store, weights, inverse, model, Burt job metrics) of the
-    --input CSV.  The codes are deduplicated once, here: ``store`` holds the
-    k distinct records in first-appearance order, ``weights`` how often
-    each occurs and ``inverse`` the row -> record index, and the Burt job
-    and every later step run on the records.  The store gets --mappers
-    partitions, or k when k is fewer; as for a store of rows, ``partition``
-    warns only when the rows are fewer too."""
+    """(dataset, store, model, Burt job metrics) of the --input CSV.  The
+    store holds the codes in --mappers partitions, and the dataset shares
+    its copy, so the n codes are held once."""
     dataset = ingest.encode_csv(args.input, has_header=args.header,
                                 delimiter=args.delimiter, bins=args.bins)
-    first, weights, inverse = _distinct_rows(dataset.codes)
-    mappers = args.mappers if args.mappers > dataset.n else min(args.mappers, len(first))
-    store = ingest.partition(dataset.codes[first], mappers)
+    store = ingest.partition(dataset, args.mappers)
+    dataset.codes = store.data
     spec = JobSpec(args.mappers, args.reducers, "burt")
-    margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities, spec, weights)
-    model = mca.fit_mca(margins, burt, mca_dims=args.mca_dims)
-    return dataset, store, weights, inverse, model, metrics
+    margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities, spec)
+    return dataset, store, mca.fit_mca(margins, burt, mca_dims=args.mca_dims), metrics
 
 
 def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> int:
     config = FcmConfig(c=args.c, m=args.m, epsilon=args.epsilon,
                        max_iters=args.max_iters, seed=args.seed)
-    dataset, store, weights, inverse, model, burt_metrics = _encode_and_fit(args)
+    dataset, store, model, burt_metrics = _encode_and_fit(args)
     metrics_sink = [burt_metrics]
     spec = JobSpec(args.mappers, args.reducers, "fcm")
-    result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink, weights=weights)
-    _write_matrix(memberships_csv, result.distinct_u, inverse)
+    result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink)
+    _write_matrix(memberships_csv, result.distinct_u, result.inverse)
     _write_matrix(centroids_csv, result.v)
     with open(trace_csv, "w", encoding="utf-8") as fh:
         fh.write("iter,jm,max_delta_u\n")
@@ -205,9 +199,9 @@ def cmd_sweep(args, validity_csv, validity_plot_dat) -> int:
                        max_iters=args.max_iters, seed=args.seed)
     if args.c_min < 2:  # c_max > n/2 needs n; validity.sweep checks it after reading
         raise NumericError(f"need 2 <= c_min <= c_max, got [{args.c_min}, {args.c_max}]")
-    _, store, weights, _, model, _ = _encode_and_fit(args)
+    _, store, model, _ = _encode_and_fit(args)
     spec = JobSpec(args.mappers, args.reducers, "sweep")
-    report = validity.sweep(store, model, args.c_min, args.c_max, config, spec, weights)
+    report = validity.sweep(store, model, args.c_min, args.c_max, config, spec)
     validity.write_validity_csv(report, validity_csv)
     validity.write_plot_data(report, validity_plot_dat)
     print(f"sweep: consensus_c={report.consensus_c} best_per_index={report.best_per_index}")
@@ -243,7 +237,7 @@ def cmd_bench(args, bench_csv) -> int:
 
 
 def cmd_mca_info(args, schema_txt, axes_csv, loadings_csv) -> int:
-    dataset, *_, model, _ = _encode_and_fit(args)
+    dataset, _, model, _ = _encode_and_fit(args)
     with open(schema_txt, "w", encoding="utf-8") as fh:
         fh.write(ingest.schema_dump(dataset))
     with open(axes_csv, "w", encoding="utf-8") as fh:

@@ -4,8 +4,11 @@ Jobs run over a PartitionedStore, the contiguous row blocks that
 ``partition`` cuts from a 2-D array or a dataset's codes, with an
 immutable broadcast context.  The store lives here, beside the code that
 consumes it, as does the package's one dedup, ``first_appearance``, which
-the CSV reader and clustering share.  This module imports no part of the
-package but its errors: a process that only runs jobs loads neither.
+the CSV reader and the store share: a store finds its distinct rows once,
+on first use (``PartitionedStore.distinct``), and the Burt job, fcm and
+the sweep all read those weighted records.  This module imports no part
+of the package but its errors: a process that only runs jobs loads
+neither.
 
 Each partition is one map call and each key one reduce call;
 ``sum_reduce``, which the Burt job and the fcm iterations share, adds a
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 import time
@@ -75,6 +79,15 @@ class PartitionedStore:
     def n(self) -> int:
         return self.data.shape[0]
 
+    @functools.cached_property
+    def distinct(self):
+        """(records, counts, inverse): a store of the distinct rows in
+        first-appearance order, with min(P, k) partitions, how often each
+        occurs as float64, and the row -> record index.  Found once per
+        store, by ``_distinct_rows``, and shared by every job that reads it."""
+        first, counts, inverse = _distinct_rows(self.data)
+        return partition(self.data[first], min(self.num_partitions, len(first))), counts, inverse
+
     @property
     def num_partitions(self) -> int:
         return len(self.offsets) - 1
@@ -107,14 +120,6 @@ def partition(data, num_partitions: int) -> PartitionedStore:
     sizes[: n % num_partitions] += 1
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     return PartitionedStore(array.copy(order="K"), offsets)
-
-
-def row_weights(store: PartitionedStore, weights) -> np.ndarray:
-    """``weights`` as float64, checked to hold one value per row of ``store``."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (store.n,):
-        raise SchemaError(f"{weights.size} weights for {store.n} rows")
-    return weights
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,35 @@ def first_appearance(keys):
     inverse = np.empty_like(order)
     inverse[order] = np.repeat(rank, counts)
     return first[by_first], counts[by_first], inverse
+
+
+def _distinct_rows(array):
+    """``first_appearance`` of a 2-D array's rows, found on ``_row_keys``,
+    with float counts."""
+    first, counts, inverse = first_appearance(_row_keys(array))
+    return first, counts.astype(float), inverse
+
+
+def _row_keys(array):
+    """One value per row of a 2-D array, equal only for equal rows.
+
+    A table of nonnegative signed integers whose per-column (max + 1)
+    product fits int64 gets one mixed-radix int64 key per row: the sum of
+    its codes times their place values, one einsum, which casts the codes
+    to int64 in buffered chunks rather than in one (n, Q) copy as matmul
+    does.  Any other row, float or from a code table wide enough to
+    overflow that key, is compared as one byte string.
+    """
+    if array.dtype.kind == "i" and array.size and array.min() >= 0:
+        radices = [int(top) + 1 for top in array.max(axis=0)]
+        if math.prod(radices) <= 2 ** 63:
+            # A column of radix 1 holds only zeros; its place value, which
+            # can be 2**63, is left out.
+            places = [math.prod(radices[j + 1:]) if radix > 1 else 0
+                      for j, radix in enumerate(radices)]
+            return np.einsum("ij,j->i", array, np.array(places, dtype=np.int64))
+    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
+    return array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
 
 
 def sum_reduce(key, values):

@@ -3,12 +3,11 @@
 Encoded records repeat, so clustering runs on the distinct records, each
 weighted by how often it occurs: identical points get identical
 memberships, and a point of weight w adds w copies of its terms to every
-sum.  A categorical store arrives with its MCA model.  The commands pass
-a store of the distinct records with their counts as ``weights``, found
-once per run, right after encoding, by ``_distinct_rows``: the package's
-one dedup on one key per row.  A store given without weights is
-deduplicated here, on its codes, or on its coordinates when it holds
-floats.  The distinct records are projected once, by one
+sum.  The records are the store's own (``PartitionedStore.distinct``),
+found once per store by the package's one dedup, so the Burt job and
+every clustering of a store share them: codes are deduplicated on their
+codes, float rows on their coordinates.  A categorical store arrives
+with its MCA model, and its distinct records are projected once, by one
 ``MCAModel.transform`` call in the driver, before the first iteration.
 The result keeps one membership row per distinct record and the row ->
 record index, and expands them to every row only on request.
@@ -23,9 +22,9 @@ of the package) and its memberships by one formula scaled to each
 point's nearest centroid, both cluster-major as (c, b) arrays: the
 subtraction and the reductions over the few clusters run along rows as
 long as the block.  The sums over coordinates and over clusters add
-plane after plane (``_fold``), and the denominators' sums over points
-row after row (``_point_sums``): each in sequence, in an order the code
-writes down.  The objective is numpy's sum of the whole (b, c) array;
+plane after plane (``sq_dist``, ``_fold``), and the denominators' sums
+over points row after row (``_point_sums``): each in sequence, in an
+order the code writes down.  The objective is numpy's sum of the whole (b, c) array;
 only the centroid numerators ``rows.T @ coords`` depend on the BLAS
 build.  Each map emits under one key the block's (c, b) memberships,
 their largest absolute change from the previous iteration's block,
@@ -42,13 +41,11 @@ and are stacked into (k, c) rows once, after the last.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (JobSpec, PartitionedStore, first_appearance, partition, row_weights,
-                     run_job, sum_reduce)
+from .engine import JobSpec, PartitionedStore, _distinct_rows, partition, run_job, sum_reduce
 from .errors import NumericError
 from .mca import MCAModel
 
@@ -88,16 +85,16 @@ class FcmResult:
 
     distinct_u: np.ndarray  # (k, c) row-stochastic memberships of the distinct points
     v: np.ndarray  # (c, d) centroids
+    inverse: np.ndarray  # (n,) row of the clustered store -> distinct point
     objective_trace: list = field(default_factory=list)
     max_delta_trace: list = field(default_factory=list)
     iters_run: int = 0
     converged: bool = False
-    inverse: np.ndarray | None = None  # row -> distinct point; None: rows are the points
 
     @property
     def u(self) -> np.ndarray:
         """(n, c) memberships, one row per row of the clustered store."""
-        return self.distinct_u if self.inverse is None else self.distinct_u[self.inverse]
+        return self.distinct_u[self.inverse]
 
 
 def init_centroids(data, c: int, seed: int) -> np.ndarray:
@@ -129,17 +126,24 @@ def membership_row(x, centroids, m: float) -> np.ndarray:
 def sq_dist(points, centroids):
     """(c, b) squared Euclidean distances from each centroid to each point.
 
-    The squared (d, c, b) difference, a temporary, is folded over its d
-    coordinate planes in place, into plane 0 (``_fold``).
+    The squared differences are formed one (c, b) coordinate plane at a
+    time and added to plane 0's in sequence, the order of ``_fold``, so
+    no (d, c, b) temporary is held.
     """
-    diff = np.subtract(points.T[:, None, :], centroids.T[:, :, None], order="C")
-    np.square(diff, out=diff)
-    return _fold(diff, diff[0])
+    coords, cents = points.T, centroids.T[:, :, None]
+    total = np.subtract(coords[0], cents[0])
+    np.square(total, out=total)
+    plane = np.empty_like(total)
+    for x, v in zip(coords[1:], cents[1:]):
+        np.subtract(x, v, out=plane)
+        total += np.square(plane, out=plane)
+    return total
 
 
 def _fold(planes, total):
     """Add planes[1:] to ``total`` in place, one after another.  Started from
-    planes[0] or its copy, this is the one order of every sum over axis 0."""
+    planes[0] or its copy, this is the one order of every sum over axis 0;
+    ``sq_dist`` adds its coordinate planes in it too, as it forms them."""
     for plane in planes[1:]:
         total += plane
     return total
@@ -268,7 +272,7 @@ def objective(u, centroids, data, m: float = 2.0, weights=None) -> float:
 
 
 def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
-            spec: JobSpec, metrics_sink=None, weights=None) -> FcmResult:
+            spec: JobSpec, metrics_sink=None) -> FcmResult:
     """Repeat the fused iteration job until convergence.
 
     Convergence fires when the largest absolute membership change between
@@ -279,45 +283,30 @@ def run_fcm(store: PartitionedStore, model: MCAModel | None, config: FcmConfig,
     ``model`` projects a categorical store once, before the first
     iteration; pass None when the store already holds real-valued
     coordinates (projected or otherwise).  The iterations run on the
-    distinct records, weighted by multiplicity; the result keeps their
-    memberships and the row -> record index, and its ``u`` has one row
-    per row of ``store``.
-
-    ``weights`` says that the rows of ``store`` are already distinct
-    records and gives how often each occurs; they are clustered as they
-    are, and ``inverse`` is None.  Without it, the rows are deduplicated
-    here.
+    store's distinct records, weighted by multiplicity; the result keeps
+    their memberships and the row -> record index, and its ``u`` has one
+    row per row of ``store``.
     """
-    points, weights, seeds, inverse = _coordinates(store, model, weights)
-    result = _cluster(points, weights, seeds, config, spec, metrics_sink)
-    result.inverse = inverse
-    return result
+    return _cluster(_coordinates(store, model), config, spec, metrics_sink)
 
 
-def _coordinates(store, model, weights=None):
+def _coordinates(store, model):
     """(points, weights, seeds, inverse): the distinct records of ``store``
-    as a float store in first-appearance order, how often each occurs, the
-    first positions of the distinct point values, and the row -> point
-    index, so that ``u[inverse]`` has one row per record.
+    (``store.distinct``) as a float store in first-appearance order, how
+    often each occurs, the first positions of the distinct point values,
+    and the row -> point index, so that ``u[inverse]`` has one row per
+    record.
 
-    Given ``weights``, the rows of ``store`` are taken as the distinct
-    records, and ``inverse`` is None.  Otherwise codes are deduplicated
-    first, and only the distinct records are projected; float rows are
-    deduplicated by value.  Two records can
-    project to one point, so the seeds are found here, once for every
-    candidate of a sweep: every point when the first coordinate has no
-    repeat, otherwise by a second dedup on the points.  The k points
-    go into ceil(k / POINT_BLOCK_ROWS) blocks of a column-major store,
-    whatever partitions ``store`` had.  Points in first-appearance order
-    give init_centroids the same picks as every row would.
+    Only the distinct records are projected.  Two records can project to
+    one point, so the seeds are found here, once for every candidate of a
+    sweep: every point when the first coordinate has no repeat, otherwise
+    by a second dedup on the points.  The k points go into
+    ceil(k / POINT_BLOCK_ROWS) blocks of a column-major store, whatever
+    partitions ``store`` had.  Points in first-appearance order give
+    init_centroids the same picks as every row would.
     """
-    data = np.asarray(store.data, dtype=float) if model is None else store.data
-    if weights is None:
-        first, weights, inverse = _distinct_rows(data)
-        data = data[first]
-    else:
-        weights, inverse = row_weights(store, weights), None
-    points = data if model is None else model.transform(data)
+    records, weights, inverse = store.distinct
+    points = np.asarray(records.data, float) if model is None else model.transform(records.data)
     if np.unique(points[:, 0]).size == len(points):  # then no two points are equal
         seeds = np.arange(len(points))
     else:
@@ -332,42 +321,14 @@ def _coordinates(store, model, weights=None):
     return points, weights, seeds, inverse
 
 
-def _distinct_rows(array):
-    """``first_appearance`` of a 2-D array's rows, found on ``_row_keys``,
-    with float counts."""
-    first, counts, inverse = first_appearance(_row_keys(array))
-    return first, counts.astype(float), inverse
-
-
-def _row_keys(array):
-    """One value per row of a 2-D array, equal only for equal rows.
-
-    A table of nonnegative signed integers whose per-column (max + 1)
-    product fits int64 gets one mixed-radix int64 key per row: the sum of
-    its codes times their place values, one einsum, which casts the codes
-    to int64 in buffered chunks rather than in one (n, Q) copy as matmul
-    does.  Any other row, float or from a code table wide enough to
-    overflow that key, is compared as one byte string.
-    """
-    if array.dtype.kind == "i" and array.size and array.min() >= 0:
-        radices = [int(top) + 1 for top in array.max(axis=0)]
-        if math.prod(radices) <= 2 ** 63:
-            # A column of radix 1 holds only zeros; its place value, which
-            # can be 2**63, is left out.
-            places = [math.prod(radices[j + 1:]) if radix > 1 else 0
-                      for j, radix in enumerate(radices)]
-            return np.einsum("ij,j->i", array, np.array(places, dtype=np.int64))
-    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
-    return array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
-
-
-def _cluster(store, weights, seeds, config, spec, metrics_sink=None):
-    """The driver loop of run_fcm over a store of distinct float points,
-    seeded among the rows ``seeds`` (see ``_coordinates``).  Each job's
-    (c, b) membership blocks go into the next job's context, whose maps
-    measure their own change; the (k, c) rows are stacked once, at the end."""
+def _cluster(coordinates, config, spec, metrics_sink=None):
+    """The iteration loop of run_fcm over ``_coordinates``' store of distinct
+    float points, seeded among its rows ``seeds``.  Each job's (c, b)
+    membership blocks go into the next job's context, whose maps measure
+    their own change; the (k, c) rows are stacked once, at the end."""
+    store, weights, seeds, inverse = coordinates
     centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
-    result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids)
+    result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids, inverse=inverse)
     blocks = None
     for iteration in range(1, config.max_iters + 1):
         blocks, delta, centroids, obj, metrics = _iteration_job(

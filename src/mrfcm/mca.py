@@ -23,9 +23,10 @@ so projections are pure gather-and-sum per record: bitwise identical no
 matter how rows are blocked into partitions, and the per-axis variance
 of the projected cloud equals that axis's eigenvalue.
 
-The Burt job may read distinct records weighted by their counts, as the
-commands do; its counts stay whole numbers, so it gives the rows' Burt
-matrix bit for bit under any BLAS kernel (``accumulate_burt``).
+The Burt job reads a store's distinct records (``PartitionedStore.distinct``),
+each weighted by its count; the counts stay whole numbers, so it gives
+the rows' Burt matrix bit for bit under any BLAS kernel
+(``accumulate_burt``).
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, _one_blas_thread, row_weights, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, _one_blas_thread, run_job, sum_reduce
 from .errors import NumericError
 
 # Retention guard above the 1/Q noise floor, so balanced designs whose
@@ -46,7 +47,7 @@ class CategoryMargins:
     """Global category occurrence counts for an encoded dataset."""
 
     counts: np.ndarray  # (J,)
-    n: int  # rows, or the total weight of weighted records
+    n: int  # rows of the store, the total weight of its distinct records
     num_columns: int
     col_offsets: np.ndarray  # (Q + 1,) prefix offsets of columns into J
 
@@ -118,35 +119,27 @@ def _burt_map(pid, block, ctx):
     gids = block + col_offsets[:-1]
     indicator = np.zeros((block.shape[0], int(col_offsets[-1])))
     indicator[np.arange(block.shape[0])[:, None], gids] = 1.0
-    weighted = indicator.T
-    if weights is not None:
-        weighted = weighted * weights[offsets[pid]:offsets[pid + 1]]
-    yield "burt", weighted @ indicator
+    yield "burt", (indicator.T * weights[offsets[pid]:offsets[pid + 1]]) @ indicator
 
 
-def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None,
-                    weights=None):
+def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None):
     """Assemble global margins and the Burt matrix with one engine pass.
 
-    Each map task emits its partition's partial co-occurrence counts; the
-    reduce sums them in partition order.  Counts are integers, so the
-    result is exact and independent of the partitioning.
-
-    ``weights`` gives each row's multiplicity, integers below 2**53: a row
-    of weight w counts as w identical rows, and ``margins.n`` is the total
-    weight.  The distinct records of a table, weighted by their counts,
-    give the Burt matrix and margins of the table, bit for bit.
+    The job runs over the store's k distinct records (``store.distinct``,
+    min(P, k) partitions), a record of count w standing for w identical
+    rows.  Each map task emits its partition's partial co-occurrence
+    counts; the reduce sums them in partition order.  Counts are integers,
+    so the result is the rows' Burt matrix, exact and independent of the
+    partitioning.
     """
     spec = spec or JobSpec(store.num_partitions, 1, "burt")
+    records, weights, _ = store.distinct
     col_offsets = np.concatenate(([0], np.cumsum(cardinalities))).astype(np.int64)
-    if weights is not None:
-        weights = row_weights(store, weights)
-    n = store.n if weights is None else int(weights.sum())
-    context = (col_offsets, weights, store.offsets)
-    results, metrics = run_job(spec, store, context, _burt_map, sum_reduce)
+    context = (col_offsets, weights, records.offsets)
+    results, metrics = run_job(spec, records, context, _burt_map, sum_reduce)
     burt = results[0][1]
     counts = np.diag(burt).copy()
-    margins = CategoryMargins(counts, n, len(cardinalities), col_offsets)
+    margins = CategoryMargins(counts, store.n, len(cardinalities), col_offsets)
     margins.validate()
     return margins, burt, metrics
 

@@ -7,8 +7,9 @@ ratio (maximize).  The sweep runs one clustering per candidate c and
 picks the consensus winner by majority vote across the four indices.
 
 Each index is a sum over records, so it takes optional ``weights``: a row
-of weight w counts as w identical records.  The sweep scores the distinct
-records weighted by their counts, never the expanded table.
+of weight w counts as w identical records.  The sweep scores the store's
+distinct records (``PartitionedStore.distinct``) weighted by their
+counts, never the expanded table.
 """
 from __future__ import annotations
 
@@ -131,34 +132,30 @@ def _vote(rows) -> tuple[dict, int]:
 
 
 def sweep(store: PartitionedStore, model: MCAModel | None, c_min: int, c_max: int,
-          config: FcmConfig, spec: JobSpec, weights=None) -> ValidityReport:
+          config: FcmConfig, spec: JobSpec) -> ValidityReport:
     """Cluster at every c in [c_min, c_max] and score the four indices.
 
     Each candidate gets a fresh initialization seeded with config.seed + c,
     so the whole sweep is reproducible while candidates stay independent.
     A candidate that fails (for instance, more clusters than distinct
     points) is recorded as a failed row and excluded from the vote.
-
-    ``weights``, as in ``fcm.run_fcm``, says that the rows of ``store`` are
-    distinct records and how often each occurs; n is then their total.
     """
     if not (2 <= c_min <= c_max):
         raise NumericError(f"need 2 <= c_min <= c_max, got [{c_min}, {c_max}]")
-    n = store.n if weights is None else int(np.sum(weights))
-    if c_max > n // 2:
-        raise NumericError(f"c_max {c_max} exceeds n/2 = {n // 2}")
+    if c_max > store.n // 2:
+        raise NumericError(f"c_max {c_max} exceeds n/2 = {store.n // 2}")
 
-    # The distinct points do not depend on c: find and project them once
-    # (unless given), then cluster and score every candidate on them,
-    # weighted by count.
-    points, weights, seeds, _ = _coordinates(store, model, weights)
+    # The distinct points do not depend on c: project them once, then
+    # cluster and score every candidate on them, weighted by count.
+    coordinates = _coordinates(store, model)
+    points, weights, _, _ = coordinates
     total = weights.sum()
 
     report = ValidityReport()
     for c in range(c_min, c_max + 1):
         run_cfg = replace(config, c=c, seed=config.seed + c)
         try:
-            result = _cluster(points, weights, seeds, run_cfg, spec)
+            result = _cluster(coordinates, run_cfg, spec)
             u, v = result.distinct_u, result.v
             # xb and sc share the separation, and at m = 2 the scatter too.
             sep = _pairwise_min_sep_sq(v)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from mrfcm import engine, fcm, ingest
+from mrfcm import engine, ingest
 from mrfcm.engine import JobSpec, run_job
 from mrfcm.errors import EngineError
 from test_fcm import distinct_by_tuples
@@ -389,11 +389,11 @@ class TestFirstAppearance:
         assert_first_appearance(keys, (list(range(20_000)), [1] * 20_000, list(range(20_000))))
 
     def test_void_keys_of_float_rows(self):
-        # fcm's byte keys of float rows, where -0.0 and 0.0 are one value.
+        # The byte keys of float rows, where -0.0 and 0.0 are one value.
         rng = np.random.default_rng(11)
         rows = np.array([[0.5, -0.0], [0.5, 0.0], [-0.0, -0.0], [0.0, 0.0], [1.0, 2.5]])
         rows = rows[rng.integers(0, len(rows), 5_000)]
-        keys = fcm._row_keys(rows)
+        keys = engine._row_keys(rows)
         assert keys.dtype.kind == "V"
         assert_first_appearance(keys, distinct_by_tuples(rows))
 

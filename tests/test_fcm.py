@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from mrfcm import datasets, engine, fcm, ingest, mca, validity
 from mrfcm.engine import JobSpec
-from mrfcm.errors import NumericError, SchemaError
+from mrfcm.errors import NumericError
 from mrfcm.fcm import (FcmConfig, fcm_iteration, init_centroids, membership_row, objective,
                        run_fcm)
 
@@ -405,6 +406,19 @@ class TestSummationOrder:
             expected = in_order([(v[:, k, None] - p[None, :, k]) ** 2 for k in range(d)])
             assert np.array_equal(fcm.sq_dist(p, v), expected), c
 
+    def test_sq_dist_holds_one_plane_besides_its_result(self):
+        # A (d, c, b) difference of d = 16 planes would take 8 times this bound.
+        rng = np.random.default_rng(12)
+        p, v = rng.normal(size=(4096, 16)), rng.normal(size=(5, 16))
+        plane = 5 * 4096 * 8
+        tracemalloc.start()
+        try:
+            fcm.sq_dist(p, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plane <= peak < 2 * plane + 4096
+
     @pytest.mark.parametrize("b", [1, 7, 4096])
     @pytest.mark.parametrize("c", [1, 7, 8, 9, 17, 129, 257])
     def test_memberships_add_clusters_in_sequence(self, c, b):
@@ -767,8 +781,8 @@ class TestDistinctRows:
         pool = np.column_stack([rng.integers(0, top, 40, endpoint=True) for top in tops])
         pool[0] = tops  # every column reaches its top
         table = pool[rng.integers(0, 40, 500)].astype(np.int32 if max(tops) < 2 ** 31 else np.int64)
-        assert (fcm._row_keys(table).dtype == np.int64) is packed
-        first, counts, inverse = fcm._distinct_rows(table)
+        assert (engine._row_keys(table).dtype == np.int64) is packed
+        first, counts, inverse = engine._distinct_rows(table)
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
         assert counts.dtype == float
 
@@ -777,8 +791,8 @@ class TestDistinctRows:
         np.array([[0.5, -0.0], [0.5, 0.0], [1.0, 0.0]]),
     ], ids=["negative-codes", "floats"])
     def test_other_tables_compare_bytes(self, table):
-        assert fcm._row_keys(table).dtype.kind == "V"
-        first, counts, inverse = fcm._distinct_rows(table)
+        assert engine._row_keys(table).dtype.kind == "V"
+        first, counts, inverse = engine._distinct_rows(table)
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
 
     @pytest.mark.parametrize("dtype", [np.int32, float], ids=["packed", "bytes"])
@@ -787,16 +801,35 @@ class TestDistinctRows:
         # group's rows in some order, and each group's first is still its least.
         rng = np.random.default_rng(7)
         table = rng.integers(0, 3, (7, 4))[rng.integers(0, 7, 30_000)].astype(dtype)
-        first, counts, inverse = fcm._distinct_rows(table)
+        first, counts, inverse = engine._distinct_rows(table)
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
+
+    @pytest.mark.parametrize("p", [1, 4, 40])
+    def test_store_finds_its_records_once(self, p):
+        # At most 12 distinct rows in 500: P = 40 exceeds k but not n, and
+        # the records' store takes k partitions without a clamp warning.
+        rng = np.random.default_rng(8)
+        table = rng.integers(0, 3, (12, 3))[rng.integers(0, 12, 500)].astype(np.int32)
+        store = ingest.partition(table, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, counts, inverse = store.distinct
+        first, want_counts, want_inverse = distinct_by_tuples(table)
+        assert records.data.tolist() == table[first].tolist()
+        assert (counts.tolist(), inverse.tolist()) == (want_counts, want_inverse)
+        assert records.num_partitions == min(p, len(first))
+        assert store.distinct is store.distinct  # cached on the store
 
 
 class TestDistinctStore:
-    """run_fcm on a store of distinct records with their counts as weights
-    gives the row store's memberships, centroids and traces, bit for bit."""
+    """run_fcm clusters a store's distinct records (``store.distinct``),
+    weighted by their counts: a row store at any partition count gives a
+    one-partition row store's bits, with the Burt job and the fit on the
+    same store, and the Burt job, fcm and the sweep share one dedup."""
 
     @staticmethod
-    def rows_and_model(kind):
+    def rows_and_cards(kind):
+        """The rows, and their cardinalities when they are codes."""
         if kind == "floats":
             rng = np.random.default_rng(21)
             rows, _, _ = duplicate_heavy(rng, points=300)
@@ -805,33 +838,49 @@ class TestDistinctStore:
         rows = [a + b for a, b in zip(datasets.clustered_categorical_rows(2500, 3, seed=23), reals)]
         names = ["q0", "q1", "q2", "x0", "x1"]
         dataset = ingest.discretize(rows, ingest.infer_schema(names, rows))
-        model = mca.fit_mca(*mca.accumulate_burt(ingest.partition(dataset, 1),
-                                                 dataset.cardinalities)[:2])
-        return dataset.codes, model
+        return dataset.codes, dataset.cardinalities
+
+    @staticmethod
+    def store_and_model(rows, cards, p):
+        store = ingest.partition(rows, p)
+        model = None if cards is None else mca.fit_mca(*mca.accumulate_burt(store, cards)[:2])
+        return store, model
 
     @pytest.mark.parametrize("m", [2.0, 1.7])
     @pytest.mark.parametrize("p", [1, 4, 16])
     @pytest.mark.parametrize("kind", ["codes", "floats"])
     def test_same_bits_as_the_row_store(self, kind, p, m):
-        rows, model = self.rows_and_model(kind)
+        rows, cards = self.rows_and_cards(kind)
         config = FcmConfig(c=3, m=m, epsilon=1e-7, max_iters=40, seed=4)
-        expanded = run_fcm(ingest.partition(rows, p), model, config, spec_for(p))
-        first, weights, inverse = fcm._distinct_rows(rows)
-        assert len(first) < len(rows)
-        result = run_fcm(ingest.partition(rows[first], p), model, config, spec_for(p),
-                         weights=weights)
-        assert result.inverse is None
-        assert result.u[inverse].tobytes() == expanded.u.tobytes()
-        assert result.v.tobytes() == expanded.v.tobytes()
+        expected = run_fcm(*self.store_and_model(rows, cards, 1), config, spec_for(1))
+        store, model = self.store_and_model(rows, cards, p)
+        result = run_fcm(store, model, config, spec_for(p))
+        records, _, inverse = store.distinct
+        assert records.n < len(rows) and records.num_partitions == min(p, records.n)
+        assert result.inverse is inverse and len(result.distinct_u) == records.n
+        assert result.u.tobytes() == expected.u.tobytes()
+        assert result.v.tobytes() == expected.v.tobytes()
         for trace in ("objective_trace", "max_delta_trace"):
             assert np.array(getattr(result, trace)).tobytes() == \
-                np.array(getattr(expanded, trace)).tobytes()
-        assert (result.iters_run, result.converged) == (expanded.iters_run, expanded.converged)
+                np.array(getattr(expected, trace)).tobytes()
+        assert (result.iters_run, result.converged) == (expected.iters_run, expected.converged)
 
-    def test_weights_must_match_the_records(self):
-        store = ingest.partition(np.arange(8.0).reshape(4, 2), 2)
-        with pytest.raises(SchemaError, match="3 weights for 4 rows"):
-            run_fcm(store, None, FcmConfig(c=2), spec_for(2), weights=np.ones(3))
+    def test_burt_fcm_and_sweep_share_one_dedup(self, monkeypatch):
+        # Every dedup sorts its keys once with np.argsort; count the sorts of
+        # n keys.  The seeds' dedup sorts the k < n projected points.
+        rows, cards = self.rows_and_cards("codes")
+        argsort, sorted_lengths = np.argsort, []
+
+        def counted(keys, *args, **kwargs):
+            sorted_lengths.append(len(keys))
+            return argsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        store, model = self.store_and_model(rows, cards, 4)
+        run_fcm(store, model, FcmConfig(c=3, seed=4, max_iters=5), spec_for(4))
+        validity.sweep(store, model, 2, 4, FcmConfig(c=2, seed=4, max_iters=5), spec_for(4))
+        assert sorted_lengths.count(len(rows)) == 1
+        assert store.distinct[0].n < len(rows)
 
 
 class StubModel:
@@ -857,7 +906,7 @@ class TestCoordinates:
         points, _, seeds, _ = fcm._coordinates(ingest.partition(data, 2), model)
         points = np.ascontiguousarray(points.data)
         assert (np.unique(points[:, 0]).size == len(points)) is shortcut
-        assert seeds.tolist() == fcm._distinct_rows(points)[0].tolist()
+        assert seeds.tolist() == engine._distinct_rows(points)[0].tolist()
         assert len(seeds) == len(points) - (model is not None)
 
 

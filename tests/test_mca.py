@@ -3,8 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from mrfcm import datasets, engine, fcm, ingest, mca
-from mrfcm.errors import NumericError, SchemaError
+from mrfcm import datasets, engine, ingest, mca
+from mrfcm.engine import JobSpec
+from mrfcm.errors import NumericError
 
 import reference
 
@@ -71,29 +72,40 @@ def encoded_table(kind, n=600):
 
 
 class TestWeightedBurt:
-    """The distinct records, weighted by their counts, give the rows' Burt
-    matrix and margins bit for bit, at any partition count."""
+    """The Burt job runs over a store's distinct records, weighted by their
+    counts: it gives the rows' indicator product bit for bit at any
+    partition count, and maps min(P, k) record blocks."""
 
-    @pytest.mark.filterwarnings("ignore:partition count")  # P > k clamps the records' store
-    @pytest.mark.parametrize("p", [1, 4, 16, "k+3"])
+    @staticmethod
+    def sizes(dataset, p):
+        """(k, P) of the dataset, "k+3" and "n+3" read as k + 3 and n + 3:
+        P = 1, 4 and 16 are at most k, k + 3 lies between k and n."""
+        k = len(engine._distinct_rows(dataset.codes)[0])
+        assert 16 < k < k + 3 < dataset.n
+        return k, {"k+3": k + 3, "n+3": dataset.n + 3}.get(p, p)
+
+    @pytest.mark.filterwarnings("ignore:partition count")  # P = n + 3 clamps the row store
+    @pytest.mark.parametrize("p", [1, 4, 16, "k+3", "n+3"])
     @pytest.mark.parametrize("kind", ["mixed", "categorical"])
     def test_weighted_records_give_the_rows_burt(self, kind, p):
         dataset = encoded_table(kind)
-        first, weights, _ = fcm._distinct_rows(dataset.codes)
-        p = len(first) + 3 if p == "k+3" else p
-        assert len(first) < p <= dataset.n or p <= len(first) < dataset.n
-        rows = mca.accumulate_burt(ingest.partition(dataset, p), dataset.cardinalities)
-        records = mca.accumulate_burt(ingest.partition(dataset.codes[first], p),
-                                      dataset.cardinalities, weights=weights)
-        (margins, burt, _), (w_margins, w_burt, _) = rows, records
-        assert w_burt.tobytes() == burt.tobytes()
-        assert w_margins.counts.tobytes() == margins.counts.tobytes()
-        assert w_margins.n == margins.n == dataset.n
+        _, p = self.sizes(dataset, p)
+        margins, burt, _ = mca.accumulate_burt(ingest.partition(dataset, p),
+                                               dataset.cardinalities)
+        rows_burt = reference.burt_of(dataset.codes, dataset.cardinalities)
+        assert burt.tobytes() == rows_burt.tobytes()
+        assert margins.counts.tobytes() == np.diag(rows_burt).tobytes()
+        assert margins.n == dataset.n
 
-    def test_weights_must_match_the_records(self):
-        store = ingest.partition(np.array([[0, 1], [1, 0]], dtype=np.int32), 1)
-        with pytest.raises(SchemaError, match="3 weights for 2 rows"):
-            mca.accumulate_burt(store, [2, 2], weights=[1.0, 2.0, 3.0])
+    @pytest.mark.filterwarnings("ignore:partition count")
+    @pytest.mark.parametrize("p", [4, "k+3", "n+3"])
+    def test_job_maps_one_block_per_record_partition(self, p):
+        dataset = encoded_table("categorical")
+        k, p = self.sizes(dataset, p)
+        store = ingest.partition(dataset, p)
+        _, _, metrics = mca.accumulate_burt(store, dataset.cardinalities, JobSpec(p, 1, "burt"))
+        assert metrics.records_in == min(p, k)
+        assert store.distinct[0].num_partitions == min(p, k)
 
 
 class TestFitMca:

@@ -197,10 +197,11 @@ class TestWeights:
         store = ingest.partition(coords, 4)
         config = FcmConfig(c=2, m=m, seed=3)
         report = sweep(store, None, 2, 4, config, JobSpec(4, 2, "s"))
-        points, weights, seeds, _ = fcm._coordinates(store, None)
+        coordinates = fcm._coordinates(store, None)
+        points, weights, _, _ = coordinates
         for row in report.rows:
             run_cfg = FcmConfig(c=row.c, m=m, seed=3 + row.c)
-            result = fcm._cluster(points, weights, seeds, run_cfg, JobSpec(4, 2, "f"))
+            result = fcm._cluster(coordinates, run_cfg, JobSpec(4, 2, "f"))
             u, v, data = result.distinct_u, result.v, points.data
             assert (row.xb, row.sc) == (xb(u, v, data, weights), sc(u, v, data, m, weights))
 
@@ -273,8 +274,9 @@ class TestSweep:
 
 
 class TestDistinctStore:
-    """sweep on a store of distinct records with their counts as weights
-    gives the row store's report, bit for bit, and still bounds c_max by n."""
+    """sweep scores a store's distinct records, weighted by their counts:
+    a row store at any partition count gives a one-partition row store's
+    report, bit for bit, and c_max is bounded by the rows, not the records."""
 
     @staticmethod
     def rows():
@@ -288,30 +290,27 @@ class TestDistinctStore:
     def test_same_rows_as_the_row_store(self, p, m):
         rows = self.rows()
         config = FcmConfig(c=2, m=m, seed=3)
-        expanded = sweep(ingest.partition(rows, p), None, 2, 8, config, JobSpec(p, 1, "s"))
-        first, weights, _ = fcm._distinct_rows(rows)
-        report = sweep(ingest.partition(rows[first], min(p, len(first))), None, 2, 8, config,
-                       JobSpec(p, 1, "s"), weights)
+        expected = sweep(ingest.partition(rows, 1), None, 2, 8, config, JobSpec(1, 1, "s"))
+        store = ingest.partition(rows, p)
+        report = sweep(store, None, 2, 8, config, JobSpec(p, 1, "s"))
+        assert store.distinct[0].num_partitions == min(p, 6)
         assert [r.failed for r in report.rows] == [False] * 5 + [True] * 2
         as_bytes = [np.array(dataclasses.astuple(r), dtype=float).tobytes()
                     for r in report.rows]
         assert as_bytes == [np.array(dataclasses.astuple(r), dtype=float).tobytes()
-                            for r in expanded.rows]
+                            for r in expected.rows]
         assert (report.best_per_index, report.consensus_c) == \
-            (expanded.best_per_index, expanded.consensus_c)
+            (expected.best_per_index, expected.consensus_c)
 
     def test_c_max_is_bounded_by_the_row_count(self):
         rows = self.rows()
-        first, weights, _ = fcm._distinct_rows(rows)
-        records = ingest.partition(rows[first], 2)
+        store = ingest.partition(rows, 2)
         half = len(rows) // 2
-        report = sweep(records, None, 2, half, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"),
-                       weights)
-        assert report.rows[-1].c == half and report.rows[-1].failed
-        for store, w in [(records, weights), (ingest.partition(rows, 2), None)]:
-            with pytest.raises(NumericError) as caught:
-                sweep(store, None, 2, half + 1, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"), w)
-            assert str(caught.value) == f"c_max {half + 1} exceeds n/2 = {half}"
+        report = sweep(store, None, 2, half, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"))
+        assert report.rows[-1].c == half > store.distinct[0].n and report.rows[-1].failed
+        with pytest.raises(NumericError) as caught:
+            sweep(store, None, 2, half + 1, FcmConfig(c=2, seed=3), JobSpec(2, 1, "s"))
+        assert str(caught.value) == f"c_max {half + 1} exceeds n/2 = {half}"
 
 
 class TestReportFiles:
