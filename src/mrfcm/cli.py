@@ -7,11 +7,11 @@ A failure to make or write any of them exits 3.  All numeric output
 files are written with full-precision decimal formatting, so a rerun
 with the same configuration and seed reproduces them byte for byte.
 
-Every subcommand splits the encoded rows into partitions (--mappers, or
-each --bench-deployments mapper count) and hands the store to the
-library: the Burt job and fcm run on its k distinct records, found once
-per store and weighted by their counts, and ``memberships.csv`` expands
-them to every row through the row -> record index.
+Every subcommand hands the library a store of the encoded rows.  Its k
+distinct records, found once and weighted by their counts, are cut into
+fixed splits for the Burt job and fcm; --mappers (or a --bench-deployments
+count) only bounds how many map at once, and ``memberships.csv`` expands
+the records to every row through the row -> record index.
 """
 from __future__ import annotations
 

@@ -5,10 +5,10 @@ Jobs run over a PartitionedStore, the contiguous row blocks that
 immutable broadcast context.  The store lives here, beside the code that
 consumes it, as does the package's one dedup, ``first_appearance``, which
 the CSV reader and the store share: a store finds its distinct rows once,
-on first use (``PartitionedStore.distinct``), and the Burt job, fcm and
-the sweep all read those weighted records.  This module imports no part
-of the package but its errors: a process that only runs jobs loads
-neither.
+on first use (``PartitionedStore.distinct``), in splits of at most
+``SPLIT_ROWS`` whatever the mapper count, and the Burt job, fcm and the
+sweep all read those weighted records.  This module imports no part of
+the package but its errors: a process that only runs jobs loads neither.
 
 Each partition is one map call and each key one reduce call;
 ``sum_reduce``, which the Burt job and the fcm iterations share, adds a
@@ -58,6 +58,9 @@ from .errors import EngineError, SchemaError
 # more CPU than it saves in wall time (measured per fcm iteration; see
 # CHANGES.md).
 INLINE_ROWS_PER_TASK = 4096
+# Most distinct records per split.  The splits fix the order of every
+# floating-point sum, so changing this changes the output bits.
+SPLIT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,11 @@ class PartitionedStore:
     @functools.cached_property
     def distinct(self):
         """(records, counts, inverse): a store of the distinct rows in
-        first-appearance order, with min(P, k) partitions, how often each
-        occurs as float64, and the row -> record index.  Found once per
-        store, by ``_distinct_rows``, and shared by every job that reads it."""
+        first-appearance order, in ceil(k / SPLIT_ROWS) splits whatever P
+        is, how often each occurs as float64, and the row -> record index.
+        Found once per store, by ``_distinct_rows``, for every job."""
         first, counts, inverse = _distinct_rows(self.data)
-        return partition(self.data[first], min(self.num_partitions, len(first))), counts, inverse
+        return partition(self.data[first], -(-len(first) // SPLIT_ROWS)), counts, inverse
 
     @property
     def num_partitions(self) -> int:

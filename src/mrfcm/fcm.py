@@ -12,11 +12,11 @@ with its MCA model, and its distinct records are projected once, by one
 The result keeps one membership row per distinct record and the row ->
 record index, and expands them to every row only on request.
 
-Each iteration is one job over blocks of at most ``POINT_BLOCK_ROWS``
-distinct points, one map call per block, so every sum is taken in the
-same order under any deployment.  The distinct points are stored once,
-column-major, so each block's (b, d) view is the transpose of contiguous
-(d, b) coordinate rows.  Each map computes the block's squared
+Each iteration is one job over the records' splits of at most
+``engine.SPLIT_ROWS`` points, one map call per split, so every sum is
+taken in the same order under any deployment.  The points are stored
+once, column-major, so each block's (b, d) view is the transpose of
+contiguous (d, b) coordinate rows.  Each map computes the block's squared
 distances to the centroids once (``sq_dist``, the one distance routine
 of the package) and its memberships by one formula scaled to each
 point's nearest centroid, both cluster-major as (c, b) arrays: the
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import JobSpec, PartitionedStore, _distinct_rows, partition, run_job, sum_reduce
+from .engine import JobSpec, PartitionedStore, _distinct_rows, run_job, sum_reduce
 from .errors import NumericError
 from .mca import MCAModel
 
@@ -53,9 +53,6 @@ from .mca import MCAModel
 SINGULARITY_DISTANCE = 1e-12
 # Cluster weights below this trigger the empty-cluster rescue.
 EMPTY_CLUSTER_EPS = 1e-12
-# Most distinct points per block.  The blocks fix the order of every
-# floating-point sum, so changing this changes the output bits.
-POINT_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -300,10 +297,10 @@ def _coordinates(store, model):
     Only the distinct records are projected.  Two records can project to
     one point, so the seeds are found here, once for every candidate of a
     sweep: every point when the first coordinate has no repeat, otherwise
-    by a second dedup on the points.  The k points go into
-    ceil(k / POINT_BLOCK_ROWS) blocks of a column-major store, whatever
-    partitions ``store`` had.  Points in first-appearance order give
-    init_centroids the same picks as every row would.
+    by a second dedup on the points.  The k points go into a column-major
+    store on the records' offsets, so its blocks are the records' splits,
+    whatever partitions ``store`` had.  Points in first-appearance order
+    give init_centroids the same picks as every row would.
     """
     records, weights, inverse = store.distinct
     points = np.asarray(records.data, float) if model is None else model.transform(records.data)
@@ -311,7 +308,7 @@ def _coordinates(store, model):
         seeds = np.arange(len(points))
     else:
         seeds, _, _ = _distinct_rows(points)
-    points = partition(np.asfortranarray(points), -(-len(points) // POINT_BLOCK_ROWS))
+    points = PartitionedStore(np.asfortranarray(points), records.offsets)
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
     with np.errstate(over="ignore", invalid="ignore"):

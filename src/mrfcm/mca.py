@@ -23,10 +23,10 @@ so projections are pure gather-and-sum per record: bitwise identical no
 matter how rows are blocked into partitions, and the per-axis variance
 of the projected cloud equals that axis's eigenvalue.
 
-The Burt job reads a store's distinct records (``PartitionedStore.distinct``),
-each weighted by its count; the counts stay whole numbers, so it gives
-the rows' Burt matrix bit for bit under any BLAS kernel
-(``accumulate_burt``).
+The Burt job (``accumulate_burt``) maps the fixed splits of a store's
+weighted distinct records (``PartitionedStore.distinct``); each map's
+indicator is at most ``engine.SPLIT_ROWS`` x J, and its whole counts give
+the rows' Burt matrix bit for bit under any BLAS kernel.
 """
 from __future__ import annotations
 
@@ -126,11 +126,11 @@ def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None
     """Assemble global margins and the Burt matrix with one engine pass.
 
     The job runs over the store's k distinct records (``store.distinct``,
-    min(P, k) partitions), a record of count w standing for w identical
-    rows.  Each map task emits its partition's partial co-occurrence
-    counts; the reduce sums them in partition order.  Counts are integers,
-    so the result is the rows' Burt matrix, exact and independent of the
-    partitioning.
+    ceil(k / SPLIT_ROWS) splits whatever P is), a record of count w
+    standing for w identical rows.  Each map task emits its split's
+    partial co-occurrence counts; the reduce sums them in split order.
+    Counts are integers, so the result is the rows' Burt matrix, exact
+    and independent of the partitioning.
     """
     spec = spec or JobSpec(store.num_partitions, 1, "burt")
     records, weights, _ = store.distinct

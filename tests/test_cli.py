@@ -1,6 +1,10 @@
 import io
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from mrfcm import cli, datasets, engine, fcm, ingest, mca
 from mrfcm.cli import build_parser, main
 from mrfcm.engine import JobSpec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +365,33 @@ class TestMcaInfo:
         assert (out / "axes.csv").read_text().split("\n") == [
             "axis_index,eigenvalue,inertia_fraction", *axes, ""]
 
+    def test_peak_memory_does_not_depend_on_mappers(self, tmp_path):
+        """The Burt job maps fixed splits of at most engine.SPLIT_ROWS
+        records, so on 50,000 distinct rows of 10 columns of 50 labels
+        (J = 500) the peak RSS at --mappers 400 stays within 10% of
+        --mappers 1.  Each run is a fresh interpreter that reports its own
+        RUSAGE_SELF peak; RUSAGE_CHILDREN would be a maximum over all runs."""
+        codes = np.random.default_rng(12).integers(0, 50, (50_000, 10)).tolist()
+        table = tmp_path / "j500.csv"
+        datasets.write_csv(table, [[f"v{code}" for code in row] for row in codes],
+                           header=[f"q{j}" for j in range(10)])
+        script = ("import resource, sys\nfrom mrfcm import cli\n"
+                  "code = cli.main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+        def peak(mappers):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "mca-info", "--input", str(table),
+                 "--mappers", str(mappers), "--out-dir", str(tmp_path / f"out{mappers}")],
+                env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+                timeout=300, check=True)
+            code, rss = proc.stdout.split("\n")[-2].split()
+            assert code == "0" and "categories=500" in proc.stdout
+            return int(rss)
+
+        one, many = peak(1), peak(400)
+        assert many <= 1.1 * one, (one, many)
+
 
 @pytest.mark.parametrize("dims", ["-1", "0"])
 @pytest.mark.parametrize("command, extra", [("cluster", ["--c", "2"]),
@@ -547,37 +580,41 @@ def test_output_file_that_cannot_be_written_exits_3(mm_csv, tmp_path, capsys, co
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("block_rows, inline_rows", [
-    pytest.param(fcm.POINT_BLOCK_ROWS, engine.INLINE_ROWS_PER_TASK, id=str(fcm.POINT_BLOCK_ROWS)),
+@pytest.mark.parametrize("split_rows, inline_rows", [
+    pytest.param(engine.SPLIT_ROWS, engine.INLINE_ROWS_PER_TASK, id=str(engine.SPLIT_ROWS)),
     pytest.param(50, engine.INLINE_ROWS_PER_TASK, id="50"),
     # Every job with more than one partition maps on the worker pool.
-    pytest.param(fcm.POINT_BLOCK_ROWS, 0, id=f"{fcm.POINT_BLOCK_ROWS}-pooled"),
+    pytest.param(engine.SPLIT_ROWS, 0, id=f"{engine.SPLIT_ROWS}-pooled"),
     pytest.param(50, 0, id="50-pooled"),
 ])
-def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, block_rows,
+def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, split_rows,
                                               inline_rows):
-    """The byte-stable files do not depend on --mappers or --reducers."""
-    monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", block_rows)
+    """The byte-stable files do not depend on --mappers or --reducers.  At
+    50-record splits the Burt job of mca-info maps several splits too."""
+    monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
     monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
 
     def outputs(command, extra, names, deployment):
         mappers, reducers = deployment
         out = tmp_path / f"{command}_{mappers}x{reducers}"
-        assert run(command, "--input", mm_csv, "--seed", "42", *extra,
+        assert run(command, "--input", mm_csv, *extra,
                    "--mappers", str(mappers), "--reducers", str(reducers),
                    "--out-dir", str(out)) == 0
         return {name: (out / name).read_bytes() for name in names}
 
     # At c = 9 the sums over clusters have more than 8 terms.
     for c in ("3", "9"):
-        clusters = [outputs("cluster", ["--c", c],
+        clusters = [outputs("cluster", ["--seed", "42", "--c", c],
                             ["memberships.csv", "centroids.csv", "trace.csv"], deployment)
                     for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
         assert all(other == clusters[0] for other in clusters[1:]), c
-    sweeps = [outputs("sweep", ["--c-min", "2", "--c-max", "5"],
+    sweeps = [outputs("sweep", ["--seed", "42", "--c-min", "2", "--c-max", "5"],
                       ["validity.csv", "validity_plot.dat"], deployment)
               for deployment in [(1, 1), (2, 1), (16, 1), (7, 3)]]
     assert all(other == sweeps[0] for other in sweeps[1:])
+    fits = [outputs("mca-info", [], ["schema.txt", "axes.csv", "loadings.csv"], deployment)
+            for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
+    assert all(other == fits[0] for other in fits[1:])
 
 
 @pytest.mark.parametrize("command, first, second, blocked", [

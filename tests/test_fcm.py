@@ -262,7 +262,7 @@ class TestIterationDeterminism:
         distinct = rng.normal(size=(9000, 3))
         counts = rng.integers(1, 6, size=9000)
         rows = np.repeat(distinct, counts, axis=0)
-        blocks = ingest.partition(distinct, -(-len(distinct) // fcm.POINT_BLOCK_ROWS))
+        blocks = ingest.partition(distinct, -(-len(distinct) // engine.SPLIT_ROWS))
         assert blocks.num_partitions == 3
         config = FcmConfig(c=4, seed=2, max_iters=4, fixed_iterations=True)
 
@@ -592,7 +592,7 @@ class TestRunFcm:
     def test_duplicate_free_store_runs_on_fixed_blocks(self, monkeypatch):
         # 200 points in blocks of at most 16 rows: 13 blocks, whatever the
         # caller's partitions and mappers.
-        monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(engine, "SPLIT_ROWS", 16)
         rng = np.random.default_rng(21)
         coords = rng.normal(size=(200, 2))
         config = FcmConfig(c=3, seed=1, max_iters=5, fixed_iterations=True)
@@ -639,7 +639,7 @@ class TestFixedBlocks:
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(fcm, "POINT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(engine, "SPLIT_ROWS", 16)
 
     @staticmethod
     def stores():
@@ -805,20 +805,24 @@ class TestDistinctRows:
         assert (first.tolist(), counts.tolist(), inverse.tolist()) == distinct_by_tuples(table)
 
     @pytest.mark.parametrize("p", [1, 4, 40])
-    def test_store_finds_its_records_once(self, p):
-        # At most 12 distinct rows in 500: P = 40 exceeds k but not n, and
-        # the records' store takes k partitions without a clamp warning.
+    def test_store_finds_its_records_once(self, p, monkeypatch):
+        # At most 12 distinct rows in 500: P = 40 exceeds k but not n.  The
+        # records' store takes its fixed splits, one at the default split
+        # size and three at 5, without a clamp warning.
         rng = np.random.default_rng(8)
         table = rng.integers(0, 3, (12, 3))[rng.integers(0, 12, 500)].astype(np.int32)
-        store = ingest.partition(table, p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            records, counts, inverse = store.distinct
         first, want_counts, want_inverse = distinct_by_tuples(table)
-        assert records.data.tolist() == table[first].tolist()
-        assert (counts.tolist(), inverse.tolist()) == (want_counts, want_inverse)
-        assert records.num_partitions == min(p, len(first))
-        assert store.distinct is store.distinct  # cached on the store
+        for split_rows in (engine.SPLIT_ROWS, 5):
+            monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
+            store = ingest.partition(table, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                records, counts, inverse = store.distinct
+            assert records.data.tolist() == table[first].tolist()
+            assert (counts.tolist(), inverse.tolist()) == (want_counts, want_inverse)
+            splits = ingest.partition(records.data, -(-len(first) // split_rows))
+            assert records.offsets.tolist() == splits.offsets.tolist()
+            assert store.distinct is store.distinct  # cached on the store
 
 
 class TestDistinctStore:
@@ -856,7 +860,8 @@ class TestDistinctStore:
         store, model = self.store_and_model(rows, cards, p)
         result = run_fcm(store, model, config, spec_for(p))
         records, _, inverse = store.distinct
-        assert records.n < len(rows) and records.num_partitions == min(p, records.n)
+        splits = ingest.partition(records.data, -(-records.n // engine.SPLIT_ROWS))
+        assert records.n < len(rows) and records.offsets.tolist() == splits.offsets.tolist()
         assert result.inverse is inverse and len(result.distinct_u) == records.n
         assert result.u.tobytes() == expected.u.tobytes()
         assert result.v.tobytes() == expected.v.tobytes()

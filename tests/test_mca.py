@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from mrfcm import datasets, engine, ingest, mca
+from mrfcm import datasets, engine, fcm, ingest, mca
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 
@@ -74,7 +74,7 @@ def encoded_table(kind, n=600):
 class TestWeightedBurt:
     """The Burt job runs over a store's distinct records, weighted by their
     counts: it gives the rows' indicator product bit for bit at any
-    partition count, and maps min(P, k) record blocks."""
+    partition count, and maps the records' fixed splits, as fcm does."""
 
     @staticmethod
     def sizes(dataset, p):
@@ -98,14 +98,26 @@ class TestWeightedBurt:
         assert margins.n == dataset.n
 
     @pytest.mark.filterwarnings("ignore:partition count")
-    @pytest.mark.parametrize("p", [4, "k+3", "n+3"])
-    def test_job_maps_one_block_per_record_partition(self, p):
+    @pytest.mark.parametrize("p", [1, 4, 16, "k+3", "n+3"])
+    def test_job_maps_one_block_per_record_partition(self, p, monkeypatch):
+        # ceil(k / SPLIT_ROWS) splits whatever P is: one at the default
+        # split size, several at 16.  The Burt job and every fcm iteration
+        # map one block per split.
         dataset = encoded_table("categorical")
         k, p = self.sizes(dataset, p)
-        store = ingest.partition(dataset, p)
-        _, _, metrics = mca.accumulate_burt(store, dataset.cardinalities, JobSpec(p, 1, "burt"))
-        assert metrics.records_in == min(p, k)
-        assert store.distinct[0].num_partitions == min(p, k)
+        for split_rows in (engine.SPLIT_ROWS, 16):
+            monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
+            store = ingest.partition(dataset, p)
+            margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities,
+                                                         JobSpec(p, 1, "burt"))
+            records = store.distinct[0]
+            splits = ingest.partition(records.data, -(-k // split_rows))
+            assert records.offsets.tolist() == splits.offsets.tolist()
+            assert metrics.records_in == splits.num_partitions
+            sink = []
+            fcm.run_fcm(store, mca.fit_mca(margins, burt), fcm.FcmConfig(c=3, max_iters=3),
+                        JobSpec(p, 1, "fcm"), metrics_sink=sink)
+            assert [job.records_in for job in sink] == [splits.num_partitions] * 3
 
 
 class TestFitMca:

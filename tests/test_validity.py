@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mrfcm import datasets, fcm, ingest, validity
+from mrfcm import datasets, engine, fcm, ingest, validity
 from mrfcm.engine import JobSpec
 from mrfcm.errors import NumericError
 from mrfcm.fcm import FcmConfig, objective, run_fcm
@@ -293,7 +293,9 @@ class TestDistinctStore:
         expected = sweep(ingest.partition(rows, 1), None, 2, 8, config, JobSpec(1, 1, "s"))
         store = ingest.partition(rows, p)
         report = sweep(store, None, 2, 8, config, JobSpec(p, 1, "s"))
-        assert store.distinct[0].num_partitions == min(p, 6)
+        records = store.distinct[0]
+        splits = ingest.partition(records.data, -(-records.n // engine.SPLIT_ROWS))
+        assert records.offsets.tolist() == splits.offsets.tolist()
         assert [r.failed for r in report.rows] == [False] * 5 + [True] * 2
         as_bytes = [np.array(dataclasses.astuple(r), dtype=float).tobytes()
                     for r in report.rows]
