@@ -142,16 +142,17 @@ def _write_matrix(path, rows, inverse=None):
     """Write rows[inverse] (every row when None) as ``np.savetxt`` with
     fmt="%.17g" and delimiter="," would.  Each row of ``rows`` is formatted
     once (``_format_lines``), ``ingest.BLOCK_ROWS`` rows at a time; the file
-    is written in binary, ``ingest.BLOCK_ROWS`` gathered lines per write."""
+    is written in binary, ``ingest.BLOCK_ROWS`` lines per write, gathered
+    through an object array."""
     rows = np.asarray(rows, dtype=float)
     lines = []
     for start in range(0, len(rows), ingest.BLOCK_ROWS):
         lines += _format_lines(rows[start:start + ingest.BLOCK_ROWS])
+    lines = np.array(lines, dtype=object)
     order = np.arange(len(lines)) if inverse is None else inverse
     with open(path, "wb") as fh:
         for start in range(0, len(order), ingest.BLOCK_ROWS):
-            chunk = order[start:start + ingest.BLOCK_ROWS].tolist()
-            fh.write(b"".join(map(lines.__getitem__, chunk)))
+            fh.write(b"".join(lines[order[start:start + ingest.BLOCK_ROWS]].tolist()))
 
 
 def _write_metrics(path, metrics_list):

@@ -20,11 +20,14 @@ dictionary.  Any other column is wide, its keys written as bytes.  Only a
 wide column can be a RealColumn, if every present cell is a real and more
 than MAX_CARD of them differ; otherwise its bytes are replayed too, one
 label decoder for all.  So a column of keys alone, with at most BLOCK_ROWS
-distinct reals, stays a dictionary column.  Quoted or irregular files, and
-every input error message, go through the csv module.  Only distinct
-labels are classified and parsed, by ``float`` mapped in C; every numeric
-column is binned from its per-row floats.  ``load_csv``, ``infer_schema``
-and ``discretize`` encode rows held in memory the same way.
+distinct reals, stays a dictionary column.  A wide column's cells are
+parsed block by block, by ``float`` mapped in C: a block of printable
+ASCII without the space straight from its bytes, any other decoded and
+stripped first.  Quoted or irregular files, and every input error
+message, go through the csv module.  A dictionary column's distinct
+labels alone are classified and parsed; every numeric column is binned
+from its per-row floats.  ``load_csv``, ``infer_schema`` and
+``discretize`` encode rows held in memory the same way.
 """
 from __future__ import annotations
 
@@ -46,6 +49,9 @@ from .errors import DataIOError, SchemaError
 
 # Cell values treated as missing ("?" is the usual marker in UCI exports).
 MISSING_TOKENS = frozenset({"", "?", "NA", "na", "NaN", "nan", "NULL", "null"})
+# The same tokens as bytes, and the longest's length: a longer cell is present.
+_MISSING_BYTES = frozenset(token.encode() for token in MISSING_TOKENS)
+_MISSING_WIDEST = max(map(len, _MISSING_BYTES))
 # Thresholds of infer_schema's numeric test.
 NUMERIC_DETECT = 0.95
 MAX_CARD = 12
@@ -264,15 +270,22 @@ def _reals(labels):
     """(present, values) of stripped cells: ``present`` marks those that are
     not missing tokens, and ``values`` holds their floats, parsed by float()
     mapped in C, with NaN elsewhere; ``values`` is None if a present cell is
-    not a real."""
+    not a real.  It types a dictionary column's labels, and the decoded
+    cells of a wide block that ``_block_reals`` cannot read as bytes."""
     present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
-    values = np.full(len(labels), np.nan)
+    return present, _floats(labels, present)
+
+
+def _floats(cells, present):
+    """float() of the ``present`` cells, mapped in C, with NaN elsewhere;
+    None if a present cell is not a real."""
+    values = np.full(len(cells), np.nan)
     try:
-        values[present] = np.fromiter(map(float, compress(labels, present)), float,
+        values[present] = np.fromiter(map(float, compress(cells, present)), float,
                                       np.count_nonzero(present))
     except ValueError:
-        return present, None
-    return present, values
+        return None
+    return values
 
 
 def _classify(labels):
@@ -401,14 +414,39 @@ def _replay(text) -> EncodedColumn:
     return _merge(index, parts, n)
 
 
+def _block_reals(block):
+    """``_reals`` of the stripped cells of one ``_wide_text`` bytes block.
+
+    In a plain block, whose bytes other than its LFs all lie in 33-126
+    (printable ASCII without the space), each cell is its own stripped text
+    and float() reads its bytes as it reads that text.  So a plain block is
+    typed from its bytes: one split, a lookup in _MISSING_BYTES for only the
+    cells no longer than the longest missing token, and one float() map in
+    C.  Any other block is decoded and stripped first.
+    """
+    cells = block.split(b"\n")[:-1]
+    buf = np.frombuffer(block, dtype=np.uint8)
+    # In uint8, bytes below 33 wrap past 126: this counts every byte outside
+    # 33-126, the LFs included.
+    if np.count_nonzero(buf - 33 > 126 - 33) != len(cells):
+        return _reals(list(map(str.strip, _split(block))))
+    present = np.ones(len(cells), dtype=bool)
+    spans = np.diff(np.flatnonzero(buf == 10), prepend=-1)  # each cell and its LF
+    short = np.flatnonzero(spans <= _MISSING_WIDEST + 1)
+    present[short] = [cells[i] not in _MISSING_BYTES for i in short.tolist()]
+    return present, _floats(cells, present)
+
+
 def _wide_column(text) -> RealColumn | EncodedColumn:
     """The column of ``_wide_text`` bytes blocks: a RealColumn if every
-    present cell, stripped, is a real (``_reals``) and more than MAX_CARD of
-    them differ, otherwise their replay.  Equal reals count once, as NaNs
-    and zeros of either sign do."""
+    present cell, stripped, is a real and more than MAX_CARD of them differ,
+    otherwise their replay.  Each block is typed on its own by
+    ``_block_reals``, from its bytes if they are plain, and the first block
+    with a present cell that is not a real ends the typing.  Equal reals
+    count once, as NaNs and zeros of either sign do."""
     reals, seen = [], np.empty(0)
     for block in text:
-        present, values = _reals(list(map(str.strip, _split(block))))
+        present, values = _block_reals(block)
         if values is None:
             return _replay(text)
         if len(seen) <= MAX_CARD:

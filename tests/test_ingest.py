@@ -813,6 +813,43 @@ class TestRealColumns:
         assert {"?", "NAN", "-nan", "inf", "1_0", "1.5"} <= set(encoded(column).labels)
         assert column.row_present.tolist() == [cell != " ? " for cell in cells]
 
+    @pytest.mark.parametrize("cells, plain", [
+        (sorted(ingest.MISSING_TOKENS) + ["-0.5", "12345", "1_0", "inf", "-nan", "1e400"], True),
+        (["2.5", "0x10", "NULL"], True),
+        ([" ? ", "2.5"], False),
+        (["1.5\t", "?"], False),
+        (["\x1c1.5", "NA"], False),
+        (["\xa01.5", "null"], False),
+        (["١٢", ""], False),
+    ], ids=["plain", "not-a-real", "padded-token", "tab", "file-separator", "no-break-space",
+            "arabic-digits"])
+    def test_block_reals_match_the_decoded_cells(self, monkeypatch, cells, plain):
+        # A block whose bytes, LFs aside, all lie in 33-126 is typed from its
+        # bytes, any other is decoded; both give _reals of the stripped cells.
+        block = "".join(cell + "\n" for cell in cells).encode("utf-8")
+        want_present, want = ingest._reals(list(map(str.strip, ingest._split(block))))
+        decoded = []
+        split = ingest._split
+        monkeypatch.setattr(ingest, "_split", lambda text: decoded.append(text) or split(text))
+        present, values = ingest._block_reals(block)
+        assert decoded == ([] if plain else [block])
+        assert present.tolist() == want_present.tolist()
+        if want is None:
+            assert values is None
+        else:
+            assert values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("block_rows", [7, ingest.BLOCK_ROWS])
+    def test_short_cells_of_plain_blocks_stay_reals(self, tmp_path, monkeypatch, block_rows):
+        # Four cells in five have 4 bytes or fewer, as long as "NULL"; the
+        # 9-digit reals make every block wide.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        short = ["0.25", "NULL", "?", ""]
+        cells = [f"{k * 0.37 + 100:.6f}" if k % 5 == 4 else short[k % 5] for k in range(200)]
+        column = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))[1][0]
+        assert isinstance(column, ingest.RealColumn)
+        assert column.row_present.tolist() == [cell not in ingest.MISSING_TOKENS for cell in cells]
+
     @pytest.mark.parametrize("block_rows", [3, ingest.BLOCK_ROWS])
     @pytest.mark.parametrize("case", ["ids", "wide-real-later", "wide-real-then-text"])
     def test_a_column_that_turns_wide_later_is_typed_at_the_end(self, tmp_path, monkeypatch,
