@@ -7,11 +7,10 @@ A failure to make or write any of them exits 3.  All numeric output
 files are written with full-precision decimal formatting, so a rerun
 with the same configuration and seed reproduces them byte for byte.
 
-Every subcommand hands the library a store of the encoded rows.  Its k
-distinct records, found once and weighted by their counts, are cut into
-fixed splits for the Burt job and fcm; --mappers (or a --bench-deployments
-count) only bounds how many map at once, and ``memberships.csv`` expands
-the records to every row through the row -> record index.
+Every subcommand fits one uncut, uncopied store of the encoded codes
+(``_fit``).  The Burt job and fcm map its k distinct records, weighted by
+their counts, in fixed splits; --mappers only bounds how many map at once,
+and ``memberships.csv`` expands the records to every row.
 """
 from __future__ import annotations
 
@@ -31,7 +30,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import ingest, mca, validity
-from .engine import METRICS_HEADER, JobSpec
+from .engine import METRICS_HEADER, JobSpec, PartitionedStore
 from .errors import DataIOError, MrfcmError, NumericError
 from .fcm import FcmConfig, run_fcm
 
@@ -162,17 +161,20 @@ def _write_metrics(path, metrics_list):
             fh.write(metrics.csv_line() + "\n")
 
 
+def _fit(dataset, spec, mca_dims):
+    """(store, model, Burt job metrics) of an encoded dataset.  The store wraps
+    the codes uncopied in one block, as ``fcm._coordinates`` wraps its
+    points: every job maps the fixed splits of the distinct records."""
+    store = PartitionedStore(dataset.codes, np.array([0, dataset.n]))
+    margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities, spec)
+    return store, mca.fit_mca(margins, burt, mca_dims=mca_dims), metrics
+
+
 def _encode_and_fit(args):
-    """(dataset, store, model, Burt job metrics) of the --input CSV.  The
-    store holds the codes in --mappers partitions, and the dataset shares
-    its copy, so the n codes are held once."""
+    """(dataset, store, model, Burt job metrics) of the --input CSV, by ``_fit``."""
     dataset = ingest.encode_csv(args.input, has_header=args.header,
                                 delimiter=args.delimiter, bins=args.bins)
-    store = ingest.partition(dataset, args.mappers)
-    dataset.codes = store.data
-    spec = JobSpec(args.mappers, args.reducers, "burt")
-    margins, burt, metrics = mca.accumulate_burt(store, dataset.cardinalities, spec)
-    return dataset, store, mca.fit_mca(margins, burt, mca_dims=args.mca_dims), metrics
+    return (dataset, *_fit(dataset, JobSpec(args.mappers, args.reducers, "burt"), args.mca_dims))
 
 
 def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> int:
@@ -223,11 +225,9 @@ def cmd_bench(args, bench_csv) -> int:
             if size > dataset.n:
                 dataset = ingest.replicate_to_size(dataset, size, seed=args.seed)
             for mappers, reducers in args.bench_deployments:
-                store = ingest.partition(dataset, mappers)
                 spec = JobSpec(mappers, reducers, f"bench_{size}")
                 started = time.perf_counter()
-                margins, burt, _ = mca.accumulate_burt(store, dataset.cardinalities, spec)
-                model = mca.fit_mca(margins, burt, mca_dims=args.mca_dims)
+                store, model, _ = _fit(dataset, spec, args.mca_dims)  # each cell dedups anew
                 result = run_fcm(store, model, config, spec)
                 elapsed = time.perf_counter() - started
                 fh.write(f"{size},{mappers},{reducers},{elapsed:.6f}\n")

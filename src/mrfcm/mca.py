@@ -126,14 +126,14 @@ def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None
     """Assemble global margins and the Burt matrix with one engine pass.
 
     The job runs over the store's k distinct records (``store.distinct``,
-    ceil(k / SPLIT_ROWS) splits whatever P is), a record of count w
-    standing for w identical rows.  Each map task emits its split's
-    partial co-occurrence counts; the reduce sums them in split order.
-    Counts are integers, so the result is the rows' Burt matrix, exact
-    and independent of the partitioning.
+    ceil(k / SPLIT_ROWS) splits whatever P is, one mapper each by
+    default), a record of count w standing for w identical rows.  Each
+    map task emits its split's partial co-occurrence counts; the reduce
+    sums them in split order.  Counts are integers, so the result is the
+    rows' Burt matrix, exact and independent of the partitioning.
     """
-    spec = spec or JobSpec(store.num_partitions, 1, "burt")
     records, weights, _ = store.distinct
+    spec = spec or JobSpec(records.num_partitions, 1, "burt")
     col_offsets = np.concatenate(([0], np.cumsum(cardinalities))).astype(np.int64)
     context = (col_offsets, weights, records.offsets)
     results, metrics = run_job(spec, records, context, _burt_map, sum_reduce)

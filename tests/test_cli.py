@@ -436,19 +436,20 @@ COMMAND_ARGS = {"cluster": ["--c", "2"], "sweep": ["--c-max", "3"],
 
 
 @pytest.mark.parametrize("rows", [40, 10])
-@pytest.mark.parametrize("command", ["cluster", "sweep", "mca-info"])
-def test_partition_clamp_warns_only_with_fewer_rows_than_mappers(tmp_path, command, rows):
-    """The rows hold 3 distinct records: --mappers 16 splits the rows
-    silently at 40 rows and with a warning naming the 10 rows at 10 rows,
-    and the store's 3 records get 3 partitions without one."""
+@pytest.mark.parametrize("command", ["cluster", "sweep", "mca-info", "bench"])
+def test_no_subcommand_warns_about_its_mapper_count(tmp_path, command, rows):
+    """The rows hold 3 distinct records.  No subcommand cuts its rows by
+    --mappers or a --bench-deployments count, so 16 mappers warn neither
+    on 40 rows nor on 10, fewer rows than mappers."""
     records = [["a", "x"], ["b", "y"], ["c", "x"]]
     path = datasets.write_csv(tmp_path / "three.csv", (records * rows)[:rows], header=["p", "q"])
+    flags = [*COMMAND_ARGS[command], "--mappers", "16"]
+    if command == "bench":
+        flags = ["--bench-sizes", str(rows), "--bench-deployments", "16x8"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run(command, "--input", str(path), *COMMAND_ARGS[command], "--mappers", "16",
-                   "--out-dir", str(tmp_path / "o")) == 0
-    expected = [f"partition count 16 exceeds row count {rows}; clamping"] if rows < 16 else []
-    assert [str(warning.message) for warning in caught] == expected
+        assert run(command, "--input", str(path), *flags, "--out-dir", str(tmp_path / "o")) == 0
+    assert [str(warning.message) for warning in caught] == []
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))

@@ -119,6 +119,18 @@ class TestWeightedBurt:
                         JobSpec(p, 1, "fcm"), metrics_sink=sink)
             assert [job.records_in for job in sink] == [splits.num_partitions] * 3
 
+    @pytest.mark.parametrize("p", [1, 16])
+    def test_default_spec_has_one_mapper_per_record_split(self, p, monkeypatch):
+        # Left out, the spec takes its mapper count from the records'
+        # ceil(k / SPLIT_ROWS) splits, not from the row store's P.
+        dataset = encoded_table("categorical")
+        k, p = self.sizes(dataset, p)
+        for split_rows in (engine.SPLIT_ROWS, 16):
+            monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
+            store = ingest.partition(dataset, p)
+            _, _, metrics = mca.accumulate_burt(store, dataset.cardinalities)
+            assert metrics.num_mappers == store.distinct[0].num_partitions == -(-k // split_rows)
+
 
 class TestFitMca:
     def test_independent_balanced_binaries_fall_back_to_one_axis(self):
