@@ -15,14 +15,14 @@ Each partition is one map call and each key one reduce call;
 key's values in arrival order.  The map calls queue onto a pool of at
 most ``num_mappers`` threads, capped by the cores the process may run on
 (``available_cores``), so deployments with many more mappers than cores
-behave like their cluster counterparts.  A
-job whose mappers average fewer than ``INLINE_ROWS_PER_TASK`` rows maps
-in the calling thread instead: blocks that small cost a pool more CPU
-than it saves in wall time, and a process that runs only such jobs never
-imports ``concurrent.futures``.  The reduce calls always run in the
-calling thread, in ascending key order; every job of the pipeline emits
-one key, so a reduce pool would never run two calls at once, and
-``num_reducers`` only labels the job in its metrics.
+behave like their cluster counterparts.  A job maps in the calling
+thread unless its mappers, at most one per split, average a full split
+(``SPLIT_ROWS`` records) each, so one with a mapper per split maps
+inline, as both benchmark workloads do (a pool costs them 11-103% more
+CPU on 2 vCPUs); only pooled jobs import ``concurrent.futures``.  The
+reduce calls always run in the calling thread, in ascending key order;
+every job of the pipeline emits one key, so a reduce pool would never
+run two calls at once, and ``num_reducers`` only labels the job.
 
 The shuffle walks map output in ascending partition order, so every
 key's values arrive ordered by (origin partition, emission order) with
@@ -53,11 +53,6 @@ import numpy as np
 
 from .errors import EngineError, SchemaError
 
-# Mean rows per mapper, n / min(num_mappers, partitions), below which a
-# job runs in the calling thread: on 2 cores, smaller blocks cost the pool
-# more CPU than it saves in wall time (measured per fcm iteration; see
-# CHANGES.md).
-INLINE_ROWS_PER_TASK = 4096
 # Most distinct records per split.  The splits fix the order of every
 # floating-point sum, so changing this changes the output bits.
 SPLIT_ROWS = 4096
@@ -89,7 +84,8 @@ class PartitionedStore:
         is, how often each occurs as float64, and the row -> record index.
         Found once per store, by ``_distinct_rows``, for every job."""
         first, counts, inverse = _distinct_rows(self.data)
-        return partition(self.data[first], -(-len(first) // SPLIT_ROWS)), counts, inverse
+        splits = _balanced_offsets(len(first), -(-len(first) // SPLIT_ROWS))
+        return PartitionedStore(self.data[first], splits), counts, inverse
 
     @property
     def num_partitions(self) -> int:
@@ -114,15 +110,17 @@ def partition(data, num_partitions: int) -> PartitionedStore:
     if array.ndim != 2:
         raise SchemaError("partition expects a 2-D row array")
     n = array.shape[0]
-    if num_partitions < 1:
-        raise SchemaError(f"partition count must be >= 1, got {num_partitions}")
     if num_partitions > n:
         warnings.warn(f"partition count {num_partitions} exceeds row count {n}; clamping")
         num_partitions = max(n, 1)
-    sizes = np.full(num_partitions, n // num_partitions, dtype=np.int64)
-    sizes[: n % num_partitions] += 1
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    return PartitionedStore(array.copy(order="K"), offsets)
+    return PartitionedStore(array.copy(order="K"), _balanced_offsets(n, num_partitions))
+
+
+def _balanced_offsets(n: int, parts: int) -> np.ndarray:
+    """Offsets of ``parts`` blocks of n rows, sizes differing by at most one, larger first."""
+    if parts < 1:
+        raise SchemaError(f"partition count must be >= 1, got {parts}")
+    return np.arange(parts + 1) * (n // parts) + np.minimum(np.arange(parts + 1), n % parts)
 
 
 @dataclass(frozen=True)
@@ -228,9 +226,10 @@ def available_cores() -> int:
 
 def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable) -> list:
     """Every partition's map output as a list, in partition order.  The
-    calls run in the calling thread when the mappers average fewer than
-    ``INLINE_ROWS_PER_TASK`` rows, else on at most min(num_mappers, cores)
-    threads."""
+    calls run in the calling thread when one worker would run or the
+    mappers, at most one per partition, average less than a full split
+    (``SPLIT_ROWS`` records) each, as on both benchmark workloads (see the
+    module docstring); else on at most min(num_mappers, cores) threads."""
     def run_map(pid):
         try:
             return list(map_fn(pid, store.block(pid), broadcast))
@@ -240,7 +239,7 @@ def _map_all(spec: JobSpec, store: PartitionedStore, broadcast, map_fn: Callable
     pids = range(store.num_partitions)
     mappers = min(spec.num_mappers, store.num_partitions)
     workers = min(mappers, available_cores())
-    if workers <= 1 or store.n < INLINE_ROWS_PER_TASK * mappers:
+    if workers <= 1 or store.n < SPLIT_ROWS * mappers:
         return [run_map(pid) for pid in pids]
     from concurrent.futures import ThreadPoolExecutor
 

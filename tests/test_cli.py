@@ -12,6 +12,7 @@ import pytest
 from mrfcm import cli, datasets, engine, fcm, ingest, mca
 from mrfcm.cli import build_parser, main
 from mrfcm.engine import JobSpec
+from test_fcm import map_threads, off_calling_thread
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -581,19 +582,18 @@ def test_output_file_that_cannot_be_written_exits_3(mm_csv, tmp_path, capsys, co
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("split_rows, inline_rows", [
-    pytest.param(engine.SPLIT_ROWS, engine.INLINE_ROWS_PER_TASK, id=str(engine.SPLIT_ROWS)),
-    pytest.param(50, engine.INLINE_ROWS_PER_TASK, id="50"),
-    # Every job with more than one partition maps on the worker pool.
-    pytest.param(engine.SPLIT_ROWS, 0, id=f"{engine.SPLIT_ROWS}-pooled"),
-    pytest.param(50, 0, id="50-pooled"),
+@pytest.mark.parametrize("split_rows, pools", [
+    # mm.csv's 387 distinct records fit one split: every job maps inline.
+    pytest.param(engine.SPLIT_ROWS, False, id=str(engine.SPLIT_ROWS)),
+    # 8 splits of about 50: on 2 cores, 4x2 and 7x3 map them on the pool.
+    pytest.param(50, True, id="50"),
 ])
-def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, split_rows,
-                                              inline_rows):
+def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, split_rows, pools):
     """The byte-stable files do not depend on --mappers or --reducers.  At
     50-record splits the Burt job of mca-info maps several splits too."""
     monkeypatch.setattr(engine, "SPLIT_ROWS", split_rows)
-    monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
+    monkeypatch.setattr(engine, "available_cores", lambda: 2)
+    threads = map_threads(monkeypatch)
 
     def outputs(command, extra, names, deployment):
         mappers, reducers = deployment
@@ -616,6 +616,7 @@ def test_outputs_identical_across_deployments(mm_csv, tmp_path, monkeypatch, spl
     fits = [outputs("mca-info", [], ["schema.txt", "axes.csv", "loadings.csv"], deployment)
             for deployment in [(1, 1), (4, 2), (16, 8), (7, 3)]]
     assert all(other == fits[0] for other in fits[1:])
+    assert off_calling_thread(threads) == pools
 
 
 @pytest.mark.parametrize("command, first, second, blocked", [

@@ -10,7 +10,7 @@ import pytest
 from mrfcm import engine, ingest
 from mrfcm.engine import JobSpec, run_job
 from mrfcm.errors import EngineError
-from test_fcm import distinct_by_tuples
+from test_fcm import distinct_by_tuples, map_threads, off_calling_thread
 
 
 def token_store(tokens, p):
@@ -127,10 +127,10 @@ class TestRunJob:
         assert len(line.split(",")) == len(engine.METRICS_HEADER.split(","))
 
 
-@pytest.fixture
-def pooled(monkeypatch):
-    """Force every job with more than one partition onto the worker pool."""
-    monkeypatch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+def split_store(p):
+    """p full splits of one-column rows: a job over them whose mappers and
+    cores are at least 2 averages a full split per mapper, so it pools."""
+    return token_store(np.zeros(p * engine.SPLIT_ROWS, dtype=np.int64), p)
 
 
 def column_sums(pid, block, broadcast):
@@ -148,20 +148,44 @@ def add_arrays(key, values):
 class TestPooledPath:
     def test_pooled_and_inline_results_are_bitwise_equal(self, monkeypatch):
         rng = np.random.default_rng(5)
-        store = ingest.partition(rng.normal(size=(4000, 3)), 16)
+        store = ingest.partition(rng.normal(size=(16 * engine.SPLIT_ROWS, 3)), 16)
         baseline, _ = run_job(JobSpec(1, 1, "fsum"), store, None, column_sums, add_arrays)
+        threads = map_threads(monkeypatch)
         for mappers in (1, 4, 16):
             spec = JobSpec(mappers, max(1, mappers // 2), "fsum")
-            inline, _ = run_job(spec, store, None, column_sums, add_arrays)
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
-                pooled, _ = run_job(spec, store, None, column_sums, add_arrays)
-            for results in (inline, pooled):
+            for cores in (1, 2):
+                monkeypatch.setattr(engine, "available_cores", lambda: cores)
+                threads.clear()
+                results, _ = run_job(spec, store, None, column_sums, add_arrays)
+                assert off_calling_thread(threads) == (mappers > 1 and cores > 1)
                 assert [k for k, _ in results] == [k for k, _ in baseline]
                 assert all(a.tobytes() == b.tobytes()
                            for (_, a), (_, b) in zip(results, baseline))
 
-    def test_small_job_runs_in_calling_thread(self):
+    @pytest.mark.parametrize("records, cores, expected", [
+        (9_702, 2, "inline pool inline inline inline"),  # sweep-mid's input
+        (31_168, 2, "inline pool pool inline inline"),  # cluster-large's input
+        (200_000, 2, "inline pool pool pool inline"),
+        (8_192, 2, "inline pool pool pool pool"),  # an exact multiple of SPLIT_ROWS
+        (200_000, 1, "inline inline inline inline inline"),
+    ])
+    def test_pool_decision_by_records_and_mappers(self, monkeypatch, records, cores, expected):
+        """A job over k records in ceil(k / SPLIT_ROWS) splits, as the Burt
+        job and fcm map them, at 1, 2, 4, 16 and 100 mappers: it pools when
+        its mappers, at most one per split, average a full split each."""
+        monkeypatch.setattr(engine, "available_cores", lambda: cores)
+        store = ingest.partition(np.zeros((records, 1), dtype=np.int8),
+                                 -(-records // engine.SPLIT_ROWS))
+        threads = map_threads(monkeypatch)
+        decisions = []
+        for mappers in (1, 2, 4, 16, 100):
+            threads.clear()
+            run_job(JobSpec(mappers, 1, "table"), store, None, lambda *args: [], sum_reduce)
+            decisions.append("pool" if off_calling_thread(threads) else "inline")
+        assert " ".join(decisions) == expected
+
+    def test_small_job_runs_in_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(engine, "available_cores", lambda: 2)
         threads = set()
 
         def record(pid, block, broadcast):
@@ -171,18 +195,21 @@ class TestPooledPath:
         run_job(JobSpec(4, 2, "small"), token_store(range(8), 4), None, record, sum_reduce)
         assert threads == {threading.current_thread()}
 
-    def test_map_failure_names_partition(self, pooled):
+    def test_map_failure_names_partition(self, monkeypatch):
+        monkeypatch.setattr(engine, "available_cores", lambda: 2)
+        threads = map_threads(monkeypatch)
+
         def bad_map(pid, block, broadcast):
             if pid == 5:
                 raise ValueError("boom")
             yield pid, 1
 
-        store = token_store(list(range(32)), 8)
         with pytest.raises(EngineError, match="partition 5"):
-            run_job(JobSpec(8, 2, "bad"), store, None, bad_map, sum_reduce)
+            run_job(JobSpec(8, 2, "bad"), split_store(8), None, bad_map, sum_reduce)
+        assert threading.current_thread() not in threads
 
     @pytest.mark.parametrize("mappers, cores", [(2, 8), (8, 2), (150, 8)])
-    def test_map_concurrency_is_capped(self, pooled, monkeypatch, mappers, cores):
+    def test_map_concurrency_is_capped(self, monkeypatch, mappers, cores):
         monkeypatch.setattr(engine, "available_cores", lambda: cores)
         lock = threading.Lock()
         running = peak = 0
@@ -199,12 +226,11 @@ class TestPooledPath:
                 running -= 1
             yield pid, 1
 
-        run_job(JobSpec(mappers, 1, "cap"), token_store(range(64), 16), None,
-                slow_map, sum_reduce)
+        run_job(JobSpec(mappers, 1, "cap"), split_store(16), None, slow_map, sum_reduce)
         assert threading.current_thread() not in threads  # the pool ran the maps
         assert peak <= min(mappers, cores)
 
-    def test_single_mapper_runs_in_calling_thread(self, pooled, monkeypatch):
+    def test_single_mapper_runs_in_calling_thread(self, monkeypatch):
         monkeypatch.setattr(engine, "available_cores", lambda: 8)
         threads = set()
 
@@ -212,26 +238,29 @@ class TestPooledPath:
             threads.add(threading.current_thread())
             yield pid, 1
 
-        run_job(JobSpec(1, 1, "serial"), token_store(range(32), 8), None, record, sum_reduce)
+        run_job(JobSpec(1, 1, "serial"), split_store(8), None, record, sum_reduce)
         assert threads == {threading.current_thread()}
 
-    def test_reduce_calls_run_in_calling_thread_in_key_order(self, pooled, monkeypatch):
+    def test_reduce_calls_run_in_calling_thread_in_key_order(self, monkeypatch):
         monkeypatch.setattr(engine, "available_cores", lambda: 8)
-        calls = []
+        threads, calls = map_threads(monkeypatch), []
+
+        def descending_keys(pid, block, broadcast):
+            return [(key, 1) for key in range(20, 0, -1)]
 
         def record(key, values):
             calls.append((key, threading.current_thread()))
             return sum(values)
 
-        tokens = list(range(20, 0, -1)) * 3
-        results, _ = run_job(JobSpec(8, 4, "keys"), token_store(tokens, 8), None,
-                             count_map, record)
+        results, _ = run_job(JobSpec(8, 4, "keys"), split_store(8), None,
+                             descending_keys, record)
+        assert threading.current_thread() not in threads
         assert [key for key, _ in calls] == list(range(1, 21))
         assert {thread for _, thread in calls} == {threading.current_thread()}
-        assert dict(results) == {key: 3 for key in range(1, 21)}
+        assert dict(results) == {key: 8 for key in range(1, 21)}
 
     @pytest.mark.parametrize("fail", [False, True])
-    def test_maps_run_on_one_blas_thread(self, pooled, monkeypatch, fail):
+    def test_maps_run_on_one_blas_thread(self, monkeypatch, fail):
         get, set_ = real_blas_calls()
         monkeypatch.setattr(engine, "available_cores", lambda: 8)
         seen = []
@@ -246,8 +275,7 @@ class TestPooledPath:
         set_(2)
         try:
             with pytest.raises(EngineError) if fail else contextlib.nullcontext():
-                run_job(JobSpec(8, 2, "blas"), token_store(range(32), 8), None,
-                        record, sum_reduce)
+                run_job(JobSpec(8, 2, "blas"), split_store(8), None, record, sum_reduce)
             after = get()
         finally:
             set_(original)
@@ -255,15 +283,21 @@ class TestPooledPath:
         assert threading.current_thread() not in {thread for _, thread in seen}
         assert after == 2
 
-    def test_no_threads_leak_across_jobs(self, pooled, monkeypatch):
+    def test_no_threads_leak_across_jobs(self, monkeypatch):
         monkeypatch.setattr(engine, "available_cores", lambda: 2)
-        store = token_store(list(range(64)), 8)
+        threads = map_threads(monkeypatch)
+
+        def block_size(pid, block, broadcast):
+            yield pid, len(block)
+
+        store = split_store(8)
         spec = JobSpec(8, 2, "reuse")
-        expected, _ = run_job(spec, store, None, count_map, sum_reduce)
+        expected, _ = run_job(spec, store, None, block_size, sum_reduce)
         before = threading.active_count()
         for _ in range(200):
-            results, _ = run_job(spec, store, None, count_map, sum_reduce)
+            results, _ = run_job(spec, store, None, block_size, sum_reduce)
             assert results == expected
+        assert threading.current_thread() not in threads
         assert threading.active_count() <= before
 
 
@@ -274,7 +308,7 @@ class TestAvailableCores:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert engine.available_cores() == 1
 
-    def test_pooled_map_runs_on_one_thread_per_allowed_core(self, pooled, monkeypatch):
+    def test_pooled_map_runs_on_one_thread_per_allowed_core(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threads = set()
@@ -284,8 +318,7 @@ class TestAvailableCores:
             time.sleep(0.01)
             yield pid, 1
 
-        run_job(JobSpec(8, 1, "affinity"), token_store(range(64), 16), None, record,
-                sum_reduce)
+        run_job(JobSpec(8, 1, "affinity"), split_store(16), None, record, sum_reduce)
         assert 1 <= len(threads) <= 2 and threading.current_thread() not in threads
 
     @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
@@ -347,17 +380,20 @@ class TestOneBlasThread:
         assert inside == [1] * 1600
         assert fake_blas[0] == 4
 
-    def test_no_setter_gives_bitwise_equal_results(self, pooled, monkeypatch):
+    def test_no_setter_gives_bitwise_equal_results(self, monkeypatch):
         def gram(pid, block, broadcast):
             yield 0, block.T @ block
 
+        # 4 mappers average 10,000 rows, over two full splits: the job pools.
         monkeypatch.setattr(engine, "available_cores", lambda: 8)
+        threads = map_threads(monkeypatch)
         store = ingest.partition(np.random.default_rng(5).normal(size=(40000, 50)), 16)
         spec = JobSpec(4, 2, "gram")
         (expected,), _ = run_job(spec, store, None, gram, add_arrays)
         monkeypatch.setattr(engine, "_blas_thread_calls", lambda: None)
         (results,), _ = run_job(spec, store, None, gram, add_arrays)
         assert results[1].tobytes() == expected[1].tobytes()
+        assert threading.current_thread() not in threads
 
 
 class TestJobSpec:

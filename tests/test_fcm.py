@@ -1,4 +1,5 @@
 import functools
+import threading
 import tracemalloc
 import warnings
 
@@ -16,6 +17,25 @@ import reference
 
 def spec_for(p):
     return JobSpec(p, max(1, p // 2), "fcm-test")
+
+
+def map_threads(monkeypatch):
+    """The set of threads that run map calls from here on: a job's map
+    call reads its block (``PartitionedStore.block``) in its own thread."""
+    threads = set()
+    block = engine.PartitionedStore.block
+
+    def spy(store, pid):
+        threads.add(threading.current_thread())
+        return block(store, pid)
+
+    monkeypatch.setattr(engine.PartitionedStore, "block", spy)
+    return threads
+
+
+def off_calling_thread(threads):
+    """Whether any map call ran on a pool thread."""
+    return bool(threads - {threading.current_thread()})
 
 
 class TestInitCentroids:
@@ -231,29 +251,34 @@ class TestWeightedIteration:
 class TestIterationDeterminism:
     def test_bitwise_equal_across_mappers_inline_and_pooled(self, monkeypatch):
         # The same points in a C-ordered and in a column-major store, whose
-        # blocks the numerator gemm reads as strided views.
+        # blocks the numerator gemm reads as strided views.  Each of the 16
+        # blocks is a full split, so on 2 cores every job of 2 or more
+        # mappers maps on the pool; on 1 core every job maps inline.
         rng = np.random.default_rng(14)
-        points = rng.normal(size=(3000, 3))
+        n = 16 * engine.SPLIT_ROWS
+        points = rng.normal(size=(n, 3))
         stores = [ingest.partition(layout, 16)
                   for layout in (points, np.asfortranarray(points))]
         assert [store.data.flags.f_contiguous for store in stores] == [False, True]
         centroids = rng.normal(size=(4, 3))
 
-        weights = rng.integers(1, 21, size=3000).astype(float)
+        weights = rng.integers(1, 21, size=n).astype(float)
 
         def outputs(store, mappers, weights):
             u, v, obj, _ = fcm_iteration(store, centroids, spec_for(mappers), m=2.0,
                                          weights=weights)
             return u.tobytes(), v.tobytes(), obj
 
+        threads = map_threads(monkeypatch)
         for w in (None, weights):
             baseline = outputs(stores[0], 1, w)
             for store in stores:
                 for mappers in (1, 4, 16):
-                    assert outputs(store, mappers, w) == baseline
-                    with monkeypatch.context() as patch:
-                        patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+                    for cores in (1, 2):
+                        monkeypatch.setattr(engine, "available_cores", lambda: cores)
+                        threads.clear()
                         assert outputs(store, mappers, w) == baseline
+                        assert off_calling_thread(threads) == (mappers > 1 and cores > 1)
 
     def test_run_fcm_equals_repeated_public_iterations(self, monkeypatch):
         # 9,000 distinct points in first-appearance order, each repeated 1-5
@@ -275,18 +300,25 @@ class TestIterationDeterminism:
             expected.append(obj)
             deltas.append(np.inf if u_prev is None else float(np.abs(u - u_prev).max()))
 
-        # Deployments 1x1, 4x2 and 16x8, inline and pooled: the maps' own
-        # changes reduce to the change of the stacked rows.
-        for mappers in (1, 4, 16):
-            for inline_rows in (engine.INLINE_ROWS_PER_TASK, 0):
-                with monkeypatch.context() as patch:
-                    patch.setattr(engine, "INLINE_ROWS_PER_TASK", inline_rows)
-                    result = run_fcm(ingest.partition(rows, mappers), None, config,
-                                     spec_for(mappers))
-                assert result.distinct_u.tobytes() == u.tobytes(), (mappers, inline_rows)
-                assert result.v.tobytes() == centroids.tobytes(), (mappers, inline_rows)
-                assert result.objective_trace == expected, (mappers, inline_rows)
-                assert result.max_delta_trace == deltas, (mappers, inline_rows)
+        # Deployments 1x1, 2x1, 4x2 and 16x8 on 1 and 2 cores: the maps' own
+        # changes reduce to the change of the stacked rows.  On 2 cores the
+        # 2 mappers average 4,500 points, more than a full split, so they
+        # map on the pool.
+        threads = map_threads(monkeypatch)
+        pooled = set()
+        for mappers in (1, 2, 4, 16):
+            for cores in (1, 2):
+                monkeypatch.setattr(engine, "available_cores", lambda: cores)
+                threads.clear()
+                result = run_fcm(ingest.partition(rows, mappers), None, config,
+                                 spec_for(mappers))
+                if off_calling_thread(threads):
+                    pooled.add((mappers, cores))
+                assert result.distinct_u.tobytes() == u.tobytes(), (mappers, cores)
+                assert result.v.tobytes() == centroids.tobytes(), (mappers, cores)
+                assert result.objective_trace == expected, (mappers, cores)
+                assert result.max_delta_trace == deltas, (mappers, cores)
+        assert (2, 2) in pooled
 
 
 class TestMembershipBlocks:
@@ -670,12 +702,19 @@ class TestFixedBlocks:
             return (result.u.tobytes(), result.v.tobytes(), result.objective_trace,
                     result.max_delta_trace, result.iters_run)
 
+        # At 16-row splits both stores pool at 2 mappers on 2 cores; on 1
+        # core every deployment maps inline.
         baseline = outputs(1)
-        for p in (1, 4, 16):
-            assert outputs(p) == baseline
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "INLINE_ROWS_PER_TASK", 0)
+        threads = map_threads(monkeypatch)
+        pooled = set()
+        for p in (1, 2, 4, 16):
+            for cores in (1, 2):
+                monkeypatch.setattr(engine, "available_cores", lambda: cores)
+                threads.clear()
                 assert outputs(p) == baseline
+                if off_calling_thread(threads):
+                    pooled.add((p, cores))
+        assert (2, 2) in pooled
 
 
 class TestProperties:
