@@ -184,6 +184,8 @@ def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> in
     metrics_sink = [burt_metrics]
     spec = JobSpec(args.mappers, args.reducers, "fcm")
     result = run_fcm(store, model, config, spec, metrics_sink=metrics_sink)
+    n = dataset.n
+    del dataset, store  # the writers read only the result's rows and index
     _write_matrix(memberships_csv, result.distinct_u, result.inverse)
     _write_matrix(centroids_csv, result.v)
     with open(trace_csv, "w", encoding="utf-8") as fh:
@@ -192,7 +194,7 @@ def cmd_cluster(args, memberships_csv, centroids_csv, trace_csv, jobs_csv) -> in
             fh.write(f"{i},{jm:.17g},{delta:.17g}\n")
     _write_metrics(jobs_csv, metrics_sink)
     status = "converged" if result.converged else f"stopped at max_iters={args.max_iters}"
-    print(f"cluster: n={dataset.n} distinct={len(result.distinct_u)} c={args.c} "
+    print(f"cluster: n={n} distinct={len(result.distinct_u)} c={args.c} "
           f"iters={result.iters_run} ({status})")
     return 0
 

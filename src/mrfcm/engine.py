@@ -284,7 +284,9 @@ def _row_keys(array):
     its codes times their place values, one einsum, which casts the codes
     to int64 in buffered chunks rather than in one (n, Q) copy as matmul
     does.  Any other row, float or from a code table wide enough to
-    overflow that key, is compared as one byte string.
+    overflow that key, is compared as one byte string: a float table's
+    from a copy with -0.0 folded into 0.0, a C-contiguous code table's
+    from its own bytes, uncopied.
     """
     if array.dtype.kind == "i" and array.size and array.min() >= 0:
         radices = [int(top) + 1 for top in array.max(axis=0)]
@@ -294,7 +296,9 @@ def _row_keys(array):
             places = [math.prod(radices[j + 1:]) if radix > 1 else 0
                       for j, radix in enumerate(radices)]
             return np.einsum("ij,j->i", array, np.array(places, dtype=np.int64))
-    array = np.ascontiguousarray(array + 0)  # + 0 folds -0.0 into 0.0
+    if array.dtype.kind == "f":
+        array = array + 0  # folds -0.0 into 0.0
+    array = np.ascontiguousarray(array)
     return array.view(np.dtype((np.void, array.itemsize * array.shape[1]))).ravel()
 
 

@@ -7,8 +7,8 @@ sum.  The records are the store's own (``PartitionedStore.distinct``),
 found once per store by the package's one dedup, so the Burt job and
 every clustering of a store share them: codes are deduplicated on their
 codes, float rows on their coordinates.  A categorical store arrives
-with its MCA model, and its distinct records are projected once, by one
-``MCAModel.transform`` call in the driver, before the first iteration.
+with its MCA model, and its distinct records are projected once, split by
+split by ``MCAModel.transform`` in the driver, before the first iteration.
 The result keeps one membership row per distinct record and the row ->
 record index, and expands them to every row only on request.
 
@@ -294,21 +294,31 @@ def _coordinates(store, model):
     and the row -> point index, so that ``u[inverse]`` has one row per
     record.
 
-    Only the distinct records are projected.  Two records can project to
-    one point, so the seeds are found here, once for every candidate of a
-    sweep: every point when the first coordinate has no repeat, otherwise
-    by a second dedup on the points.  The k points go into a column-major
-    store on the records' offsets, so its blocks are the records' splits,
-    whatever partitions ``store`` had.  Points in first-appearance order
-    give init_centroids the same picks as every row would.
+    Only the distinct records are projected, split by split, each split's
+    points written straight into one column-major (k, d) array: a record's
+    projection does not depend on its block (``MCAModel.transform``), so
+    the bits are those of one call, and no (k, Q) gather table or row-major
+    copy of the points is held.  Two records can project to one point, so
+    the seeds are found here, once for every candidate of a sweep: every
+    point when the first coordinate has no repeat, otherwise by a second
+    dedup on the points.  The points' store has the records' offsets, so
+    its blocks are the records' splits, whatever partitions ``store`` had.
+    Points in first-appearance order give init_centroids the same picks as
+    every row would.
     """
     records, weights, inverse = store.distinct
-    points = np.asarray(records.data, float) if model is None else model.transform(records.data)
+    points = None
+    for pid in range(records.num_partitions):
+        block = records.block(pid)
+        block = np.asarray(block, float) if model is None else model.transform(block)
+        if points is None:  # d from the first split's points: a model need not name it
+            points = np.empty((records.n, block.shape[1]), order="F")
+        points[records.offsets[pid]:records.offsets[pid + 1]] = block
     if np.unique(points[:, 0]).size == len(points):  # then no two points are equal
         seeds = np.arange(len(points))
     else:
         seeds, _, _ = _distinct_rows(points)
-    points = PartitionedStore(np.asfortranarray(points), records.offsets)
+    points = PartitionedStore(points, records.offsets)
     # Every centroid lies in the points' bounding box, so no distance or
     # objective sum exceeds its squared diagonal times the total weight.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -261,7 +261,7 @@ def _merge(index, parts, n) -> EncodedColumn:
     each label to the row where it first appears, in ascending row order, and
     ``parts`` holds, block by block, that first row for each of the n rows."""
     labels = list(index)
-    dense = np.empty(n, dtype=np.intp)
+    dense = np.empty(n, dtype=np.int32)  # so the codes are int32, as the dataset's
     dense[np.fromiter(index.values(), dtype=np.intp, count=len(index))] = np.arange(len(index))
     return EncodedColumn(labels, dense[np.concatenate(parts)], *_classify(labels))
 
@@ -629,47 +629,14 @@ def check_bins(bins):
 
 
 def _discretize(schema, columns, bins) -> CategoricalDataset:
+    """The dataset of ``columns`` under ``schema``.  Each column is taken off
+    the list and freed as soon as its int32 codes exist, so the caller's
+    list ends empty and no column outlives its own encoding."""
     check_bins(bins)
     kept_specs = []
     kept_codes = []
-    for spec, column in zip(schema, columns):
-        # Missing cells get the column's dedicated missing category, one
-        # past the last.  Numeric columns are binned row by row.
-        if spec.kind == "numeric":
-            if isinstance(column, RealColumn):
-                values, present = column.row_values, column.row_present
-            else:
-                values, present = column.values[column.codes], column.present[column.codes]
-            ok = present & ~np.isnan(values)
-            if not ok.any():
-                raise SchemaError(f"column {spec.name!r}: no parseable values")
-            values = values[ok]
-            # Quantiles between infinite cells are NaN, and no finite value
-            # lies beyond an infinite one: both are dropped.
-            with np.errstate(invalid="ignore"):
-                qs = np.quantile(values, [i / bins for i in range(1, bins)])
-            inner = np.unique(qs[np.isfinite(qs)])
-            raw = np.searchsorted(inner, values, side="left")
-            # Skewed data can leave quantile bins empty; merge those away so
-            # every category has nonzero mass downstream.
-            occupied = np.bincount(raw) > 0
-            rank = np.cumsum(occupied) - 1
-            edges = np.concatenate(([-np.inf], inner[np.flatnonzero(occupied)[:-1]], [np.inf]))
-            out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
-            codes = np.full(len(ok), rank[-1] + 1, dtype=np.int32)
-            codes[ok] = rank[raw]
-        else:
-            index = {label: k for k, label in enumerate(spec.categories)}
-            try:
-                lut = np.array([index[label] if ok else len(index)
-                                for label, ok in zip(column.labels, column.present)],
-                               dtype=np.int32)
-            except KeyError as exc:
-                raise SchemaError(f"column {spec.name!r}: label {exc.args[0]!r} "
-                                  "not in schema") from None
-            out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
-                             has_missing=not column.present.all())
-            codes = lut[column.codes]
+    for spec in schema:
+        out, codes = _discretize_column(spec, columns.pop(0), bins)
         if out.cardinality < 2:
             what = "constant numeric" if out.kind == "numeric" else "single-category"
             warnings.warn(f"dropping {what} column {spec.name!r}")
@@ -685,6 +652,46 @@ def _discretize(schema, columns, bins) -> CategoricalDataset:
         raise SchemaError(f"{dataset.total_categories} categories, more than {MAX_CATEGORIES}; "
                           f"column {widest.name!r} has {widest.cardinality}")
     return dataset
+
+
+def _discretize_column(spec, column, bins):
+    """(ColumnSpec, int32 codes) of one column.  Missing cells get the
+    column's dedicated missing category, one past the last.  Numeric
+    columns are binned row by row."""
+    if spec.kind == "numeric":
+        if isinstance(column, RealColumn):
+            values, present = column.row_values, column.row_present
+        else:
+            values, present = column.values[column.codes], column.present[column.codes]
+        ok = present & ~np.isnan(values)
+        if not ok.any():
+            raise SchemaError(f"column {spec.name!r}: no parseable values")
+        values = values[ok]
+        # Quantiles between infinite cells are NaN, and no finite value
+        # lies beyond an infinite one: both are dropped.
+        with np.errstate(invalid="ignore"):
+            qs = np.quantile(values, [i / bins for i in range(1, bins)])
+        inner = np.unique(qs[np.isfinite(qs)])
+        raw = np.searchsorted(inner, values, side="left")
+        # Skewed data can leave quantile bins empty; merge those away so
+        # every category has nonzero mass downstream.
+        occupied = np.bincount(raw) > 0
+        rank = np.cumsum(occupied) - 1
+        edges = np.concatenate(([-np.inf], inner[np.flatnonzero(occupied)[:-1]], [np.inf]))
+        out = ColumnSpec(spec.name, "numeric", bin_edges=edges, has_missing=not ok.all())
+        codes = np.full(len(ok), rank[-1] + 1, dtype=np.int32)
+        codes[ok] = rank[raw]
+        return out, codes
+    index = {label: k for k, label in enumerate(spec.categories)}
+    try:
+        lut = np.array([index[label] if ok else len(index)
+                        for label, ok in zip(column.labels, column.present)], dtype=np.int32)
+    except KeyError as exc:
+        raise SchemaError(f"column {spec.name!r}: label {exc.args[0]!r} "
+                          "not in schema") from None
+    out = ColumnSpec(spec.name, "categorical", categories=list(spec.categories),
+                     has_missing=not column.present.all())
+    return out, lut[column.codes]
 
 
 def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
@@ -704,13 +711,17 @@ def discretize(rows, schema, bins: int = 4) -> CategoricalDataset:
 
 
 def encode_table(names, columns, bins: int = 4) -> CategoricalDataset:
-    """infer_schema + discretize on columns ``read_table`` encoded."""
-    return _discretize(_schema(names, columns), columns, bins)
+    """infer_schema + discretize on columns ``read_table`` encoded.  The
+    columns are encoded from a copy of the list, which stays as it was."""
+    return _discretize(_schema(names, columns), list(columns), bins)
 
 
 def encode_csv(path, has_header=True, delimiter=",", bins=4) -> CategoricalDataset:
-    """load_csv + infer_schema + discretize, reading and encoding the file once."""
-    return encode_table(*read_table(path, has_header=has_header, delimiter=delimiter), bins=bins)
+    """load_csv + infer_schema + discretize, reading and encoding the file
+    once.  ``read_table``'s columns go to ``_discretize`` itself, which frees
+    each once its codes exist."""
+    names, columns = read_table(path, has_header=has_header, delimiter=delimiter)
+    return _discretize(_schema(names, columns), columns, bins)
 
 
 def replicate_to_size(dataset: CategoricalDataset, target_n: int, seed: int) -> CategoricalDataset:

@@ -24,9 +24,10 @@ matter how rows are blocked into partitions, and the per-axis variance
 of the projected cloud equals that axis's eigenvalue.
 
 The Burt job (``accumulate_burt``) maps the fixed splits of a store's
-weighted distinct records (``PartitionedStore.distinct``); each map's
-indicator is at most ``engine.SPLIT_ROWS`` x J, and its whole counts give
-the rows' Burt matrix bit for bit under any BLAS kernel.
+weighted distinct records (``PartitionedStore.distinct``); each map builds
+its indicator in slices of at most ``BURT_SLICE_ROWS`` x J and adds the
+slices' products in order, and its whole counts give the rows' Burt
+matrix bit for bit under any BLAS kernel.
 """
 from __future__ import annotations
 
@@ -40,6 +41,12 @@ from .errors import NumericError
 # Retention guard above the 1/Q noise floor, so balanced designs whose
 # inertias equal 1/Q exactly (up to rounding) are not spuriously kept.
 _RETAIN_EPS = 1e-10
+# Records per indicator slice of a Burt map.  A map then holds 2 x 256 x J
+# doubles (2 MB at J = 500), not 2 x SPLIT_ROWS x J (32 MB), and the heap
+# reuses the same small blocks from slice to slice instead of the kernel
+# faulting in fresh pages for each map.  The counts are exact integers, so
+# no slice size changes a bit.
+BURT_SLICE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -112,14 +119,21 @@ class MCAModel:
 
 def _burt_map(pid, block, ctx):
     """The block's co-occurrence counts, its indicator rows scaled on one
-    side of the gemm by their weights.  Every product and partial sum is
-    an integer, exact in float64 below 2**53, so any BLAS kernel, blocking
-    or summation order gives the same bits."""
+    side of the gemm by their weights.  The indicator is built and
+    multiplied in slices of at most BURT_SLICE_ROWS records, whose products
+    are added in order.  Every product and partial sum is an integer, exact
+    in float64 below 2**53, so any BLAS kernel, slicing or summation order
+    gives the same bits."""
     col_offsets, weights, offsets = ctx
     gids = block + col_offsets[:-1]
-    indicator = np.zeros((block.shape[0], int(col_offsets[-1])))
-    indicator[np.arange(block.shape[0])[:, None], gids] = 1.0
-    yield "burt", (indicator.T * weights[offsets[pid]:offsets[pid + 1]]) @ indicator
+    weights = weights[offsets[pid]:offsets[pid + 1]]
+    burt = np.zeros((int(col_offsets[-1]),) * 2)
+    for start in range(0, len(gids), BURT_SLICE_ROWS):
+        rows = gids[start:start + BURT_SLICE_ROWS]
+        indicator = np.zeros((len(rows), len(burt)))
+        indicator[np.arange(len(rows))[:, None], rows] = 1.0
+        burt += (indicator.T * weights[start:start + BURT_SLICE_ROWS]) @ indicator
+    yield "burt", burt
 
 
 def accumulate_burt(store: PartitionedStore, cardinalities, spec: JobSpec | None = None):

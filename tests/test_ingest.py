@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import operator
 import random
 
 import numpy as np
@@ -360,6 +361,17 @@ class TestOnePassEncoding:
             got = ingest.encode_table(names, [column.prefix(size) for column in columns])
             assert_same_dataset(got, want)
 
+    def test_encode_table_leaves_the_columns_list_intact(self, tmp_path):
+        # encode_csv's own list is emptied as its columns are encoded; the
+        # caller's list stays whole, so its columns can be encoded again.
+        names, rows = TABLES["recipe"]
+        names, columns = ingest.read_table(str(datasets.write_csv(tmp_path / "t.csv", rows,
+                                                                  header=names)))
+        given = list(columns)
+        dataset = ingest.encode_table(names, columns)
+        assert len(columns) == len(given) and all(map(operator.is_, columns, given))
+        assert_same_dataset(ingest.encode_table(names, columns), dataset)
+
     def test_in_memory_rows_are_stripped(self):
         rows = [[" a", "1 "], ["a ", " 2"], ["b", "3"]]
         schema = ingest.infer_schema(["c", "k"], rows)
@@ -409,7 +421,7 @@ def assert_same_table(got, want):
         assert_same_rows(column_a, column_b)
         a, b = encoded(column_a), encoded(column_b)
         assert a.labels == b.labels
-        assert a.codes.dtype == b.codes.dtype and a.codes.tolist() == b.codes.tolist()
+        assert a.codes.dtype == b.codes.dtype == np.int32 and a.codes.tolist() == b.codes.tolist()
         assert a.present.tolist() == b.present.tolist()
         assert a.parsed.tolist() == b.parsed.tolist()
         assert np.array_equal(a.values, b.values, equal_nan=True)

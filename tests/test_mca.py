@@ -97,6 +97,16 @@ class TestWeightedBurt:
         assert margins.counts.tobytes() == np.diag(rows_burt).tobytes()
         assert margins.n == dataset.n
 
+    @pytest.mark.parametrize("slice_rows", [1, 7, mca.BURT_SLICE_ROWS])
+    @pytest.mark.parametrize("kind", ["mixed", "categorical"])
+    def test_indicator_slices_give_the_rows_burt(self, kind, slice_rows, monkeypatch):
+        # Each map adds its slices' products in order; at 1 and 7 records
+        # per slice, every split is many slices, the last one short.
+        monkeypatch.setattr(mca, "BURT_SLICE_ROWS", slice_rows)
+        dataset = encoded_table(kind)
+        _, burt, _ = mca.accumulate_burt(ingest.partition(dataset, 1), dataset.cardinalities)
+        assert burt.tobytes() == reference.burt_of(dataset.codes, dataset.cardinalities).tobytes()
+
     @pytest.mark.filterwarnings("ignore:partition count")
     @pytest.mark.parametrize("p", [1, 4, 16, "k+3", "n+3"])
     def test_job_maps_one_block_per_record_partition(self, p, monkeypatch):
