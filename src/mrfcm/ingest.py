@@ -25,9 +25,9 @@ parsed block by block, by ``float`` mapped in C: a block of printable
 ASCII without the space straight from its bytes, any other decoded and
 stripped first.  Quoted or irregular files, and every input error
 message, go through the csv module.  A dictionary column's distinct
-labels alone are classified and parsed; every numeric column is binned
-from its per-row floats.  ``load_csv``, ``infer_schema`` and
-``discretize`` encode rows held in memory the same way.
+labels alone are classified, each parsed once by ``float``; every numeric
+column is binned from its per-row floats.  ``load_csv``, ``infer_schema``
+and ``discretize`` encode rows held in memory the same way.
 """
 from __future__ import annotations
 
@@ -266,16 +266,6 @@ def _merge(index, parts, n) -> EncodedColumn:
     return EncodedColumn(labels, dense[np.concatenate(parts)], *_classify(labels))
 
 
-def _reals(labels):
-    """(present, values) of stripped cells: ``present`` marks those that are
-    not missing tokens, and ``values`` holds their floats, parsed by float()
-    mapped in C, with NaN elsewhere; ``values`` is None if a present cell is
-    not a real.  It types a dictionary column's labels, and the decoded
-    cells of a wide block that ``_block_reals`` cannot read as bytes."""
-    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
-    return present, _floats(labels, present)
-
-
 def _floats(cells, present):
     """float() of the ``present`` cells, mapped in C, with NaN elsewhere;
     None if a present cell is not a real."""
@@ -289,20 +279,13 @@ def _floats(cells, present):
 
 
 def _classify(labels):
-    """(present, parsed, values) of distinct labels, as EncodedColumn holds them.
-
-    When every present label is a real, one pass of float() in C parses
-    them; otherwise each label is parsed on its own.  Of the missing
-    tokens, those float() accepts ("nan", "NaN") count as parsed.
-    """
-    present, values = _reals(labels)
-    if values is None:
-        reals = np.array(list(map(_parse_real, labels)), dtype=object)
-        return present, np.not_equal(reals, None), reals.astype(float)
-    parsed = present.copy()
-    parsed[~present] = [_parse_real(label) is not None
-                        for label in compress(labels, ~present)]
-    return present, parsed, values
+    """(present, parsed, values) of distinct labels, as EncodedColumn holds
+    them: each label is parsed once, by float(), with NaN where it is not a
+    real.  Of the missing tokens, those float() accepts ("nan", "NaN") count
+    as parsed."""
+    present = ~np.fromiter(map(MISSING_TOKENS.__contains__, labels), bool, len(labels))
+    reals = np.array(list(map(_parse_real, labels)), dtype=object)
+    return present, np.not_equal(reals, None), reals.astype(float)
 
 
 def _encode(width, blocks) -> list[EncodedColumn]:
@@ -415,25 +398,29 @@ def _replay(text) -> EncodedColumn:
 
 
 def _block_reals(block):
-    """``_reals`` of the stripped cells of one ``_wide_text`` bytes block.
+    """(present, values) of the stripped cells of one ``_wide_text`` bytes
+    block: ``present`` marks those that are not missing tokens, and
+    ``values`` is ``_floats`` of them, None if a present cell is not a real.
 
     In a plain block, whose bytes other than its LFs all lie in 33-126
     (printable ASCII without the space), each cell is its own stripped text
     and float() reads its bytes as it reads that text.  So a plain block is
-    typed from its bytes: one split, a lookup in _MISSING_BYTES for only the
-    cells no longer than the longest missing token, and one float() map in
-    C.  Any other block is decoded and stripped first.
+    typed from its bytes: one split, and a lookup in _MISSING_BYTES for only
+    the cells no longer than the longest missing token.  Any other block is
+    decoded and stripped first, and each cell looked up in MISSING_TOKENS.
     """
     cells = block.split(b"\n")[:-1]
     buf = np.frombuffer(block, dtype=np.uint8)
     # In uint8, bytes below 33 wrap past 126: this counts every byte outside
     # 33-126, the LFs included.
     if np.count_nonzero(buf - 33 > 126 - 33) != len(cells):
-        return _reals(list(map(str.strip, _split(block))))
-    present = np.ones(len(cells), dtype=bool)
-    spans = np.diff(np.flatnonzero(buf == 10), prepend=-1)  # each cell and its LF
-    short = np.flatnonzero(spans <= _MISSING_WIDEST + 1)
-    present[short] = [cells[i] not in _MISSING_BYTES for i in short.tolist()]
+        cells = list(map(str.strip, _split(block)))
+        present = ~np.fromiter(map(MISSING_TOKENS.__contains__, cells), bool, len(cells))
+    else:
+        present = np.ones(len(cells), dtype=bool)
+        spans = np.diff(np.flatnonzero(buf == 10), prepend=-1)  # each cell and its LF
+        short = np.flatnonzero(spans <= _MISSING_WIDEST + 1)
+        present[short] = [cells[i] not in _MISSING_BYTES for i in short.tolist()]
     return present, _floats(cells, present)
 
 

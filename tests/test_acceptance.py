@@ -190,9 +190,9 @@ def scaling_dataset():
     return ingest.discretize(rows, schema, bins=4)
 
 
-def _timed_run(dataset, n, mappers, reducers, partitions=None):
+def _timed_run(dataset, n, mappers, reducers):
     subset = ingest.CategoricalDataset(dataset.schema, dataset.codes[:n])
-    store = ingest.partition(subset, partitions or mappers)
+    store = ingest.partition(subset, mappers)
     spec = JobSpec(mappers, reducers, f"scale_{n}_{mappers}")
     config = FcmConfig(c=3, seed=5, max_iters=10, fixed_iterations=True)
     started = time.monotonic()
@@ -213,8 +213,7 @@ def test_criterion_7_scalability_shape(scaling_dataset):
 
     cores = engine.available_cores()
     if cores >= 4:
-        # JobSpec(1, 1) runs the same partitions one call at a time.
-        t_serial = _timed_run(scaling_dataset, 200_000, 1, 1, partitions=cores)
+        t_serial = _timed_run(scaling_dataset, 200_000, 1, 1)
         t_parallel = _timed_run(scaling_dataset, 200_000, cores, cores)
         speedup = t_serial / t_parallel
         assert speedup >= SPEEDUP_MIN, f"speedup {speedup:.2f} below {SPEEDUP_MIN}"

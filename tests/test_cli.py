@@ -303,6 +303,42 @@ class TestBench:
         lines = capsys.readouterr().out.splitlines()
         assert [int(line.rsplit("distinct=", 1)[1]) for line in lines] == expected
 
+    def test_cells_of_a_real_column_match_cluster_on_their_rows(self, tmp_path, capsys):
+        # x is wide (10-byte cells).  Row 3 respells row 1's real, as row 12
+        # does row 10's, and row 20 is "?".  So 12 rows give 12 labels, a
+        # categorical column; 13 rows 13 labels of 11 reals, numeric but
+        # dictionary-encoded; 60 rows a RealColumn with a missing cell.
+        n = 60
+        xs = [f"{100 + 0.37 * k:.6f}" for k in range(n)]
+        for k in range(3, n, 9):
+            xs[k] = f"{100 + 0.37 * (k - 2):.7f}"
+        xs[20] = "?"
+        rows = [["abc"[k % 3], x] for k, x in enumerate(xs)]
+        path = datasets.write_csv(tmp_path / "reals.csv", rows, header=["g", "x"])
+        names, columns = ingest.read_table(str(path))
+        x = [columns[1].prefix(size) for size in (12, 13, n)]
+        assert [type(column).__name__ for column in x] == ["EncodedColumn"] * 2 + ["RealColumn"]
+        assert [ingest.encode_table(names[1:], [column]).schema[0].kind
+                for column in x] == ["categorical", "numeric", "numeric"]
+        sizes = [12, 13, n, n + 50]
+        out = tmp_path / "out"
+        assert run("bench", "--input", str(path), "--bench-sizes", ",".join(map(str, sizes)),
+                   "--bench-deployments", "2x1", "--fixed-iters", "2",
+                   "--out-dir", str(out)) == 0
+        distinct = [int(line.rsplit("distinct=", 1)[1])
+                    for line in capsys.readouterr().out.splitlines()]
+        lines = (out / "bench.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [f"{s},2,1" for s in sizes]
+        for size, cell in zip(sizes, distinct):
+            if size > n:
+                assert cell == distinct[sizes.index(n)]  # grown rows repeat the table's
+                continue
+            prefix = datasets.write_csv(tmp_path / f"rows{size}.csv", rows[:size],
+                                        header=["g", "x"])
+            assert run("cluster", "--input", str(prefix), "--c", "3", "--max-iters", "2",
+                       "--out-dir", str(tmp_path / f"cluster{size}")) == 0
+            assert f" distinct={cell} " in capsys.readouterr().out
+
     def test_unsorted_sizes_are_usage_error(self, tmp_path):
         path = tmp_path / "synth.csv"
         datasets.write_csv(path, datasets.clustered_categorical_rows(50, 3, seed=0),

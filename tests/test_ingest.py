@@ -837,9 +837,16 @@ class TestRealColumns:
             "arabic-digits"])
     def test_block_reals_match_the_decoded_cells(self, monkeypatch, cells, plain):
         # A block whose bytes, LFs aside, all lie in 33-126 is typed from its
-        # bytes, any other is decoded; both give _reals of the stripped cells.
+        # bytes, any other is decoded; both give the stripped cells' missing
+        # flags and float() bits, and no values if a present cell is not a real.
         block = "".join(cell + "\n" for cell in cells).encode("utf-8")
-        want_present, want = ingest._reals(list(map(str.strip, ingest._split(block))))
+        stripped = [cell.strip() for cell in cells]
+        want_present = np.array([cell not in ingest.MISSING_TOKENS for cell in stripped])
+        try:
+            want = np.array([float(cell) if keep else np.nan
+                             for cell, keep in zip(stripped, want_present)])
+        except ValueError:
+            want = None
         decoded = []
         split = ingest._split
         monkeypatch.setattr(ingest, "_split", lambda text: decoded.append(text) or split(text))
