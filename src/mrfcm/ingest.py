@@ -18,16 +18,16 @@ the distinct keys of a column of keys alone: more than BLOCK_ROWS make it
 wide, otherwise they are written as bytes and replayed into the
 dictionary.  Any other column is wide, its keys written as bytes.  Only a
 wide column can be a RealColumn, if every present cell is a real and more
-than MAX_CARD of them differ; otherwise its bytes are replayed too, one
-label decoder for all.  So a column of keys alone, with at most BLOCK_ROWS
-distinct reals, stays a dictionary column.  A wide column's cells are
-parsed block by block, by ``float`` mapped in C: a block of printable
-ASCII without the space straight from its bytes, any other decoded and
-stripped first.  Quoted or irregular files, and every input error
-message, go through the csv module.  A dictionary column's distinct
-labels alone are classified, each parsed once by ``float``; every numeric
-column is binned from its per-row floats.  ``load_csv``, ``infer_schema``
-and ``discretize`` encode rows held in memory the same way.
+than MAX_CARD of them differ; typed once, it keeps only its head's bytes,
+the blocks that took it past MAX_CARD.  Otherwise its bytes are replayed
+too, one label decoder for all.  A wide column's cells are parsed block by
+block, by ``float`` mapped in C: a block of printable ASCII without the
+space straight from its bytes, any other decoded and stripped first.
+Quoted or irregular files, and every input error message, go through the
+csv module.  A dictionary column's distinct labels alone are classified,
+each parsed once by ``float``; every numeric column is binned from its
+per-row floats.  ``load_csv``, ``infer_schema`` and ``discretize`` encode
+rows held in memory the same way.
 """
 from __future__ import annotations
 
@@ -219,9 +219,8 @@ class RealColumn:
     of them distinct, so numeric, and kept only as its rows: per row,
     ``row_present`` marks the stripped cells that are not missing tokens
     and ``row_values`` holds their floats (NaN elsewhere).  ``text`` holds
-    the cells block by block as UTF-8 bytes, each followed by LF, from
-    which ``prefix`` cuts its rows; ``_replay(text)`` is the column's
-    dictionary encoding.
+    only its head as ``_wide_text`` bytes: the blocks up to the one that
+    took its distinct reals past MAX_CARD.
     """
 
     text: tuple[bytes, ...]
@@ -229,17 +228,11 @@ class RealColumn:
     row_values: np.ndarray
 
     def prefix(self, n: int) -> RealColumn | EncodedColumn:
-        """The column of the first n rows, as ``read_table`` gives it for them."""
-        if n >= len(self.row_values):
-            return self
-        text = []
-        for block in self.text:  # each block up to the LF that ends row n
-            ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
-            text.append(block[:ends[min(n, len(ends)) - 1] + 1])
-            n -= len(ends)
-            if n <= 0:
-                break
-        return _wide_column(text)
+        """The column of the first n rows, as ``read_table`` gives it: the
+        head's replay, cut, short of the head's end; else its rows, cut."""
+        if n < sum(block.count(b"\n") for block in self.text):
+            return _replay(self.text).prefix(n)
+        return RealColumn(self.text, self.row_present[:n], self.row_values[:n])
 
 
 def _parse_real(cell: str):
@@ -430,7 +423,8 @@ def _wide_column(text) -> RealColumn | EncodedColumn:
     otherwise their replay.  Each block is typed on its own by
     ``_block_reals``, from its bytes if they are plain, and the first block
     with a present cell that is not a real ends the typing.  Equal reals
-    count once, as NaNs and zeros of either sign do."""
+    count once, as NaNs and zeros of either sign do; they are counted up to
+    the block that takes them past MAX_CARD, the last a RealColumn keeps."""
     reals, seen = [], np.empty(0)
     for block in text:
         present, values = _block_reals(block)
@@ -438,11 +432,12 @@ def _wide_column(text) -> RealColumn | EncodedColumn:
             return _replay(text)
         if len(seen) <= MAX_CARD:
             seen = np.unique(np.concatenate((seen, values[present])), equal_nan=True)
+            head = len(reals) + 1
         reals.append((present, values))
     if len(seen) <= MAX_CARD:
         return _replay(text)
     present, values = zip(*reals)
-    return RealColumn(tuple(text), np.concatenate(present), np.concatenate(values))
+    return RealColumn(tuple(text[:head]), np.concatenate(present), np.concatenate(values))
 
 
 def _read_unquoted(path, has_header, delimiter):
@@ -551,8 +546,8 @@ def _tokenize(fh, has_header, delimiter):
 def read_table(path, has_header: bool = True, delimiter: str = ","):
     """(column names, encoded columns) of a CSV, read as ``load_csv`` reads
     it and encoded block by block as it is read, so no text rows are kept.
-    Each column is an EncodedColumn, or a RealColumn, whose bytes replay
-    (``_replay``) to the EncodedColumn the csv module gives.
+    Each column is an EncodedColumn, or a RealColumn, whose head's bytes
+    replay (``_replay``) to the csv module's EncodedColumn of the head's rows.
 
     ``_read_unquoted`` reads plain delimited files; any other file, and
     every error message, goes through the csv module.

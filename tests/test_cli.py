@@ -1,5 +1,7 @@
+import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -38,6 +40,23 @@ def blob_csv(tmp_path_factory):
 
 def run(*argv):
     return main(list(argv))
+
+
+def real_rows(n):
+    """n rows of a label g beside a wide real column x (10-byte cells).
+    Every 9th row from row 3 respells the real two rows before it, and row
+    20 is "?"."""
+    xs = [f"{100 + 0.37 * k:.6f}" for k in range(n)]
+    for k in range(3, n, 9):
+        xs[k] = f"{100 + 0.37 * (k - 2):.7f}"
+    xs[20] = "?"
+    return [["abc"[k % 3], x] for k, x in enumerate(xs)]
+
+
+# sha256 of bench's stdout without its seconds= fields, then of bench.csv's
+# instances,mappers,reducers columns, on real_rows(60) read in 7-row blocks
+# and binned in 16 bins.
+BENCH_DIGEST = "a86ff482dd5974fc810bfba9eb937e3941dbd394eb09961abc46f4ba2bf5c425"
 
 
 class TestCluster:
@@ -304,16 +323,12 @@ class TestBench:
         assert [int(line.rsplit("distinct=", 1)[1]) for line in lines] == expected
 
     def test_cells_of_a_real_column_match_cluster_on_their_rows(self, tmp_path, capsys):
-        # x is wide (10-byte cells).  Row 3 respells row 1's real, as row 12
-        # does row 10's, and row 20 is "?".  So 12 rows give 12 labels, a
-        # categorical column; 13 rows 13 labels of 11 reals, numeric but
-        # dictionary-encoded; 60 rows a RealColumn with a missing cell.
+        # Row 3 respells row 1's real, as row 12 does row 10's.  So 12 rows
+        # give 12 labels, a categorical column; 13 rows 13 labels of 11
+        # reals, numeric but dictionary-encoded; 60 rows a RealColumn with a
+        # missing cell.
         n = 60
-        xs = [f"{100 + 0.37 * k:.6f}" for k in range(n)]
-        for k in range(3, n, 9):
-            xs[k] = f"{100 + 0.37 * (k - 2):.7f}"
-        xs[20] = "?"
-        rows = [["abc"[k % 3], x] for k, x in enumerate(xs)]
+        rows = real_rows(n)
         path = datasets.write_csv(tmp_path / "reals.csv", rows, header=["g", "x"])
         names, columns = ingest.read_table(str(path))
         x = [columns[1].prefix(size) for size in (12, 13, n)]
@@ -338,6 +353,26 @@ class TestBench:
             assert run("cluster", "--input", str(prefix), "--c", "3", "--max-iters", "2",
                        "--out-dir", str(tmp_path / f"cluster{size}")) == 0
             assert f" distinct={cell} " in capsys.readouterr().out
+
+    def test_output_without_seconds_is_golden(self, tmp_path, monkeypatch, capsys):
+        # distinct= counts records, so no BLAS kernel moves these bytes.  In
+        # 7-row blocks (the header and 6 rows, then 7 rows each), x's
+        # distinct reals pass MAX_CARD in its third block: its head ends at
+        # row 20.  So 12 and 13 rows straddle MAX_CARD, and 19 and 20 rows
+        # the head's end.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 7)
+        rows = real_rows(60)
+        reals = [len({float(x) for _, x in rows[:end] if x != "?"}) for end in (13, 20)]
+        assert reals[0] <= ingest.MAX_CARD < reals[1]
+        path = datasets.write_csv(tmp_path / "reals.csv", rows, header=["g", "x"])
+        out = tmp_path / "out"
+        assert run("bench", "--input", str(path), "--bench-sizes", "12,13,19,20,21,60,110",
+                   "--bench-deployments", "1x1,4x2", "--fixed-iters", "2", "--bins", "16",
+                   "--out-dir", str(out)) == 0
+        text = re.sub(r" seconds=\S+", "", capsys.readouterr().out)
+        text += "".join(line.rsplit(",", 1)[0] + "\n"
+                        for line in (out / "bench.csv").read_text().splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == BENCH_DIGEST, text
 
     def test_unsorted_sizes_are_usage_error(self, tmp_path):
         path = tmp_path / "synth.csv"

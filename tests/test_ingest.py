@@ -328,15 +328,18 @@ class TestOnePassEncoding:
     def test_columns_match_a_per_cell_encoding(self, tmp_path, monkeypatch, block_rows):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
         names, rows = TABLES["decorated"]
-        got_names, columns = ingest.read_table(str(datasets.write_csv(tmp_path / "t.csv", rows,
-                                                                      header=names)))
+        path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
+        got_names, columns = ingest.read_table(path)
         assert got_names == names
-        for j, table_column in enumerate(columns):
+        for j, (table_column, other) in enumerate(zip(columns, csv_module_table(path)[1])):
+            # A RealColumn encodes its head's rows only: every row is checked
+            # against the csv module's, the encoding against the cells.
+            assert_same_rows(table_column, other)
             column = encoded(table_column)
             index = {}
-            codes = [index.setdefault(row[j].strip(), len(index)) for row in rows]
+            codes = [index.setdefault(row[j].strip(), len(index))
+                     for row in rows[:len(column.codes)]]
             labels = list(index)
-            assert_same_rows(table_column, column)
             assert column.labels == labels
             assert column.codes.tolist() == codes
             assert column.present.tolist() == [lab not in ingest.MISSING_TOKENS for lab in labels]
@@ -348,15 +351,24 @@ class TestOnePassEncoding:
                 else:
                     assert parsed and (value == real or np.isnan(value) and np.isnan(real))
 
-    @pytest.mark.parametrize("table", ["recipe", "decorated"])
-    def test_prefix_equals_encoding_the_first_rows(self, tmp_path, table):
+    @pytest.mark.parametrize("table, block_rows", [
+        ("recipe", ingest.BLOCK_ROWS), ("decorated", ingest.BLOCK_ROWS),
+        ("recipe", 7), ("decorated", 7),
+    ], ids=["recipe", "decorated", "recipe-7", "decorated-7"])
+    def test_prefix_equals_encoding_the_first_rows(self, tmp_path, monkeypatch, table,
+                                                   block_rows):
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
         names, rows = TABLES[table]
         path = str(datasets.write_csv(tmp_path / "t.csv", rows, header=names))
         _, columns = ingest.read_table(path)
         _, rows = ingest.load_csv(path)
         # Up to 12 rows, a real column holds at most MAX_CARD distinct labels
-        # and is categorical; from 13 on, numeric.
-        for size in (5, 12, 13, 60, 61, 333, len(rows) - 1, len(rows), len(rows) + 50):
+        # and is categorical; from 13 on, numeric.  A RealColumn's prefix is
+        # its head's replay short of the head's last row and its own rows
+        # from there on: sizes either side of each head's end take both.
+        ends = {head_rows(column) for column in columns if isinstance(column, ingest.RealColumn)}
+        sizes = {5, 12, 13, 60, 61, 333, len(rows) - 1, len(rows), len(rows) + 50}
+        for size in sorted(sizes | {end + step for end in ends for step in (-1, 0, 1)}):
             want = ingest.discretize(rows[:size], ingest.infer_schema(names, rows[:size]))
             got = ingest.encode_table(names, [column.prefix(size) for column in columns])
             assert_same_dataset(got, want)
@@ -395,8 +407,14 @@ def csv_module_table(path, has_header=True, delimiter=","):
 
 
 def encoded(column):
-    """The EncodedColumn of a column: a RealColumn's is the replay of its bytes."""
+    """The EncodedColumn of a column.  A RealColumn's is the replay of its
+    head's bytes, so it covers the head's rows only."""
     return ingest._replay(column.text) if isinstance(column, ingest.RealColumn) else column
+
+
+def head_rows(column):
+    """The rows of a RealColumn's head, the only ones its bytes hold."""
+    return sum(block.count(b"\n") for block in column.text)
 
 
 def rows_of(column):
@@ -419,7 +437,11 @@ def assert_same_table(got, want):
     assert len(got[1]) == len(want[1])
     for column_a, column_b in zip(got[1], want[1]):
         assert_same_rows(column_a, column_b)
+        # Every row matches, above; the encodings match over the rows both
+        # cover: all of them, or a RealColumn's head.
         a, b = encoded(column_a), encoded(column_b)
+        rows = min(len(a.codes), len(b.codes))
+        a, b = a.prefix(rows), b.prefix(rows)
         assert a.labels == b.labels
         assert a.codes.dtype == b.codes.dtype == np.int32 and a.codes.tolist() == b.codes.tolist()
         assert a.present.tolist() == b.present.tolist()
@@ -653,9 +675,12 @@ class TestByteTokenizer:
         column = table[1][0]
         assert isinstance(column, ingest.RealColumn)
         assert column.row_values.tolist() == ids
-        rows = [block.count(b"\n") for block in column.text]
-        assert sum(rows) == len(ids) and max(rows) <= ingest.BLOCK_ROWS
         assert [name for name, _, _ in calls] == ["_key_column", "_wide_column", "_key_column"]
+        assert calls[1][1] == [ingest.BLOCK_ROWS] * 3  # the rows as bytes, block by block
+        # Every id differs, so the first block is the head, whose bytes alone
+        # the column keeps.
+        assert [block.count(b"\n") for block in column.text] == [ingest.BLOCK_ROWS]
+        assert encoded(column).labels == list(map(str, ids[:ingest.BLOCK_ROWS]))
 
     @pytest.mark.parametrize("block_rows", [16, ingest.BLOCK_ROWS])
     def test_narrow_keys_widen_with_their_cells(self, tmp_path, monkeypatch, block_rows):
@@ -806,7 +831,8 @@ class TestRealColumns:
         table = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))
         column = table[1][0]
         assert isinstance(column, ingest.RealColumn) == (len(labels) == values > ingest.MAX_CARD)
-        assert encoded(column).labels == labels + ["?"]
+        head = encoded(column)  # a RealColumn's covers its head's rows only
+        assert head.labels == list(dict.fromkeys(cells[:len(head.codes)]))
         spec = ingest.encode_table(*table).schema[0]
         assert spec.kind == kind
         if kind == "categorical":
@@ -899,6 +925,30 @@ class TestRealColumns:
         assert isinstance(column, ingest.RealColumn if real else ingest.EncodedColumn)
         if real:
             assert column.row_present.tolist() == [cell.strip() != "?" for cell in cells]
+
+    def test_prefix_from_the_head_on_slices_its_rows(self, tmp_path, monkeypatch):
+        # The header and 6 rows fill the first block and 7 rows the second,
+        # whose last row brings the 13th distinct real: the head is 13 rows.
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 7)
+        cells = [f"{100 + k * 0.37:.6f}" for k in range(60)]
+        cells[20] = "?"
+        column = read_like_the_csv_module(write_lines(tmp_path, real_lines(cells)))[1][0]
+        assert isinstance(column, ingest.RealColumn)
+        assert column.text == tuple("".join(cell + "\n" for cell in cells[a:b]).encode()
+                                    for a, b in ((0, 6), (6, 13)))
+        calls = []
+        for name in ("_wide_column", "_block_reals", "_replay"):
+            def spy(*args, step=getattr(ingest, name), name=name):
+                calls.append(name)
+                return step(*args)
+            monkeypatch.setattr(ingest, name, spy)
+        for size in (13, 14, 20, 21, 59, 60, 61):
+            prefix = column.prefix(size)
+            assert isinstance(prefix, ingest.RealColumn) and prefix.text is column.text
+            assert prefix.row_present.tolist() == column.row_present[:size].tolist()
+            assert prefix.row_values.tobytes() == column.row_values[:size].tobytes()
+        assert calls == []
+        assert isinstance(column.prefix(12), ingest.EncodedColumn) and calls == ["_replay"]
 
     def test_recipe_reals_never_reach_the_dictionary(self, tmp_path, monkeypatch):
         names, rows = TABLES["recipe"]

@@ -18,16 +18,18 @@ from mrfcm.engine import PartitionedStore
 MB = 2 ** 20
 
 
-def traced_peak(fn, *args):
-    """(fn(*args), the peak of the memory traced during the call, above what
-    was traced when it began), leaving a tracer that was already on running."""
+def traced(fn, *args):
+    """(fn(*args), the peak of the memory traced during the call and the
+    memory traced after it, both above what was traced when it began),
+    leaving a tracer that was already on running."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - base, held - base
     finally:
         if started:
             tracemalloc.stop()
@@ -53,9 +55,21 @@ def test_encode_csv_frees_each_column_once_encoded(mixed_csv):
     # The (n, 10) int32 codes are 3.8 MB, held twice while the columns are
     # stacked.  Peak 10.9 MB; 21.5 MB while every column read_table gave,
     # with intp label codes, stayed alive until the end.
-    dataset, peak = traced_peak(ingest.encode_csv, mixed_csv)
+    dataset, peak, _ = traced(ingest.encode_csv, mixed_csv)
     assert dataset.codes.shape == (100_000, 10)
     assert peak < 14 * MB, peak / MB
+
+
+def test_read_table_keeps_the_head_bytes_of_a_real_column(mixed_csv):
+    # Each real column keeps a float and a present flag per row (0.9 MB),
+    # and the bytes of its head alone: the 8,191 rows of its first block,
+    # 94 KB.  Held 4.96 MB; 6.96 MB while each real column kept every
+    # row's bytes (1.14 MB).
+    ingest.read_table(mixed_csv)  # first-call allocations stay out of the figure
+    (_, columns), _, held = traced(ingest.read_table, mixed_csv)
+    kinds = [type(column).__name__ for column in columns]
+    assert kinds == ["EncodedColumn"] * 8 + ["RealColumn"] * 2
+    assert held < 6 * MB, held / MB
 
 
 def test_coordinates_project_split_by_split(mixed_csv):
@@ -65,7 +79,7 @@ def test_coordinates_project_split_by_split(mixed_csv):
     dataset = ingest.encode_csv(mixed_csv)
     store = PartitionedStore(dataset.codes, np.array([0, dataset.n]))
     model = mca.fit_mca(*mca.accumulate_burt(store, dataset.cardinalities)[:2])
-    (points, _, _, _), peak = traced_peak(fcm._coordinates, store, model)
+    (points, _, _, _), peak, _ = traced(fcm._coordinates, store, model)
     assert points.data.flags.f_contiguous and points.data.shape[1] == model.dim
     assert peak < 5 * MB, peak / MB
 
@@ -79,7 +93,7 @@ def test_burt_map_holds_slices_of_the_indicator():
     col_offsets = np.arange(11, dtype=np.int64) * 50
     weights = rng.integers(1, 5, 4096).astype(float)
     context = (col_offsets, weights, np.array([0, 4096]))
-    emitted, peak = traced_peak(lambda: list(mca._burt_map(0, block, context)))
+    emitted, peak, _ = traced(lambda: list(mca._burt_map(0, block, context)))
     assert peak < 10 * MB, peak / MB
     indicator = np.zeros((4096, 500))
     indicator[np.arange(4096)[:, None], block + col_offsets[:-1]] = 1.0
@@ -95,7 +109,7 @@ def test_distinct_rows_views_a_wide_integer_table_uncopied():
     table = np.empty((200_000, 10), dtype=np.int32)
     table[:, 0] = rng.permutation(200_000)
     table[:, 1:] = rng.integers(0, 50, (200_000, 9))
-    (first, counts, inverse), peak = traced_peak(engine._distinct_rows, table)
+    (first, counts, inverse), peak, _ = traced(engine._distinct_rows, table)
     assert (first == np.arange(200_000)).all() and (inverse == first).all()
     assert (counts == 1).all()
     assert peak < 25 * MB, peak / MB
