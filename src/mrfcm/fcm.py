@@ -332,21 +332,20 @@ def _cluster(coordinates, config, spec, metrics_sink=None):
     """The iteration loop of run_fcm over ``_coordinates``' store of distinct
     float points, seeded among its rows ``seeds``.  Each job's (c, b)
     membership blocks go into the next job's context, whose maps measure
-    their own change; the (k, c) rows are stacked once, at the end."""
+    their own change.  The result is built once, after the last job, its
+    (k, c) rows stacked from that job's blocks."""
     store, weights, seeds, inverse = coordinates
     centroids = _draw_centroids(store.data, seeds, config.c, config.seed)
-    result = FcmResult(distinct_u=np.empty((store.n, config.c)), v=centroids, inverse=inverse)
-    blocks = None
+    objectives, deltas, blocks = [], [], None
     for iteration in range(1, config.max_iters + 1):
         blocks, delta, centroids, obj, metrics = _iteration_job(
             store, centroids, spec, config.m, weights, blocks)
         if metrics_sink is not None:
             metrics_sink.append(metrics)
-        result.objective_trace.append(obj)
-        result.max_delta_trace.append(delta)
-        result.v, result.iters_run = centroids, iteration
-        if delta < config.epsilon and not config.fixed_iterations:
-            result.converged = True
+        objectives.append(obj)
+        deltas.append(delta)
+        converged = delta < config.epsilon and not config.fixed_iterations
+        if converged:
             break
-    result.distinct_u = _stack(blocks, store.n)
-    return result
+    return FcmResult(_stack(blocks, store.n), centroids, inverse, objectives, deltas,
+                     iteration, converged)

@@ -12,22 +12,23 @@ A CSV is read once, in blocks of rows.  Each column is dictionary-encoded
 one int code per cell) or, if it holds many distinct reals, kept as one
 float per row.  A file the csv module would split at every delimiter byte
 is tokenized from its bytes with numpy; there a column's block holds one
-integer key per row if its cells fit 8 bytes, else its cells' bytes.  At
-end of file the package's one dedup (``engine.first_appearance``) finds
-the distinct keys of a column of keys alone: more than BLOCK_ROWS make it
-wide, otherwise they are written as bytes and replayed into the
-dictionary.  Any other column is wide, its keys written as bytes.  Only a
-wide column can be a RealColumn, if every present cell is a real and more
-than MAX_CARD of them differ; typed once, it keeps only its head's bytes,
-the blocks that took it past MAX_CARD.  Otherwise its bytes are replayed
-too, one label decoder for all.  A wide column's cells are parsed block by
-block, by ``float`` mapped in C: a block of printable ASCII without the
-space straight from its bytes, any other decoded and stripped first.
-Quoted or irregular files, and every input error message, go through the
-csv module.  A dictionary column's distinct labels alone are classified,
-each parsed once by ``float``; every numeric column is binned from its
-per-row floats.  ``load_csv``, ``infer_schema`` and ``discretize`` encode
-rows held in memory the same way.
+integer key per row if its cells fit 8 bytes, else its cells' bytes, each
+gathered with the byte after it, which becomes its LF.  At end of file the
+package's one dedup (``engine.first_appearance``) finds the distinct keys
+of a column of keys alone: more than BLOCK_ROWS make it wide, otherwise
+they are written as bytes and replayed into the dictionary.  Any other
+column is wide, its keys written as bytes.  Only a wide column can be a
+RealColumn, if every present cell is a real and more than MAX_CARD of them
+differ; typed once, it keeps only its head's bytes, the blocks that took
+it past MAX_CARD.  Otherwise its bytes are replayed too, one label decoder
+for all.  A wide column's cells are parsed block by block, by ``float``
+mapped in C: a block of printable ASCII without the space straight from
+its bytes, any other decoded and stripped first.  Quoted or irregular
+files, and every input error message, go through the csv module.  A
+dictionary column's distinct labels alone are classified, each parsed once
+by ``float``; every numeric column is binned from its per-row floats.
+``load_csv``, ``infer_schema`` and ``discretize`` encode rows held in
+memory the same way.
 """
 from __future__ import annotations
 
@@ -363,15 +364,18 @@ def _key_column(blocks) -> RealColumn | EncodedColumn:
     return replace(column, codes=column.codes[inverse])
 
 
-def _wide_text(lined, at, size):
-    """One column's cells in a block as bytes: one gather of every cell with
-    the LF that follows it in ``lined``."""
+def _wide_text(buf, at, size):
+    """One column's cells in a block as bytes: one gather from the block as
+    read of every cell with the byte after it, written as LF in the copy."""
     step = size + 1
+    ends = np.cumsum(step, dtype=step.dtype)
     # In the dtype of the cell positions (int32 for blocks under 2 GiB):
     # an int64 gather index over the block's bytes takes twice as long.
-    gather = np.repeat(at - np.cumsum(step, dtype=step.dtype) + step, step)
+    gather = np.repeat(at - ends + step, step)
     gather += np.arange(len(gather), dtype=gather.dtype)
-    return lined[gather].tobytes()
+    text = buf[gather]
+    text[ends - 1] = 10
+    return text.tobytes()
 
 
 def _split(text):
@@ -451,10 +455,11 @@ def _read_unquoted(path, has_header, delimiter):
     column is typed on its own: one key per cell if its cells all fit 8
     bytes, in the narrowest of uint16, uint32 and uint64 that holds the
     widest (no NUL byte means zero padding is unambiguous), else its cells'
-    bytes (``_wide_text``).  A column is typed once, at end of file: by
-    ``_key_column`` if all its blocks are keys, else by ``_wide_column``,
-    its key blocks written as bytes (``_key_bytes``); both decode labels
-    through ``_replay``.
+    bytes, each gathered with the byte after it as its LF (``_wide_text``);
+    a block is copied once, for its keys.  A column is typed once, at end
+    of file: by ``_key_column`` if all its blocks are keys, else by
+    ``_wide_column``, its key blocks written as bytes (``_key_bytes``);
+    both decode labels through ``_replay``.
     """
     if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '\0\r\n"':
         return None
@@ -517,19 +522,15 @@ def _tokenize(fh, has_header, delimiter):
         rows = len(starts)
         if not rows:
             continue
-        words = lined = None
+        # The 8 bytes from each position, little-endian: the block's one copy.
+        words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
         for j in range(width):
             at, size = starts[:, j], lengths[:, j]
             widest = size.max()
             if widest <= 8:
-                if words is None:  # the 8 bytes from each position, little-endian
-                    words = np.ndarray(buf.size, "<u8", data + bytes(7), strides=(1,))
                 parts[j].append((words[at] & _BYTE_MASKS[size]).astype(_KEY_TYPES[widest]))
             else:
-                if lined is None:  # every cell followed by LF
-                    lined = buf.copy()
-                    lined[starts + lengths] = 10
-                parts[j].append(_wide_text(lined, at, size))
+                parts[j].append(_wide_text(buf, at, size))
         n += rows
     if not n:
         return None

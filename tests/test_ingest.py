@@ -590,6 +590,21 @@ class TestByteTokenizer:
         with pytest.raises(DataIOError, match=f"^{path}: line {line} is not UTF-8: "):
             ingest.read_table(path)
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_wide_text_gathers_each_cell_and_an_lf(self, eol):
+        # Each cell is gathered with the byte after it, a delimiter, CR or
+        # LF, which the copy holds as LF; the block's last cell meets its
+        # last line end.  The block itself is read, never written.
+        rows = [[b"twelve bytes", b"a", b" 1.5e-300 "], [b"", b"bb", b"123456789"],
+                [b"x", b"ccc", b"-0.000000001"]]
+        data = b"".join(b",".join(row) + eol for row in rows)
+        buf = np.frombuffer(bytearray(data), dtype=np.uint8)
+        starts, lengths = ingest._cells(buf, ord(","))
+        for j in range(3):
+            text = ingest._wide_text(buf, starts[:, j], lengths[:, j])
+            assert text == b"".join(row[j] + b"\n" for row in rows), j
+        assert buf.tobytes() == data
+
     def test_declines_a_ragged_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", 2)
         data = b"a,b\r\n1,x\r\n\r\n2,y\r\n3,z,w\r\n"  # the ragged row is in a later block

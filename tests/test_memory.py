@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mrfcm import datasets, engine, fcm, ingest, mca
-from mrfcm.engine import PartitionedStore
+from mrfcm.engine import JobSpec, PartitionedStore
 
 MB = 2 ** 20
 
@@ -35,20 +35,31 @@ def traced(fn, *args):
             tracemalloc.stop()
 
 
-@pytest.fixture(scope="module")
-def mixed_csv(tmp_path_factory):
-    """100,000 rows like the benchmark's mixed table: eight categorical
+def write_mixed(path, n):
+    """n rows like the benchmark's mixed table at ``path``: eight categorical
     columns of four labels with three planted clusters, two real columns
     from three Gaussian blobs, and "?" in about 1% of the cells."""
-    n = 100_000
     rows = [a + b for a, b in zip(
         datasets.clustered_categorical_rows(n, 8, num_clusters=3, cardinality=4, seed=7),
         datasets.gaussian_blob_rows(n, [[0.0, 0.0], [4.0, 1.0], [1.0, 5.0]], 1.0, seed=8))]
     for i, j in zip(*np.nonzero(np.random.default_rng(9).random((n, 10)) < 0.01)):
         rows[i][j] = "?"
-    path = tmp_path_factory.mktemp("mixed") / "mixed.csv"
     datasets.write_csv(path, rows, header=[f"q{j}" for j in range(8)] + ["x0", "x1"])
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def mixed_csv(tmp_path_factory):
+    """The mixed table at 100,000 rows."""
+    return write_mixed(tmp_path_factory.mktemp("mixed") / "mixed.csv", 100_000)
+
+
+@pytest.fixture(scope="module")
+def mixed_model(mixed_csv):
+    """The mixed table's one-partition store of codes and its MCA model."""
+    dataset = ingest.encode_csv(mixed_csv)
+    store = PartitionedStore(dataset.codes, np.array([0, dataset.n]))
+    return store, mca.fit_mca(*mca.accumulate_burt(store, dataset.cardinalities)[:2])
 
 
 def test_encode_csv_frees_each_column_once_encoded(mixed_csv):
@@ -72,16 +83,38 @@ def test_read_table_keeps_the_head_bytes_of_a_real_column(mixed_csv):
     assert held < 6 * MB, held / MB
 
 
-def test_coordinates_project_split_by_split(mixed_csv):
+def test_read_table_copies_each_block_once(tmp_path):
+    # 20,000 rows in three blocks, each with narrow and wide columns.  The
+    # block's one copy is its padded key view; the wide cells are gathered
+    # from the block as read.  Peak 3.34 MB; 3.65 MB with a second copy of
+    # each block, an LF written after every cell, to gather them from.
+    path = write_mixed(tmp_path / "mixed.csv", 20_000)
+    ingest.read_table(path)  # first-call allocations stay out of the figure
+    (_, columns), peak, _ = traced(ingest.read_table, path)
+    assert [type(column).__name__ for column in columns[8:]] == ["RealColumn"] * 2
+    assert peak < 3.5 * MB, peak / MB
+
+
+def test_coordinates_project_split_by_split(mixed_model):
     # 31,168 distinct records at d = 8: the column-major points are 1.9 MB.
     # Peak 3.0 MB; 8.1 MB with one transform of every record, its (k, Q)
     # gather table and a row-major copy of the points.
-    dataset = ingest.encode_csv(mixed_csv)
-    store = PartitionedStore(dataset.codes, np.array([0, dataset.n]))
-    model = mca.fit_mca(*mca.accumulate_burt(store, dataset.cardinalities)[:2])
+    store, model = mixed_model
     (points, _, _, _), peak, _ = traced(fcm._coordinates, store, model)
     assert points.data.flags.f_contiguous and points.data.shape[1] == model.dim
     assert peak < 5 * MB, peak / MB
+
+
+def test_cluster_builds_its_memberships_once(mixed_model):
+    # 10 fixed iterations at c = 3 on the 31,168 distinct points: the (k, c)
+    # memberships, 0.71 MB, exist once, stacked after the last job.  Peak
+    # 1.79 MB; 2.51 MB with a (k, c) placeholder allocated before the first
+    # job and held, never read, to the end.
+    coordinates = fcm._coordinates(*mixed_model)
+    config = fcm.FcmConfig(c=3, seed=7, max_iters=10, fixed_iterations=True)
+    result, peak, _ = traced(fcm._cluster, coordinates, config, JobSpec(1, 1))
+    assert result.distinct_u.shape == (31_168, 3) and result.iters_run == 10
+    assert peak < 2.2 * MB, peak / MB
 
 
 def test_burt_map_holds_slices_of_the_indicator():
